@@ -116,6 +116,15 @@ def result_to_json(res, path_or_none):
 # subcommands
 # ============================================================
 
+def _fit_hgl(y, design, cfg):
+    """fit_hglasso with its data errors (e.g. a selection split too short
+    to estimate sigma2 when none is given) reported as usage errors."""
+    try:
+        return fit_hglasso(y, design, cfg)
+    except ValueError as exc:
+        raise CliError(str(exc))
+
+
 def cmd_fit(args):
     G = read_csv_matrix(args.data_g)
     y = read_csv_matrix(args.data_y)
@@ -146,10 +155,14 @@ def cmd_fit(args):
 
     gamma = args.gamma
     if args.method in ("hgla", "hglb", "hglc"):
+        if gamma is not None and gamma <= 0:
+            raise CliError("--gamma must be positive")
+        # a given gamma is a one-point grid: one cut of the greedy path
         cfg = SelectionConfig(variant=args.method, sigma2=args.sigma2,
                               grid_lo=args.grid_lo, grid_hi=args.grid_hi,
-                              grid_n=args.grid_n)
-        res, _ = fit_hglasso(y, design, cfg)
+                              grid_n=args.grid_n,
+                              gamma_grid=None if gamma is None else [gamma])
+        res, _ = _fit_hgl(y, design, cfg)
         res.extra["kkt_residual"] = kkt_residual_hgl(res.lam, y, design,
                                                      res.extra["sigma2"], 0.0) \
             if args.method == "hglc" else None
@@ -244,13 +257,16 @@ def cmd_arx(args):
     design, y = prob.design, prob.y
     if args.sigma2 is not None:
         sigma2 = args.sigma2
+        if sigma2 <= 0:
+            raise CliError("--sigma2 must be positive")
     elif design.n > design.m:
         sigma2 = max(estimate_sigma2_ls(y, design.G), 1e-12)
     else:
         raise CliError("training rows <= regressors: supply --sigma2")
 
     if args.method in ("hgla", "hglb", "hglc"):
-        res, _ = fit_hglasso(y, design, SelectionConfig(variant=args.method))
+        res, _ = _fit_hgl(y, design, SelectionConfig(variant=args.method,
+                                                     sigma2=args.sigma2))
     elif args.method == "mkl":
         res = ex.est_mkl(y, design, sigma2, {})
     else:

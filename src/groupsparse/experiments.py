@@ -291,7 +291,10 @@ def _cv_split(y, design):
 
 def est_mkl(y, design, sigma2, ctx):
     """Kernel-scale estimator; gamma chosen by validation on a grid spanning
-    [1e-2, 1e4] times the gamma picked by the staged hgla fit."""
+    [1e-2, 1e4] times the gamma picked by the staged hgla fit.  The result
+    is cached in ctx["mkl"], where est_glasso reads it."""
+    if "mkl" in ctx:
+        return ctx["mkl"]
     _, trace = _hgla_stage(y, design, sigma2, ctx)
     gamma_ref = trace.chosen_gamma
     grid = np.logspace(np.log10(1e-2 * gamma_ref), np.log10(1e4 * gamma_ref), 30)
@@ -307,13 +310,13 @@ def est_mkl(y, design, sigma2, ctx):
     lam = solve_mkl_lambda(y, design, sigma2, gamma).lam
     res = mkl_recover_theta(lam, y, design, sigma2)
     res.gamma = gamma
+    ctx["mkl"] = res
     return res
 
 
 def est_glasso(y, design, sigma2, ctx):
     """Group Lasso with the penalty tied to mkl's choice via sqrt(2 gamma)."""
-    mkl_res = ctx.get("mkl") or est_mkl(y, design, sigma2, ctx)
-    ctx["mkl"] = mkl_res
+    mkl_res = est_mkl(y, design, sigma2, ctx)
     cfg = ConvexFitConfig(reg_param=np.sqrt(2.0 * mkl_res.gamma))
     return solve_glasso(y, design, sigma2, cfg)
 

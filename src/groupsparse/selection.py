@@ -3,8 +3,10 @@ over blocks in hyperparameter space, and the three staged estimators.
 
 All three variants start from the same stage: split the data, estimate the
 noise variance from training least squares, estimate a common scale kappa,
-run forward selection for each gamma on a grid, and pick gamma by validation
-error.  They differ only in the final polish:
+compute one unpenalized greedy block path on the training data, cut it for
+each gamma on a grid (gamma only moves the stopping point, never the order),
+and pick gamma by validation error, computed once per distinct selected set.
+They differ only in the final polish:
 
   hgla  posterior mean at the forward-selection scales, no polish
   hglb  quasi-Newton refinement over all blocks from the selected start
@@ -153,30 +155,76 @@ def _log_posterior(y, design, sigma2, kappa, gamma, subset):
             - gamma * kappa * len(subset))
 
 
-def forward_select(y_tr, design_tr, sigma2, kappa, gamma):
-    """Greedy block inclusion maximizing the marginal log posterior.
+def _block_gains(fac, y, blocks, kappa):
+    """Unpenalized gain L(I + {j}) - L(I) of each listed block j, where I is
+    the set factored in fac (scales kappa on I).
+
+    With W = Sigma_y(I)^{-1}, S_j = G_j^T W G_j, q_j = G_j^T W y and
+    C_j = I_k + kappa S_j, the determinant lemma and Woodbury give
+
+        gain_j = -0.5 logdet C_j + 0.5 kappa q_j^T C_j^{-1} q_j,
+
+    so every candidate costs k x k work after one solve against the factor.
+    Blocks of equal size are scored together as a stack.
+    """
+    design = fac.design
+    gains = np.empty(len(blocks))
+    by_size = {}
+    for pos, j in enumerate(blocks):
+        by_size.setdefault(design.group_sizes[j], []).append(pos)
+    for k, pos in by_size.items():
+        G = design.G[:, np.r_[tuple(design.slices[blocks[i]] for i in pos)]]
+        shape = (design.n, len(pos), k)          # rows x blocks x columns
+        WG = fac.solve(G).reshape(shape)
+        C = np.eye(k) + kappa * np.einsum("nri,nrj->rij", G.reshape(shape), WG)
+        q = np.einsum("nri,n->ri", WG, y)
+        L = np.linalg.cholesky(C)
+        z = np.linalg.solve(L, q[..., None])[..., 0]    # L^{-1} q
+        logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+        gains[pos] = -0.5 * logdet + 0.5 * kappa * np.sum(z * z, axis=1)
+    return gains
+
+
+def _greedy_path(y_tr, design_tr, sigma2, kappa, floor):
+    """Unpenalized greedy block path, shared by every gamma.
 
     Starting from the empty set, repeatedly add the block with the largest
-    gain L(I + {j}) - L(I), smallest index on ties, and stop as soon as the
-    best gain is not positive.  Returns (selected indices, accepted gains).
+    gain L(I + {j}) - L(I) at gamma = 0, smallest index on ties, and stop
+    at the first step whose best gain is <= floor.  The penalty gamma kappa
+    |I| lowers every candidate's gain by the same gamma kappa, so the greedy
+    order is the same for every gamma; only the stopping point moves.  One
+    MarginalFactor is built per step.  Returns (blocks in order of
+    inclusion, their unpenalized gains), every gain > floor.
     """
     y = np.asarray(y_tr, dtype=float)
-    current = []
-    gains = []
-    L = _log_posterior(y, design_tr, sigma2, kappa, gamma, current)
+    lam = np.zeros(design_tr.p)
+    order, gains = [], []
     remaining = list(range(design_tr.p))
     while remaining:
-        cand = [(_log_posterior(y, design_tr, sigma2, kappa, gamma,
-                                current + [j]) - L, j) for j in remaining]
-        best_gain = max(g for g, _ in cand)
-        if best_gain <= 0:
+        fac = MarginalFactor(design_tr, lam, sigma2)
+        cand = _block_gains(fac, y, remaining, kappa)
+        best = int(np.argmax(cand))          # first maximum: smallest index
+        if cand[best] <= floor:
             break
-        j = min(j for g, j in cand if g == best_gain)
-        current.append(j)
-        remaining.remove(j)
-        gains.append(best_gain)
-        L += best_gain
-    return sorted(current), gains
+        j = remaining.pop(best)
+        order.append(j)
+        gains.append(float(cand[best]))
+        lam[j] = kappa
+    return order, gains
+
+
+def forward_select(y_tr, design_tr, sigma2, kappa, gamma):
+    """Greedy block inclusion maximizing the marginal log posterior at gamma.
+
+    The unpenalized greedy path (see _greedy_path) cut at the first gain
+    <= gamma kappa: the same set as adding the block with the largest
+    penalized gain L(I + {j}) - L(I), smallest index on ties, until the best
+    gain is not positive.  Returns (sorted selected indices, accepted
+    penalized gains in order of inclusion).
+    """
+    floor = gamma * kappa
+    order, gains = _greedy_path(y_tr, design_tr, sigma2, kappa, floor)
+    return sorted(order), [g - floor for g in gains]
 
 
 def _split(y, design, frac):
@@ -192,10 +240,11 @@ def fit_hglasso(y, design, config=None):
     """Staged group-sparse fit; returns (EstimateResult, SelectionTrace).
 
     Stage one (shared): prefix split, training-residual sigma2 (unless
-    overridden), kappa estimate, forward selection per gamma on the grid,
-    gamma chosen by validation error (ties: largest gamma).  The variant
-    then produces lambda on the full data as described in the module
-    docstring, and theta is the posterior mean at that lambda.
+    overridden), kappa estimate, one greedy path cut per gamma on the grid
+    (the same sets forward_select returns), gamma chosen by validation error
+    (ties: largest gamma).  The variant then produces lambda on the full
+    data as described in the module docstring, and theta is the posterior
+    mean at that lambda.
     """
     cfg = config or SelectionConfig()
     y = np.asarray(y, dtype=float)
@@ -212,16 +261,23 @@ def fit_hglasso(y, design, config=None):
         gammas = np.logspace(np.log10(cfg.grid_lo / k_ref),
                              np.log10(cfg.grid_hi / k_ref), cfg.grid_n)
 
+    order, path_gains = _greedy_path(y_tr, d_tr, sigma2, kappa,
+                                     np.min(gammas) * kappa)
     sets, gains_per_gamma, val_errors = [], [], []
+    err_of_cut = {}      # validation error per distinct selected set
     for gamma in gammas:
-        subset, gains = forward_select(y_tr, d_tr, sigma2, kappa, gamma)
-        lam = np.zeros(design.p)
-        lam[subset] = kappa
-        th = posterior_mean(d_tr, HyperState(lam, 0.0, sigma2), y_tr)
-        err = float(np.linalg.norm(y_val - d_val.G @ th.theta))
-        sets.append(subset)
-        gains_per_gamma.append(gains)
-        val_errors.append(err)
+        # gamma accepts the path up to its first gain <= gamma kappa
+        floor = gamma * kappa
+        t = next((i for i, g in enumerate(path_gains) if g <= floor),
+                 len(path_gains))
+        if t not in err_of_cut:
+            lam = np.zeros(design.p)
+            lam[order[:t]] = kappa
+            th = posterior_mean(d_tr, HyperState(lam, 0.0, sigma2), y_tr)
+            err_of_cut[t] = float(np.linalg.norm(y_val - d_val.G @ th.theta))
+        sets.append(sorted(order[:t]))
+        gains_per_gamma.append([g - floor for g in path_gains[:t]])
+        val_errors.append(err_of_cut[t])
     val_errors = np.asarray(val_errors)
     # validation error is exactly flat across gammas sharing a selected set,
     # so break ties toward the largest gamma (the most parsimonious prior)

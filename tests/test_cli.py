@@ -116,6 +116,24 @@ def test_fit_unknown_method_exits_2(fixture_dir):
     assert code == 2
 
 
+def test_fit_gamma_is_honoured_for_hgl(fixture_dir, tmp_path, capsys):
+    """--gamma is a one-point grid for the hgl variants; nonpositive is a
+    usage error."""
+    data = ["--data-y", str(fixture_dir / "y.csv"),
+            "--data-g", str(fixture_dir / "G.csv"), "--groups", "4"]
+    out = tmp_path / "fit.json"
+    for gamma, empty in (("1e-3", False), ("1e9", True)):
+        code = main(["fit", "--method", "hgla", "--gamma", gamma,
+                     "--out", str(out)] + data)
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["gamma"] == float(gamma)
+        assert (doc["selected"] == []) == empty
+    for gamma in ("0", "-1"):
+        assert main(["fit", "--method", "hglb", "--gamma", gamma] + data) == 2
+        assert "--gamma must be positive" in capsys.readouterr().err
+
+
 def test_fit_wide_design_requires_sigma2(tmp_path):
     rng = np.random.default_rng(0)
     np.savetxt(tmp_path / "G.csv", rng.standard_normal((4, 6)), delimiter=",")
@@ -178,6 +196,21 @@ def test_arx_end_to_end(arx_csv, tmp_path, capsys):
     assert doc["cod"]["1"] > 0.0
     assert len(doc["block_norms"]) == 4           # output + 3 inputs
     assert "COD_1" in capsys.readouterr().out
+
+
+def test_arx_sigma2_reaches_hgl_selection(tmp_path, capsys):
+    """300 samples with q=20: the selection split has 65 rows for 80
+    regressors, so sigma2 cannot be estimated there.  Without --sigma2 this
+    is a usage error; with it the fit runs."""
+    from groupsparse import gen_arx_series
+    p = tmp_path / "series.csv"
+    np.savetxt(p, gen_arx_series(T=300, seed=4), delimiter=",")
+    args = ["arx", "--data", str(p), "--method", "hgla", "--q", "20",
+            "--horizon", "2", "--out", str(tmp_path / "arx")]
+    assert main(args) == 2
+    assert "supply sigma2" in capsys.readouterr().err
+    assert main(args + ["--sigma2", "0.1"]) == 0
+    assert main(args + ["--sigma2", "0"]) == 2
 
 
 def test_arx_q_too_large_exits_2(tmp_path):

@@ -236,3 +236,28 @@ def test_estimator_failure_is_recorded_not_fatal(monkeypatch):
                                       estimators=["oracle"]))
     assert all(r["error"] == "synthetic failure" for r in rep.per_run)
     assert rep.aggregates["oracle"]["runs_ok"] == 0
+
+
+def test_glasso_reuses_the_mkl_fit_in_ctx(monkeypatch):
+    """mkl then glasso on one ctx: the 30 validation solves and the final
+    solve run once, and glasso's penalty matches a glasso fit on its own."""
+    import groupsparse.experiments as ex
+    design, _, y, _ = gen_problem(McConfig(experiment="exp1", runs=1,
+                                           master_seed=3), 0)
+    sigma2 = ex.estimate_sigma2_ls(y, design.G)
+    alone = ESTIMATORS["glasso"](y, design, sigma2, {})
+    calls = []
+    solve = ex.solve_mkl_lambda
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ex, "solve_mkl_lambda", counted)
+    ctx = {}
+    mkl = ESTIMATORS["mkl"](y, design, sigma2, ctx)
+    shared = ESTIMATORS["glasso"](y, design, sigma2, ctx)
+    assert len(calls) == 31
+    assert ctx["mkl"] is mkl
+    assert shared.gamma == alone.gamma == np.sqrt(2.0 * mkl.gamma)
+    assert np.array_equal(shared.theta, alone.theta)

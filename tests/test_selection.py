@@ -10,6 +10,7 @@ from groupsparse import (
     GroupedDesign, SelectionConfig, closed_form_lambda_orth, estimate_kappa,
     estimate_sigma2_ls, fit_hglasso, forward_select,
 )
+from groupsparse.model import HyperState, MarginalFactor, posterior_mean
 from groupsparse.selection import _log_posterior
 
 from conftest import orthogonal_design
@@ -144,6 +145,101 @@ def test_forward_select_exhaustive_small(rng):
     # greedy is not guaranteed optimal in general, but on this well-separated
     # instance it should find the exhaustive optimum
     assert sel == sorted(best_sub)
+
+
+def _reference_forward_select(y, des, s2, kap, gam):
+    """Per-gamma greedy over full log posteriors: add the block with the
+    largest penalized gain L(I + {j}) - L(I), smallest index on ties, until
+    the best gain is not positive."""
+    current, gains = [], []
+    L = _log_posterior(y, des, s2, kap, gam, current)
+    remaining = list(range(des.p))
+    while remaining:
+        cand = [(_log_posterior(y, des, s2, kap, gam, current + [j]) - L, j)
+                for j in remaining]
+        best_gain = max(g for g, _ in cand)
+        if best_gain <= 0:
+            break
+        j = min(j for g, j in cand if g == best_gain)
+        current.append(j)
+        remaining.remove(j)
+        gains.append(best_gain)
+        L += best_gain
+    return sorted(current), gains
+
+
+def _two_route_problems(rng):
+    """(design, y, sigma2 or None): a tall design whose selection split is
+    still tall (low-rank factor), and a wide one (dense n x n factor)."""
+    out = []
+    for n, sizes, s2 in ((120, [4] * 10, None), (40, [3] * 12 + [2, 2], 0.25)):
+        des = GroupedDesign(rng.standard_normal((n, sum(sizes))), sizes)
+        theta = np.zeros(des.m)
+        theta[des.slices[1]] = 2.0
+        theta[des.slices[6]] = rng.uniform(-1.5, 1.5, sizes[6])
+        theta[des.slices[-1]] = 0.7
+        out.append((des, des.G @ theta + 0.5 * rng.standard_normal(n), s2))
+    return out
+
+
+def test_forward_select_matches_per_gamma_greedy(rng):
+    for des, y, s2 in _two_route_problems(rng):
+        s2 = s2 or 0.25
+        sets = []
+        for gam in np.logspace(-4, 4, 17):
+            ref_set, ref_gains = _reference_forward_select(y, des, s2, 2.0,
+                                                           gam)
+            sel, gains = forward_select(y, des, s2, 2.0, gam)
+            assert sel == ref_set
+            np.testing.assert_allclose(gains, ref_gains, rtol=1e-9, atol=0)
+            sets.append(sel)
+        assert [] in sets and len(sets[0]) >= 3
+
+
+def test_fit_selection_matches_per_gamma_greedy(rng):
+    """Every grid point's set and validation error equal those of the
+    per-gamma greedy run on the same split, sigma2 and kappa; on both
+    factor routes, on the default grid and on a user-supplied one."""
+    for des, y, s2 in _two_route_problems(rng):
+        n_tr = int(np.ceil(0.5 * des.n))
+        d_tr = GroupedDesign(des.G[:n_tr], des.group_sizes)
+        d_val = GroupedDesign(des.G[n_tr:], des.group_sizes)
+        for grid in (None, np.array([1e-3, 0.3, 3.0, 1e6])):
+            _, trace = fit_hglasso(y, des, SelectionConfig(
+                variant="hgla", sigma2=s2, gamma_grid=grid))
+            assert [] in trace.selected_sets
+            assert any(len(s) >= 2 for s in trace.selected_sets)
+            for gam, sel, gains, err in zip(trace.gammas, trace.selected_sets,
+                                            trace.gains, trace.val_errors):
+                ref_set, ref_gains = _reference_forward_select(
+                    y[:n_tr], d_tr, trace.sigma2, trace.kappa, gam)
+                lam = np.zeros(des.p)
+                lam[ref_set] = trace.kappa
+                th = posterior_mean(d_tr, HyperState(lam, 0.0, trace.sigma2),
+                                    y[:n_tr]).theta
+                assert sel == ref_set
+                assert err == float(np.linalg.norm(y[n_tr:] - d_val.G @ th))
+                np.testing.assert_allclose(gains, ref_gains, rtol=1e-9,
+                                           atol=0)
+
+
+def test_fit_factorizations_bounded_by_path(rng, monkeypatch):
+    """One factor per path step (at most p + 1), one per distinct selected
+    set for validation, one for the final posterior mean."""
+    builds = []
+    init = MarginalFactor.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MarginalFactor, "__init__", counted)
+    for des, y, s2 in _two_route_problems(rng):
+        _, trace = fit_hglasso(y, des, SelectionConfig(variant="hgla",
+                                                       sigma2=s2))
+        distinct = len({tuple(s) for s in trace.selected_sets})
+        assert len(builds) <= des.p + 1 + distinct + 1
+        builds.clear()
 
 
 # ------------------------------------------------------------
