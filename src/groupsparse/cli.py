@@ -125,6 +125,13 @@ def _fit_hgl(y, design, cfg):
         raise CliError(str(exc))
 
 
+def _hgla_ctx(y, design, args):
+    """Estimator context holding the hgla stage that est_mkl (and through
+    it est_glasso) centres its gamma grid on, fitted with --sigma2."""
+    return {"hgla": _fit_hgl(y, design, SelectionConfig(variant="hgla",
+                                                        sigma2=args.sigma2))}
+
+
 def cmd_fit(args):
     G = read_csv_matrix(args.data_g)
     y = read_csv_matrix(args.data_y)
@@ -170,7 +177,7 @@ def cmd_fit(args):
         if gamma is not None and gamma <= 0:
             raise CliError("mkl requires positive gamma")
         if gamma is None:
-            res = ex.est_mkl(y, design, sigma2, {})
+            res = ex.est_mkl(y, design, sigma2, _hgla_ctx(y, design, args))
             gamma = res.gamma
         else:
             sol = solve_mkl_lambda(y, design, sigma2, gamma)
@@ -183,9 +190,10 @@ def cmd_fit(args):
         res.extra["kkt_residual"] = kkt_residual_mkl(res.lam, y, design,
                                                      sigma2, res.gamma)
     elif args.method in ("glasso", "lasso"):
-        if gamma is None:
-            res = (ex.est_glasso if args.method == "glasso"
-                   else ex.est_lasso)(y, design, sigma2, {})
+        if gamma is None and args.method == "glasso":
+            res = ex.est_glasso(y, design, sigma2, _hgla_ctx(y, design, args))
+        elif gamma is None:
+            res = ex.est_lasso(y, design, sigma2, {})
         elif args.method == "glasso":
             res = solve_glasso(y, design, sigma2,
                                ConvexFitConfig(reg_param=gamma))
@@ -268,7 +276,7 @@ def cmd_arx(args):
         res, _ = _fit_hgl(y, design, SelectionConfig(variant=args.method,
                                                      sigma2=args.sigma2))
     elif args.method == "mkl":
-        res = ex.est_mkl(y, design, sigma2, {})
+        res = ex.est_mkl(y, design, sigma2, _hgla_ctx(y, design, args))
     else:
         raise CliError("arx supports methods hgla/hglb/hglc/mkl")
     model = ex.ArxModel(theta=res.theta, q=args.q, n_inputs=prob.n_inputs,
@@ -304,8 +312,11 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output path (or prefix)")
+
+    def seeded(p):
+        common(p)
+        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("fit", help="estimate coefficients from CSV data")
     common(p)
@@ -322,13 +333,13 @@ def build_parser():
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("simulate", help="write a synthetic problem to disk")
-    common(p)
+    seeded(p)
     p.add_argument("--experiment", default="exp1",
                    choices=list(ex.EXPERIMENTS))
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("benchmark", help="Monte Carlo estimator comparison")
-    common(p)
+    seeded(p)
     p.add_argument("--experiment", default="exp1",
                    choices=list(ex.EXPERIMENTS))
     p.add_argument("--runs", type=int, default=50)

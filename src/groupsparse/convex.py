@@ -39,19 +39,31 @@ def _lasso_objective(y, G, theta, sigma2, gamma):
     return (r @ r) / (2.0 * sigma2) + gamma * np.sum(np.abs(theta))
 
 
-def solve_lasso(y, G, config, sigma2=1.0):
+def solve_lasso(y, G, config, sigma2=1.0, theta0=None):
     """L1-penalized least squares by cyclic coordinate descent.
 
     Minimizes (y - G theta)^T (y - G theta) / (2 sigma2) + reg ||theta||_1
-    with exact soft-threshold coordinate updates.
+    with exact soft-threshold coordinate updates on the Gram matrix G^T G
+    (covariance updates: q = G^T r is kept current in place of the
+    residual r), starting from theta0 (default zero).  After every sweep
+    the support A and signs s are solved exactly,
+    theta_A = (G^T G)_AA^{-1} (G^T y_A - sigma2 reg s); the solve stops
+    there when that point is a KKT certificate (signs unchanged and
+    |q_j| <= sigma2 reg (1 + 1e-9) off A).  Otherwise it stops when a sweep
+    lowers the objective by at most tol relative, or after max_iter sweeps.
+    extra["kkt_residual"] is the largest violation of the optimality
+    conditions, in units of reg.
     """
     y = np.asarray(y, dtype=float)
     G = np.atleast_2d(np.asarray(G, dtype=float))
     gamma = config.reg_param
     m = G.shape[1]
-    colsq = np.einsum("ij,ij->j", G, G)
-    theta = np.zeros(m)
-    r = y.copy()
+    H = G.T @ G
+    b = G.T @ y
+    colsq = np.diag(H).copy()
+    theta = np.zeros(m) if theta0 is None else \
+        np.array(theta0, dtype=float)
+    q = b - H @ theta
     thr = sigma2 * gamma
     obj = _lasso_objective(y, G, theta, sigma2, gamma)
     converged = False
@@ -61,20 +73,68 @@ def solve_lasso(y, G, config, sigma2=1.0):
             if colsq[j] == 0.0:
                 continue
             old = theta[j]
-            rho = G[:, j] @ r + colsq[j] * old
+            rho = q[j] + colsq[j] * old
             new = np.sign(rho) * max(0.0, abs(rho) - thr) / colsq[j]
             if new != old:
-                r += G[:, j] * (old - new)
+                q -= H[:, j] * (new - old)
                 theta[j] = new
+        cert = _support_certificate(H, b, theta, thr)
+        if cert is not None:
+            theta = cert
+            obj = _lasso_objective(y, G, theta, sigma2, gamma)
+            converged = True
+            break
         new_obj = _lasso_objective(y, G, theta, sigma2, gamma)
         if obj - new_obj <= config.tol * (1.0 + abs(new_obj)):
             obj = new_obj
             converged = True
             break
         obj = new_obj
+    g = (b - H @ theta) / sigma2
+    viol = np.where(theta != 0, np.abs(g - gamma * np.sign(theta)),
+                    np.maximum(0.0, np.abs(g) - gamma))
     return EstimateResult(theta=theta, selected=list(np.nonzero(theta)[0]),
                           gamma=gamma, converged=converged, iterations=it,
-                          objective=obj)
+                          objective=obj,
+                          extra={"kkt_residual": float(np.max(viol,
+                                                              initial=0.0))})
+
+
+def _support_certificate(H, b, theta, thr):
+    """Exact Lasso solution on theta's support and signs, or None.
+
+    Solves the stationarity equations on A = supp(theta) with the signs of
+    theta held fixed; returns the solution when it keeps every sign and no
+    coordinate off A violates |q_j| <= thr for q = b - H theta.
+    """
+    A = np.flatnonzero(theta)
+    s = np.sign(theta[A])
+    cand = np.zeros_like(theta)
+    if A.size:
+        try:
+            cand[A] = np.linalg.solve(H[np.ix_(A, A)], b[A] - thr * s)
+        except np.linalg.LinAlgError:
+            return None
+        if np.any(np.sign(cand[A]) != s):
+            return None
+    q = b - H @ cand
+    off = np.ones(theta.size, dtype=bool)
+    off[A] = False
+    if np.any(np.abs(q[off]) > thr * (1.0 + 1e-9)):
+        return None
+    return cand
+
+
+def lasso_path(y, G, gammas, sigma2=1.0):
+    """solve_lasso at every penalty in gammas, walked from the largest down
+    with each solution starting the next solve; fits in the order given."""
+    fits = [None] * len(gammas)
+    start = None
+    for i in np.argsort(gammas, kind="stable")[::-1]:
+        fits[i] = solve_lasso(y, G, ConvexFitConfig(reg_param=gammas[i]),
+                              sigma2=sigma2, theta0=start)
+        start = fits[i].theta
+    return fits
 
 
 def _glasso_block_update(eigvals, Qtb, bnorm, a):
@@ -108,12 +168,18 @@ def solve_glasso(y, design, sigma2, config):
     Minimizes (y - G theta)^T (y - G theta)/(2 sigma2)
     + reg sum_i ||theta^(i)||.  A block is set exactly to zero when
     ||G^(i)T r_i|| / sigma2 <= reg for its partial residual r_i; otherwise
-    the update magnitude comes from a 1-D Newton root-find.
+    the update magnitude comes from a 1-D Newton root-find.  After every
+    sweep the active blocks are solved exactly (_block_certificate); the
+    solve stops there when that point satisfies the optimality conditions,
+    and otherwise on the same objective-decrease and max_iter rules as
+    solve_lasso.
     """
     y = np.asarray(y, dtype=float)
     gamma = config.reg_param
     p = design.p
     theta = np.zeros(design.m)
+    GtG = design.G.T @ design.G
+    Gty = design.G.T @ y
     # per-block eigendecompositions, computed once
     eigs, rots = [], []
     for i in range(p):
@@ -152,6 +218,13 @@ def solve_glasso(y, design, sigma2, config):
             if np.any(new != old):
                 r += Gi @ (old - new)
                 theta[sl] = new
+        cert = _block_certificate(GtG, Gty, theta, design.slices, a)
+        if cert is not None:
+            theta = cert
+            r = y - design.G @ theta
+            obj = objective()
+            converged = True
+            break
         new_obj = objective()
         if obj - new_obj <= config.tol * (1.0 + abs(new_obj)):
             obj = new_obj
@@ -163,11 +236,63 @@ def solve_glasso(y, design, sigma2, config):
                           converged=converged, iterations=it, objective=obj)
 
 
-def solve_mkl_lambda(y, design, sigma2, gamma, config=None):
+def _block_certificate(H, b, theta, slices, a):
+    """Exact Group Lasso solution on theta's active blocks, or None.
+
+    Newton's method, from theta, on the stationarity equations of the
+    active blocks, H_AA x - b_A + a x_i / ||x_i|| = 0 (H = G^T G,
+    b = G^T y, a = sigma2 reg); returns the solution when Newton converges
+    within 10 steps without turning any block around (for blocks of one, the signs stay
+    unchanged) and every inactive block satisfies
+    ||b_i - H_iA x|| <= a (1 + 1e-9).
+    """
+    active = [sl for sl in slices if np.any(theta[sl])]
+    cand = np.zeros_like(theta)
+    if active:
+        idx = np.concatenate([np.arange(sl.start, sl.stop) for sl in active])
+        local, off = [], 0
+        for sl in active:
+            local.append(slice(off, off + sl.stop - sl.start))
+            off = local[-1].stop
+        H_AA, x = H[np.ix_(idx, idx)], theta[idx].copy()
+        for _ in range(10):
+            F = H_AA @ x - b[idx]
+            J = H_AA.copy()
+            for sl in local:
+                nrm = np.linalg.norm(x[sl])
+                if nrm == 0.0:
+                    return None
+                u = x[sl] / nrm
+                F[sl] += a * u
+                J[sl, sl] += (a / nrm) * (np.eye(u.size) - np.outer(u, u))
+            try:
+                step = np.linalg.solve(J, F)
+            except np.linalg.LinAlgError:
+                return None
+            x_new = x - step
+            if any(x_new[sl] @ x[sl] <= 0.0 for sl in local):
+                return None  # a block turned around: the support is wrong
+            x = x_new
+            # convergence is quadratic: after a step this small, what is
+            # left of the error is below rounding
+            if np.max(np.abs(step)) <= 1e-10 * np.max(np.abs(x)):
+                break
+        else:
+            return None
+        cand[idx] = x
+    q = b - H @ cand
+    for sl in slices:
+        if not np.any(cand[sl]) and np.linalg.norm(q[sl]) > a * (1.0 + 1e-9):
+            return None
+    return cand
+
+
+def solve_mkl_lambda(y, design, sigma2, gamma, config=None, x0=None):
     """Global minimizer of the convex kernel-scale objective.
 
-    Returns a PqnResult; .lam is the nonnegative p-vector of scales.  The
-    quality of the solve is certified by kkt_residual_mkl.
+    PQN starts from the scales x0 (default zero).  Returns a PqnResult;
+    .lam is the nonnegative p-vector of scales.  The quality of the solve
+    is certified by kkt_residual_mkl.
     """
     if gamma <= 0:
         raise ValueError("mkl requires positive gamma")
@@ -182,7 +307,8 @@ def solve_mkl_lambda(y, design, sigma2, gamma, config=None):
         g = -0.5 * sq + gamma
         return f, g
 
-    return minimize_pqn(fun_grad, np.zeros(design.p), cfg)
+    return minimize_pqn(fun_grad, np.zeros(design.p) if x0 is None else x0,
+                        cfg)
 
 
 def mkl_recover_theta(lam, y, design, sigma2):
@@ -218,7 +344,9 @@ def solve_adalasso(y, G, sigma2, grids):
     |theta_ls_j|^(-eta), capped when the LS coefficient vanishes.  Each pair
     is scored by prediction error on the second half of the data after
     fitting on the first half; the winner (ties: smaller gamma, then eta)
-    is refit on the full data.
+    is refit on the full data.  For each eta the gamma grid is one warm
+    path (lasso_path); converged is true only if every inner solve
+    converged, and extra["unconverged_solves"] counts those that did not.
     """
     y = np.asarray(y, dtype=float)
     G = np.atleast_2d(np.asarray(G, dtype=float))
@@ -234,23 +362,26 @@ def solve_adalasso(y, G, sigma2, grids):
         w = np.where(ls != 0, np.abs(ls) ** (-eta), ADALASSO_WEIGHT_CAP)
         return np.minimum(w, ADALASSO_WEIGHT_CAP)
 
-    def weighted_fit(Gd, yd, gamma, w):
+    def weighted_fits(Gd, yd, gammas, w):
         # substitute u = w * theta: plain lasso on rescaled columns
-        fit = solve_lasso(yd, Gd / w[None, :], ConvexFitConfig(reg_param=gamma),
-                          sigma2=sigma2)
-        return fit.theta / w
+        fits = lasso_path(yd, Gd / w[None, :], gammas, sigma2)
+        return [fit.theta / w for fit in fits], \
+            sum(not fit.converged for fit in fits)
 
     best = None
+    unconverged = 0
     for eta in etas:
-        w_tr = weights(G_tr, y_tr, eta)
-        for gamma in gammas:
-            th = weighted_fit(G_tr, y_tr, gamma, w_tr)
+        thetas, bad = weighted_fits(G_tr, y_tr, gammas, weights(G_tr, y_tr, eta))
+        unconverged += bad
+        for gamma, th in zip(gammas, thetas):
             err = np.linalg.norm(y_val - G_val @ th)
             key = (err, gamma, eta)
             if best is None or key < best[0]:
                 best = (key, gamma, eta)
     _, gamma, eta = best
-    w = weights(G, y, eta)
-    theta = weighted_fit(G, y, gamma, w)
+    (theta,), bad = weighted_fits(G, y, [gamma], weights(G, y, eta))
+    unconverged += bad
     return EstimateResult(theta=theta, selected=list(np.nonzero(theta)[0]),
-                          gamma=gamma, extra={"eta": eta})
+                          gamma=gamma, converged=unconverged == 0,
+                          extra={"eta": eta,
+                                 "unconverged_solves": unconverged})

@@ -22,8 +22,8 @@ import numpy as np
 from dataclasses import dataclass, field, asdict
 
 from .model import BlockVector, EstimateResult, GroupedDesign
-from .convex import ConvexFitConfig, solve_adalasso, solve_glasso, \
-    solve_lasso, solve_mkl_lambda, mkl_recover_theta
+from .convex import ConvexFitConfig, lasso_path, solve_adalasso, \
+    solve_glasso, solve_lasso, solve_mkl_lambda, mkl_recover_theta
 from .selection import SelectionConfig, estimate_sigma2_ls, fit_hglasso
 
 EXPERIMENTS = ("exp1", "exp2", "exp2_noisy_a", "exp2_noisy_b", "exp2_noisy_c",
@@ -291,25 +291,34 @@ def _cv_split(y, design):
 
 def est_mkl(y, design, sigma2, ctx):
     """Kernel-scale estimator; gamma chosen by validation on a grid spanning
-    [1e-2, 1e4] times the gamma picked by the staged hgla fit.  The result
-    is cached in ctx["mkl"], where est_glasso reads it."""
+    [1e-2, 1e4] times the gamma picked by the staged hgla fit.  The
+    validation solves run from the largest gamma down, each PQN solve
+    starting from the previous scales; the full-data refit starts from
+    zero.  converged is true only if all 31 solves converged, and
+    extra["unconverged_solves"] counts those that did not.  The result is
+    cached in ctx["mkl"], where est_glasso reads it."""
     if "mkl" in ctx:
         return ctx["mkl"]
     _, trace = _hgla_stage(y, design, sigma2, ctx)
     gamma_ref = trace.chosen_gamma
     grid = np.logspace(np.log10(1e-2 * gamma_ref), np.log10(1e4 * gamma_ref), 30)
     y_tr, y_val, d_tr, d_val = _cv_split(y, design)
-    best = None
-    for gamma in grid:
-        lam = solve_mkl_lambda(y_tr, d_tr, sigma2, gamma).lam
+    errs = np.empty(grid.size)
+    unconverged = 0
+    lam = None
+    for i in reversed(range(grid.size)):
+        sol = solve_mkl_lambda(y_tr, d_tr, sigma2, grid[i], x0=lam)
+        lam = sol.lam
+        unconverged += not sol.converged
         th = mkl_recover_theta(lam, y_tr, d_tr, sigma2).theta
-        err = np.linalg.norm(y_val - d_val.G @ th)
-        if best is None or err < best[0]:
-            best = (err, gamma)
-    gamma = best[1]
-    lam = solve_mkl_lambda(y, design, sigma2, gamma).lam
-    res = mkl_recover_theta(lam, y, design, sigma2)
+        errs[i] = np.linalg.norm(y_val - d_val.G @ th)
+    gamma = grid[np.argmin(errs)]  # ties: the smaller gamma
+    sol = solve_mkl_lambda(y, design, sigma2, gamma)
+    unconverged += not sol.converged
+    res = mkl_recover_theta(sol.lam, y, design, sigma2)
     res.gamma = gamma
+    res.converged = unconverged == 0
+    res.extra["unconverged_solves"] = unconverged
     ctx["mkl"] = res
     return res
 
@@ -327,18 +336,21 @@ def _lasso_grid(y, G, sigma2):
 
 
 def est_lasso(y, design, sigma2, ctx):
+    """Lasso with gamma chosen by validation on _lasso_grid; the 30
+    validation solves are one warm path (lasso_path).  converged is true
+    only if all 31 solves converged, and extra["unconverged_solves"] counts
+    those that did not."""
     y_tr, y_val, d_tr, d_val = _cv_split(y, design)
     grid = _lasso_grid(y_tr, d_tr.G, sigma2)
-    best = None
-    for gamma in grid:
-        th = solve_lasso(y_tr, d_tr.G, ConvexFitConfig(reg_param=gamma),
-                         sigma2=sigma2).theta
-        err = np.linalg.norm(y_val - d_val.G @ th)
-        if best is None or err < best[0]:
-            best = (err, gamma)
-    gamma = best[1]
-    return solve_lasso(y, design.G, ConvexFitConfig(reg_param=gamma),
-                       sigma2=sigma2)
+    fits = lasso_path(y_tr, d_tr.G, grid, sigma2)
+    errs = [np.linalg.norm(y_val - d_val.G @ fit.theta) for fit in fits]
+    gamma = grid[np.argmin(errs)]  # ties: the smaller gamma
+    res = solve_lasso(y, design.G, ConvexFitConfig(reg_param=gamma),
+                      sigma2=sigma2)
+    unconverged = sum(not fit.converged for fit in fits + [res])
+    res.converged = unconverged == 0
+    res.extra["unconverged_solves"] = unconverged
+    return res
 
 
 def est_adalasso(y, design, sigma2, ctx):

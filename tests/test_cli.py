@@ -213,6 +213,52 @@ def test_arx_sigma2_reaches_hgl_selection(tmp_path, capsys):
     assert main(args + ["--sigma2", "0"]) == 2
 
 
+def test_arx_mkl_selection_stage_uses_sigma2(tmp_path, capsys):
+    """The hgla stage that centres mkl's gamma grid gets --sigma2; without
+    it a selection split too short to estimate sigma2 exits 2."""
+    from groupsparse import gen_arx_series
+    p = tmp_path / "series.csv"
+    np.savetxt(p, gen_arx_series(T=300, seed=4), delimiter=",")
+    args = ["arx", "--data", str(p), "--method", "mkl", "--q", "20",
+            "--horizon", "2", "--out", str(tmp_path / "arx")]
+    assert main(args) == 2
+    assert "supply sigma2" in capsys.readouterr().err
+    assert main(args + ["--sigma2", "0.1"]) == 0
+
+
+def test_fit_mkl_glasso_selection_stage_uses_sigma2(tmp_path, capsys):
+    """60 rows and 40 columns: the full data can estimate sigma2, the
+    30-row selection split cannot."""
+    rng = np.random.default_rng(2)
+    G = rng.standard_normal((60, 40))
+    y = G[:, :4] @ np.array([2.0, -1.0, 1.5, 0.5]) \
+        + 0.3 * rng.standard_normal(60)
+    np.savetxt(tmp_path / "G.csv", G, delimiter=",")
+    np.savetxt(tmp_path / "y.csv", y.reshape(-1, 1), delimiter=",")
+    data = ["--data-y", str(tmp_path / "y.csv"),
+            "--data-g", str(tmp_path / "G.csv"), "--groups", "4",
+            "--out", str(tmp_path / "fit.json")]
+    for method in ("mkl", "glasso"):
+        assert main(["fit", "--method", method] + data) == 2
+        assert "supply sigma2" in capsys.readouterr().err
+        assert main(["fit", "--method", method, "--sigma2", "0.09"]
+                    + data) == 0
+        assert 0 in json.loads((tmp_path / "fit.json").read_text())[
+            "selected"]
+
+
+def test_seed_is_rejected_where_unused(fixture_dir, tmp_path, capsys):
+    """Only simulate and benchmark draw random numbers."""
+    assert main(["fit", "--seed", "3", "--data-y", str(fixture_dir / "y.csv"),
+                 "--data-g", str(fixture_dir / "G.csv"),
+                 "--groups", "4"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    np.savetxt(tmp_path / "s.csv", np.ones((40, 2)), delimiter=",")
+    assert main(["arx", "--seed", "3", "--data",
+                 str(tmp_path / "s.csv")]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_arx_q_too_large_exits_2(tmp_path):
     np.savetxt(tmp_path / "s.csv", np.ones((10, 2)), delimiter=",")
     code = main(["arx", "--data", str(tmp_path / "s.csv"), "--q", "20"])

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from groupsparse import (
-    ConvexFitConfig, GroupedDesign, kkt_residual_mkl, mkl_recover_theta,
-    solve_adalasso, solve_glasso, solve_lasso, solve_mkl_lambda,
+    ConvexFitConfig, GroupedDesign, McConfig, estimate_sigma2_ls,
+    gen_problem, kkt_residual_mkl, mkl_recover_theta, solve_adalasso,
+    solve_glasso, solve_lasso, solve_mkl_lambda,
 )
+from groupsparse.convex import lasso_path
+from groupsparse.experiments import _cv_split, _lasso_grid
 
 from conftest import orthogonal_design, random_grouped
 
@@ -67,6 +70,47 @@ def test_lasso_matches_reference_solver(rng):
     assert np.linalg.norm(fit.theta - th_ref) <= 1e-4 * (1 + np.linalg.norm(th_ref))
 
 
+def _kkt_violation(y, G, theta, sigma2, gamma):
+    """Largest violation of the Lasso optimality conditions, from
+    g = G^T (y - G theta) / sigma2: g_j = gamma sign(theta_j) on the
+    support, |g_j| <= gamma off it."""
+    g = G.T @ (y - G @ theta) / sigma2
+    nz = theta != 0
+    return max(np.max(np.abs(g[nz] - gamma * np.sign(theta[nz])), initial=0.0),
+               np.max(np.abs(g[~nz]) - gamma, initial=0.0))
+
+
+@pytest.mark.parametrize("experiment,shape", [("exp1", {}),
+                                              ("ada", {"n": 60})])
+def test_warm_path_satisfies_kkt_at_every_grid_point(experiment, shape):
+    """Each point of a warm-started validation path is a KKT point, and
+    reports its own residual."""
+    cfg = McConfig(experiment=experiment, runs=1, master_seed=11,
+                   estimators=[], **shape)
+    for run in range(3):
+        design, _, y, _ = gen_problem(cfg, run)
+        s2 = estimate_sigma2_ls(y, design.G)
+        y_tr, _, d_tr, _ = _cv_split(y, design)
+        grid = _lasso_grid(y_tr, d_tr.G, s2)
+        fits = lasso_path(y_tr, d_tr.G, grid, s2)
+        for gamma, fit in zip(grid, fits):
+            assert fit.converged and fit.gamma == gamma
+            assert _kkt_violation(y_tr, d_tr.G, fit.theta, s2, gamma) \
+                <= 1e-8 * gamma
+            assert fit.extra["kkt_residual"] <= 1e-8 * gamma
+
+
+def test_lasso_warm_start_from_solution_stops_at_once(rng):
+    G = rng.standard_normal((30, 8))
+    y = G @ np.array([2.0, 0, 0, -1.0, 0, 0.5, 0, 0]) \
+        + 0.3 * rng.standard_normal(30)
+    cfg = ConvexFitConfig(reg_param=5.0)
+    cold = solve_lasso(y, G, cfg, sigma2=0.1)
+    warm = solve_lasso(y, G, cfg, sigma2=0.1, theta0=cold.theta)
+    assert warm.converged and warm.iterations == 1
+    assert np.allclose(warm.theta, cold.theta, rtol=1e-12, atol=0.0)
+
+
 # ------------------------------------------------------------
 # group lasso
 # ------------------------------------------------------------
@@ -84,6 +128,27 @@ def test_glasso_equals_lasso_for_singleton_blocks(rng):
         la = solve_lasso(y, G, ConvexFitConfig(reg_param=gam), sigma2=s2)
         assert np.linalg.norm(gl.theta - la.theta) <= 1e-8 * (
             1 + np.linalg.norm(la.theta))
+
+
+def test_glasso_stops_on_a_kkt_point(rng):
+    """Block optimality at the output: G_i^T r / sigma2 equals
+    reg theta_i / ||theta_i|| on active blocks, with norm <= reg on the
+    others."""
+    des = GroupedDesign(rng.standard_normal((40, 12)), [3] * 4)
+    y = des.G @ np.repeat([1.0, 0.0, -0.5, 0.1], 3) \
+        + 0.5 * rng.standard_normal(40)
+    s2 = 0.25
+    for reg in (0.5, 5.0, 20.0, 60.0):
+        fit = solve_glasso(y, des, s2, ConvexFitConfig(reg_param=reg))
+        assert fit.converged
+        g = des.G.T @ (y - des.G @ fit.theta) / s2
+        for sl in des.slices:
+            nrm = np.linalg.norm(fit.theta[sl])
+            if nrm > 0:
+                assert np.max(np.abs(g[sl] - reg * fit.theta[sl] / nrm)) \
+                    <= 1e-8 * reg
+            else:
+                assert np.linalg.norm(g[sl]) <= reg * (1 + 1e-8)
 
 
 def test_glasso_block_zero_condition(rng):

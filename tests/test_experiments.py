@@ -16,6 +16,47 @@ from groupsparse.experiments import (
 from groupsparse.model import EstimateResult
 
 
+def _cold_cd_lasso(y, G, gamma, sigma2, max_iter=20000, tol=1e-12):
+    """Cyclic coordinate descent on the residual from theta = 0, stopping
+    on a relative objective decrease <= tol: the per-gamma Lasso solver the
+    warm-started path replaced, kept as its reference."""
+    theta = np.zeros(G.shape[1])
+    colsq = np.einsum("ij,ij->j", G, G)
+    r = y.copy()
+
+    def objective():
+        return r @ r / (2.0 * sigma2) + gamma * np.sum(np.abs(theta))
+
+    obj = objective()
+    for _ in range(max_iter):
+        for j in range(G.shape[1]):
+            old = theta[j]
+            rho = G[:, j] @ r + colsq[j] * old
+            new = np.sign(rho) * max(0.0, abs(rho) - sigma2 * gamma) / colsq[j]
+            if new != old:
+                r += G[:, j] * (old - new)
+                theta[j] = new
+        new_obj = objective()
+        if obj - new_obj <= tol * (1.0 + abs(new_obj)):
+            break
+        obj = new_obj
+    return theta
+
+
+def _cold_est_lasso(y, design, sigma2):
+    """est_lasso with every grid point solved from zero; returns
+    (gamma, theta)."""
+    from groupsparse.experiments import _cv_split, _lasso_grid
+    y_tr, y_val, d_tr, d_val = _cv_split(y, design)
+    best = None
+    for gamma in _lasso_grid(y_tr, d_tr.G, sigma2):
+        th = _cold_cd_lasso(y_tr, d_tr.G, gamma, sigma2)
+        err = np.linalg.norm(y_val - d_val.G @ th)
+        if best is None or err < best[0]:
+            best = (err, gamma)
+    return best[1], _cold_cd_lasso(y, design.G, best[1], sigma2)
+
+
 # ------------------------------------------------------------
 # config and seeding
 # ------------------------------------------------------------
@@ -261,3 +302,102 @@ def test_glasso_reuses_the_mkl_fit_in_ctx(monkeypatch):
     assert ctx["mkl"] is mkl
     assert shared.gamma == alone.gamma == np.sqrt(2.0 * mkl.gamma)
     assert np.array_equal(shared.theta, alone.theta)
+
+
+# ------------------------------------------------------------
+# warm-started convex validation paths
+# ------------------------------------------------------------
+
+@pytest.mark.parametrize("experiment,shape,runs", [("exp1", {}, 5),
+                                                   ("ada", {"n": 60}, 3)])
+def test_lasso_path_matches_cold_coordinate_descent(experiment, shape, runs):
+    """The warm path picks the gamma and support of per-gamma cold CD,
+    with theta equal up to the cold solver's own imprecision."""
+    import groupsparse.experiments as ex
+    cfg = McConfig(experiment=experiment, runs=1, master_seed=77,
+                   estimators=[], **shape)
+    for run in range(runs):
+        design, _, y, _ = gen_problem(cfg, run)
+        sigma2 = ex.estimate_sigma2_ls(y, design.G)
+        gamma, theta = _cold_est_lasso(y, design, sigma2)
+        res = ESTIMATORS["lasso"](y, design, sigma2, {})
+        assert res.gamma == gamma
+        assert np.array_equal(res.theta != 0, theta != 0)
+        assert np.linalg.norm(res.theta - theta) <= \
+            1e-5 * np.linalg.norm(theta)
+        assert res.converged and res.extra["unconverged_solves"] == 0
+
+
+def _cold_est_mkl(y, design, sigma2, ctx):
+    """est_mkl with every validation solve started from zero; returns
+    (gamma, theta)."""
+    import groupsparse.experiments as ex
+    gamma_ref = ex._hgla_stage(y, design, sigma2, ctx)[1].chosen_gamma
+    grid = np.logspace(np.log10(1e-2 * gamma_ref),
+                       np.log10(1e4 * gamma_ref), 30)
+    y_tr, y_val, d_tr, d_val = ex._cv_split(y, design)
+    best = None
+    for gamma in grid:
+        lam = ex.solve_mkl_lambda(y_tr, d_tr, sigma2, gamma).lam
+        th = ex.mkl_recover_theta(lam, y_tr, d_tr, sigma2).theta
+        err = np.linalg.norm(y_val - d_val.G @ th)
+        if best is None or err < best[0]:
+            best = (err, gamma)
+    lam = ex.solve_mkl_lambda(y, design, sigma2, best[1]).lam
+    return best[1], ex.mkl_recover_theta(lam, y, design, sigma2).theta
+
+
+def test_mkl_warm_path_matches_cold_solves():
+    """Warm-started validation picks the cold path's gamma, and the
+    full-data refit from zero returns a bit-identical estimate."""
+    import groupsparse.experiments as ex
+    cfg = McConfig(experiment="exp1", runs=1, master_seed=77, estimators=[])
+    for run in range(3):
+        design, _, y, _ = gen_problem(cfg, run)
+        sigma2 = ex.estimate_sigma2_ls(y, design.G)
+        ctx = {}
+        gamma, theta = _cold_est_mkl(y, design, sigma2, ctx)
+        res = ESTIMATORS["mkl"](y, design, sigma2, ctx)
+        assert res.gamma == gamma
+        assert np.array_equal(res.theta, theta)
+        assert res.converged and res.extra["unconverged_solves"] == 0
+
+
+def test_converged_is_false_when_one_inner_solve_fails(monkeypatch):
+    """One unconverged inner solve makes lasso, adalasso and mkl report
+    converged=False and count it."""
+    import dataclasses
+    import groupsparse.convex as cv
+    import groupsparse.experiments as ex
+    design, _, y, _ = gen_problem(McConfig(experiment="exp1", runs=1,
+                                           master_seed=3), 0)
+    sigma2 = ex.estimate_sigma2_ls(y, design.G)
+
+    def fail_third_call(mp, module, name):
+        solve = getattr(module, name)
+        calls = []
+
+        def wrapped(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            calls.append(1)
+            return dataclasses.replace(res, converged=False) \
+                if len(calls) == 3 else res
+        mp.setattr(module, name, wrapped)
+
+    fits = {
+        "lasso": lambda: ESTIMATORS["lasso"](y, design, sigma2, {}),
+        "adalasso": lambda: cv.solve_adalasso(
+            y, design.G, sigma2, {"gamma": np.logspace(-1, 2, 4),
+                                  "eta": np.array([1.0, 2.0])}),
+        "mkl": lambda: ESTIMATORS["mkl"](y, design, sigma2, {}),
+    }
+    for name, fit in fits.items():
+        assert fit().extra["unconverged_solves"] == 0
+        with monkeypatch.context() as mp:
+            if name == "mkl":
+                fail_third_call(mp, ex, "solve_mkl_lambda")
+            else:
+                fail_third_call(mp, cv, "solve_lasso")
+            res = fit()
+        assert res.converged is False
+        assert res.extra["unconverged_solves"] == 1
