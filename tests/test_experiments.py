@@ -16,47 +16,6 @@ from groupsparse.experiments import (
 from groupsparse.model import EstimateResult
 
 
-def _cold_cd_lasso(y, G, gamma, sigma2, max_iter=20000, tol=1e-12):
-    """Cyclic coordinate descent on the residual from theta = 0, stopping
-    on a relative objective decrease <= tol: the per-gamma Lasso solver the
-    warm-started path replaced, kept as its reference."""
-    theta = np.zeros(G.shape[1])
-    colsq = np.einsum("ij,ij->j", G, G)
-    r = y.copy()
-
-    def objective():
-        return r @ r / (2.0 * sigma2) + gamma * np.sum(np.abs(theta))
-
-    obj = objective()
-    for _ in range(max_iter):
-        for j in range(G.shape[1]):
-            old = theta[j]
-            rho = G[:, j] @ r + colsq[j] * old
-            new = np.sign(rho) * max(0.0, abs(rho) - sigma2 * gamma) / colsq[j]
-            if new != old:
-                r += G[:, j] * (old - new)
-                theta[j] = new
-        new_obj = objective()
-        if obj - new_obj <= tol * (1.0 + abs(new_obj)):
-            break
-        obj = new_obj
-    return theta
-
-
-def _cold_est_lasso(y, design, sigma2):
-    """est_lasso with every grid point solved from zero; returns
-    (gamma, theta)."""
-    from groupsparse.experiments import _cv_split, _lasso_grid
-    y_tr, y_val, d_tr, d_val = _cv_split(y, design)
-    best = None
-    for gamma in _lasso_grid(y_tr, d_tr.G, sigma2):
-        th = _cold_cd_lasso(y_tr, d_tr.G, gamma, sigma2)
-        err = np.linalg.norm(y_val - d_val.G @ th)
-        if best is None or err < best[0]:
-            best = (err, gamma)
-    return best[1], _cold_cd_lasso(y, design.G, best[1], sigma2)
-
-
 # ------------------------------------------------------------
 # config and seeding
 # ------------------------------------------------------------
@@ -307,6 +266,47 @@ def test_glasso_reuses_the_mkl_fit_in_ctx(monkeypatch):
 # ------------------------------------------------------------
 # warm-started convex validation paths
 # ------------------------------------------------------------
+
+def _cold_cd_lasso(y, G, gamma, sigma2, max_iter=20000, tol=1e-12):
+    """Cyclic coordinate descent on the residual from theta = 0, stopping
+    on a relative objective decrease <= tol: the per-gamma Lasso solver the
+    warm-started path replaced, kept as its reference."""
+    theta = np.zeros(G.shape[1])
+    colsq = np.einsum("ij,ij->j", G, G)
+    r = y.copy()
+
+    def objective():
+        return r @ r / (2.0 * sigma2) + gamma * np.sum(np.abs(theta))
+
+    obj = objective()
+    for _ in range(max_iter):
+        for j in range(G.shape[1]):
+            old = theta[j]
+            rho = G[:, j] @ r + colsq[j] * old
+            new = np.sign(rho) * max(0.0, abs(rho) - sigma2 * gamma) / colsq[j]
+            if new != old:
+                r += G[:, j] * (old - new)
+                theta[j] = new
+        new_obj = objective()
+        if obj - new_obj <= tol * (1.0 + abs(new_obj)):
+            break
+        obj = new_obj
+    return theta
+
+
+def _cold_est_lasso(y, design, sigma2):
+    """est_lasso with every grid point solved from zero; returns
+    (gamma, theta)."""
+    from groupsparse.experiments import _cv_split, _lasso_grid
+    y_tr, y_val, d_tr, d_val = _cv_split(y, design)
+    best = None
+    for gamma in _lasso_grid(y_tr, d_tr.G, sigma2):
+        th = _cold_cd_lasso(y_tr, d_tr.G, gamma, sigma2)
+        err = np.linalg.norm(y_val - d_val.G @ th)
+        if best is None or err < best[0]:
+            best = (err, gamma)
+    return best[1], _cold_cd_lasso(y, design.G, best[1], sigma2)
+
 
 @pytest.mark.parametrize("experiment,shape,runs", [("exp1", {}, 5),
                                                    ("ada", {"n": 60}, 3)])
