@@ -18,7 +18,7 @@ from .convex import (
 from .hglasso import (
     solve_hgl_pqn, kkt_residual_hgl, closed_form_lambda_orth,
     closed_form_lambda_mkl_orth, lambda_opt, ZeroProbQuery, prob_lambda_zero,
-    noncentral_chi2_cdf, two_group_thresholds, weighted_mse_profile,
+    two_group_thresholds, weighted_mse_profile,
 )
 from .selection import (
     SelectionConfig, SelectionTrace, estimate_sigma2_ls, estimate_kappa,

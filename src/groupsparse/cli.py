@@ -17,8 +17,8 @@ import sys
 import numpy as np
 
 from .model import GroupedDesign
-from .convex import ConvexFitConfig, kkt_residual_mkl, mkl_recover_theta, \
-    solve_glasso, solve_lasso, solve_mkl_lambda
+from .convex import ConvexFitConfig, kkt_residual_mkl, solve_glasso, \
+    solve_lasso, solve_mkl_lambda
 from .hglasso import kkt_residual_hgl
 from .selection import SelectionConfig, estimate_sigma2_ls, fit_hglasso
 from . import experiments as ex
@@ -28,10 +28,6 @@ FIT_METHODS = ("hgla", "hglb", "hglc", "mkl", "glasso", "lasso", "adalasso")
 
 class CliError(Exception):
     """Usage or data error; maps to exit code 2."""
-
-
-class NumericalError(Exception):
-    """Numerical failure; maps to exit code 3."""
 
 
 # ============================================================
@@ -116,11 +112,12 @@ def result_to_json(res, path_or_none):
 # subcommands
 # ============================================================
 
-def _fit_hgl(y, design, cfg):
-    """fit_hglasso with its data errors (e.g. a selection split too short
-    to estimate sigma2 when none is given) reported as usage errors."""
+def _data_errors(fit, *args):
+    """fit(*args) with its data errors (e.g. a validation split too short
+    to estimate sigma2 when none is given, or to hold a row) reported as
+    usage errors."""
     try:
-        return fit_hglasso(y, design, cfg)
+        return fit(*args)
     except ValueError as exc:
         raise CliError(str(exc))
 
@@ -128,8 +125,8 @@ def _fit_hgl(y, design, cfg):
 def _hgla_ctx(y, design, args):
     """Estimator context holding the hgla stage that est_mkl (and through
     it est_glasso) centres its gamma grid on, fitted with --sigma2."""
-    return {"hgla": _fit_hgl(y, design, SelectionConfig(variant="hgla",
-                                                        sigma2=args.sigma2))}
+    return {"hgla": _data_errors(fit_hglasso, y, design, SelectionConfig(
+        variant="hgla", sigma2=args.sigma2))}
 
 
 def cmd_fit(args):
@@ -169,31 +166,28 @@ def cmd_fit(args):
                               grid_lo=args.grid_lo, grid_hi=args.grid_hi,
                               grid_n=args.grid_n,
                               gamma_grid=None if gamma is None else [gamma])
-        res, _ = _fit_hgl(y, design, cfg)
-        res.extra["kkt_residual"] = kkt_residual_hgl(res.lam, y, design,
-                                                     res.extra["sigma2"], 0.0) \
-            if args.method == "hglc" else None
+        res, trace = _data_errors(fit_hglasso, y, design, cfg)
+        res.extra["kkt_residual"] = None
+        if args.method == "hglc":
+            # hglc pins the blocks outside its set at zero: certify the set
+            chosen = trace.chosen_set
+            res.extra["kkt_residual"] = kkt_residual_hgl(
+                res.lam[chosen], y, design.subdesign(chosen),
+                res.extra["sigma2"], 0.0) if chosen else 0.0
     elif args.method == "mkl":
         if gamma is not None and gamma <= 0:
             raise CliError("mkl requires positive gamma")
         if gamma is None:
             res = ex.est_mkl(y, design, sigma2, _hgla_ctx(y, design, args))
-            gamma = res.gamma
         else:
-            sol = solve_mkl_lambda(y, design, sigma2, gamma)
-            if not sol.converged:
-                raise NumericalError("mkl solve did not converge")
-            res = mkl_recover_theta(sol.lam, y, design, sigma2)
-            res.gamma = gamma
-            res.iterations = sol.iterations
-            res.objective = sol.objective
+            res = solve_mkl_lambda(y, design, sigma2, gamma)
         res.extra["kkt_residual"] = kkt_residual_mkl(res.lam, y, design,
                                                      sigma2, res.gamma)
     elif args.method in ("glasso", "lasso"):
         if gamma is None and args.method == "glasso":
             res = ex.est_glasso(y, design, sigma2, _hgla_ctx(y, design, args))
         elif gamma is None:
-            res = ex.est_lasso(y, design, sigma2, {})
+            res = _data_errors(ex.est_lasso, y, design, sigma2, {})
         elif args.method == "glasso":
             res = solve_glasso(y, design, sigma2,
                                ConvexFitConfig(reg_param=gamma))
@@ -201,7 +195,7 @@ def cmd_fit(args):
             res = solve_lasso(y, design.G, ConvexFitConfig(reg_param=gamma),
                               sigma2=sigma2)
     else:  # adalasso
-        res = ex.est_adalasso(y, design, sigma2, {})
+        res = _data_errors(ex.est_adalasso, y, design, sigma2, {})
 
     result_to_json(res, args.out)
     return 3 if not res.converged else 0
@@ -273,8 +267,8 @@ def cmd_arx(args):
         raise CliError("training rows <= regressors: supply --sigma2")
 
     if args.method in ("hgla", "hglb", "hglc"):
-        res, _ = _fit_hgl(y, design, SelectionConfig(variant=args.method,
-                                                     sigma2=args.sigma2))
+        res, _ = _data_errors(fit_hglasso, y, design, SelectionConfig(
+            variant=args.method, sigma2=args.sigma2))
     elif args.method == "mkl":
         res = ex.est_mkl(y, design, sigma2, _hgla_ctx(y, design, args))
     else:
@@ -391,9 +385,6 @@ def main(argv=None):
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print("numerical failure: %s" % exc, file=sys.stderr)
-        return 3
     except np.linalg.LinAlgError as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3

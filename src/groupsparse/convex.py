@@ -2,9 +2,11 @@
 
 The kernel-scale (MKL-style) problem minimizes
     y^T (K(lambda) + sigma2 I)^{-1} y / 2 + gamma sum_i lambda_i
-over lambda >= 0 with K^(i) = G^(i) G^(i)^T, which is convex; recovering
-theta from its solution reproduces the Group Lasso estimate with
-regularization gamma_gl = sqrt(2 gamma).
+over lambda >= 0 with K^(i) = G^(i) G^(i)^T.  It is Group Lasso in another
+parametrization: with theta the Group Lasso solution at regularization
+sqrt(2 gamma), lambda_i = ||theta^(i)|| / sqrt(2 gamma) is its minimizer and
+theta is the posterior mean at those scales (Bach, JMLR 2008).  So one
+block coordinate descent solver (solve_glasso) serves both.
 """
 
 import numpy as np
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 
 from .model import EstimateResult, HyperState, MarginalFactor, \
     posterior_mean
-from .pqn import PqnConfig, minimize_pqn
 
 
 @dataclass
@@ -20,7 +21,6 @@ class ConvexFitConfig:
     reg_param: float = 0.0
     max_iter: int = 20000
     tol: float = 1e-12
-    eta: float = None  # AdaLasso weight exponent; None outside AdaLasso
 
     def __post_init__(self):
         if self.reg_param < 0:
@@ -125,16 +125,23 @@ def _support_certificate(H, b, theta, thr):
     return cand
 
 
-def lasso_path(y, G, gammas, sigma2=1.0):
-    """solve_lasso at every penalty in gammas, walked from the largest down
-    with each solution starting the next solve; fits in the order given."""
+def warm_path(solve, gammas):
+    """solve(gamma, theta0) at every penalty in gammas, walked from the
+    largest down with each solution's theta starting the next solve; fits
+    in the order given."""
     fits = [None] * len(gammas)
     start = None
     for i in np.argsort(gammas, kind="stable")[::-1]:
-        fits[i] = solve_lasso(y, G, ConvexFitConfig(reg_param=gammas[i]),
-                              sigma2=sigma2, theta0=start)
+        fits[i] = solve(gammas[i], start)
         start = fits[i].theta
     return fits
+
+
+def lasso_path(y, G, gammas, sigma2=1.0):
+    """solve_lasso at every penalty in gammas, as one warm_path."""
+    return warm_path(lambda gamma, theta0: solve_lasso(
+        y, G, ConvexFitConfig(reg_param=gamma), sigma2=sigma2,
+        theta0=theta0), gammas)
 
 
 def _glasso_block_update(eigvals, Qtb, bnorm, a):
@@ -162,11 +169,12 @@ def _glasso_block_update(eigvals, Qtb, bnorm, a):
     return t
 
 
-def solve_glasso(y, design, sigma2, config):
+def solve_glasso(y, design, sigma2, config, theta0=None):
     """Group Lasso by block coordinate descent with exact block updates.
 
     Minimizes (y - G theta)^T (y - G theta)/(2 sigma2)
-    + reg sum_i ||theta^(i)||.  A block is set exactly to zero when
+    + reg sum_i ||theta^(i)||, starting from theta0 (default zero) with the
+    residual y - G theta0.  A block is set exactly to zero when
     ||G^(i)T r_i|| / sigma2 <= reg for its partial residual r_i; otherwise
     the update magnitude comes from a 1-D Newton root-find.  After every
     sweep the active blocks are solved exactly (_block_certificate); the
@@ -177,7 +185,8 @@ def solve_glasso(y, design, sigma2, config):
     y = np.asarray(y, dtype=float)
     gamma = config.reg_param
     p = design.p
-    theta = np.zeros(design.m)
+    theta = np.zeros(design.m) if theta0 is None else \
+        np.array(theta0, dtype=float)
     GtG = design.G.T @ design.G
     Gty = design.G.T @ y
     # per-block eigendecompositions, computed once
@@ -187,7 +196,7 @@ def solve_glasso(y, design, sigma2, config):
         w, Q = np.linalg.eigh(Gi.T @ Gi)
         eigs.append(np.maximum(w, 0.0))
         rots.append(Q)
-    r = y.copy()
+    r = y - design.G @ theta
     a = sigma2 * gamma
 
     def objective():
@@ -287,28 +296,23 @@ def _block_certificate(H, b, theta, slices, a):
     return cand
 
 
-def solve_mkl_lambda(y, design, sigma2, gamma, config=None, x0=None):
+def solve_mkl_lambda(y, design, sigma2, gamma, theta0=None):
     """Global minimizer of the convex kernel-scale objective.
 
-    PQN starts from the scales x0 (default zero).  Returns a PqnResult;
-    .lam is the nonnegative p-vector of scales.  The quality of the solve
-    is certified by kkt_residual_mkl.
+    Solves Group Lasso at reg = sqrt(2 gamma) from theta0 (default zero)
+    and returns that EstimateResult with lam_i = ||theta^(i)|| / sqrt(2
+    gamma), the nonnegative p-vector of scales, and gamma set to gamma.
+    The quality of the solve is certified by kkt_residual_mkl.
     """
     if gamma <= 0:
         raise ValueError("mkl requires positive gamma")
-    y = np.asarray(y, dtype=float)
-    cfg = config or PqnConfig(grad_tol=1e-10, max_iter=2000)
-
-    def fun_grad(lam):
-        fac = MarginalFactor(design, lam, sigma2)
-        gy = fac.gtw_y(y)
-        sq = np.array([np.sum(gy[s] ** 2) for s in design.slices])
-        f = 0.5 * fac.quad(y) + gamma * lam.sum()
-        g = -0.5 * sq + gamma
-        return f, g
-
-    return minimize_pqn(fun_grad, np.zeros(design.p) if x0 is None else x0,
-                        cfg)
+    reg = np.sqrt(2.0 * gamma)
+    res = solve_glasso(y, design, sigma2, ConvexFitConfig(reg_param=reg),
+                       theta0=theta0)
+    res.lam = np.array([np.linalg.norm(res.theta[s])
+                        for s in design.slices]) / reg
+    res.gamma = gamma
+    return res
 
 
 def mkl_recover_theta(lam, y, design, sigma2):
@@ -328,9 +332,7 @@ def kkt_residual_mkl(lam, y, design, sigma2, gamma):
     """
     lam = np.asarray(lam, dtype=float)
     y = np.asarray(y, dtype=float)
-    fac = MarginalFactor(design, lam, sigma2)
-    gy = fac.gtw_y(y)
-    sq = np.array([np.sum(gy[s] ** 2) for s in design.slices])
+    sq = MarginalFactor(design, lam, sigma2).block_scores(y)
     res = np.where(lam > 0, np.abs(-sq + 2.0 * gamma),
                    np.maximum(0.0, sq - 2.0 * gamma))
     return float(np.max(res, initial=0.0))

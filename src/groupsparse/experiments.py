@@ -19,12 +19,13 @@ residuals, never the generator's true value.
 import csv
 import json
 import numpy as np
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 from .model import BlockVector, EstimateResult, GroupedDesign
 from .convex import ConvexFitConfig, lasso_path, solve_adalasso, \
-    solve_glasso, solve_lasso, solve_mkl_lambda, mkl_recover_theta
-from .selection import SelectionConfig, estimate_sigma2_ls, fit_hglasso
+    solve_lasso, solve_mkl_lambda, mkl_recover_theta, warm_path
+from .selection import SelectionConfig, _split, estimate_sigma2_ls, \
+    fit_hglasso
 
 EXPERIMENTS = ("exp1", "exp2", "exp2_noisy_a", "exp2_noisy_b", "exp2_noisy_c",
                "ada")
@@ -282,52 +283,46 @@ def _est_hgl(variant):
     return fit
 
 
-def _cv_split(y, design):
-    n_tr = int(np.ceil(0.5 * design.n))
-    d_tr = GroupedDesign(design.G[:n_tr], design.group_sizes)
-    d_val = GroupedDesign(design.G[n_tr:], design.group_sizes)
-    return y[:n_tr], y[n_tr:], d_tr, d_val
-
-
 def est_mkl(y, design, sigma2, ctx):
     """Kernel-scale estimator; gamma chosen by validation on a grid spanning
     [1e-2, 1e4] times the gamma picked by the staged hgla fit.  The
-    validation solves run from the largest gamma down, each PQN solve
-    starting from the previous scales; the full-data refit starts from
-    zero.  converged is true only if all 31 solves converged, and
-    extra["unconverged_solves"] counts those that did not.  The result is
-    cached in ctx["mkl"], where est_glasso reads it."""
+    validation solves are one warm path (warm_path over solve_mkl_lambda,
+    each Group Lasso solve starting from the previous theta), scored by
+    that theta's validation error; the full-data solve starts from zero and
+    the estimate is the posterior mean at its scales.  converged is true
+    only if all 31 solves converged, and extra["unconverged_solves"] counts
+    those that did not.  The result is cached in ctx["mkl"], and the
+    full-data Group Lasso fit in ctx["mkl_glasso"], where est_glasso reads
+    them."""
     if "mkl" in ctx:
         return ctx["mkl"]
     _, trace = _hgla_stage(y, design, sigma2, ctx)
     gamma_ref = trace.chosen_gamma
     grid = np.logspace(np.log10(1e-2 * gamma_ref), np.log10(1e4 * gamma_ref), 30)
-    y_tr, y_val, d_tr, d_val = _cv_split(y, design)
-    errs = np.empty(grid.size)
-    unconverged = 0
-    lam = None
-    for i in reversed(range(grid.size)):
-        sol = solve_mkl_lambda(y_tr, d_tr, sigma2, grid[i], x0=lam)
-        lam = sol.lam
-        unconverged += not sol.converged
-        th = mkl_recover_theta(lam, y_tr, d_tr, sigma2).theta
-        errs[i] = np.linalg.norm(y_val - d_val.G @ th)
+    y_tr, y_val, d_tr, d_val = _split(y, design, 0.5)
+    fits = warm_path(lambda gamma, theta0: solve_mkl_lambda(
+        y_tr, d_tr, sigma2, gamma, theta0=theta0), grid)
+    errs = [np.linalg.norm(y_val - d_val.G @ fit.theta) for fit in fits]
     gamma = grid[np.argmin(errs)]  # ties: the smaller gamma
     sol = solve_mkl_lambda(y, design, sigma2, gamma)
-    unconverged += not sol.converged
+    unconverged = sum(not fit.converged for fit in fits + [sol])
     res = mkl_recover_theta(sol.lam, y, design, sigma2)
     res.gamma = gamma
     res.converged = unconverged == 0
     res.extra["unconverged_solves"] = unconverged
-    ctx["mkl"] = res
+    ctx["mkl"], ctx["mkl_glasso"] = res, sol
     return res
 
 
 def est_glasso(y, design, sigma2, ctx):
-    """Group Lasso with the penalty tied to mkl's choice via sqrt(2 gamma)."""
-    mkl_res = est_mkl(y, design, sigma2, ctx)
-    cfg = ConvexFitConfig(reg_param=np.sqrt(2.0 * mkl_res.gamma))
-    return solve_glasso(y, design, sigma2, cfg)
+    """Group Lasso with the penalty tied to mkl's choice via sqrt(2 gamma):
+    the full-data fit est_mkl made, so converged and
+    extra["unconverged_solves"] cover the MKL stage too."""
+    mkl = est_mkl(y, design, sigma2, ctx)
+    return replace(
+        ctx["mkl_glasso"], lam=None, gamma=np.sqrt(2.0 * mkl.gamma),
+        converged=mkl.converged,
+        extra={"unconverged_solves": mkl.extra["unconverged_solves"]})
 
 
 def _lasso_grid(y, G, sigma2):
@@ -340,7 +335,7 @@ def est_lasso(y, design, sigma2, ctx):
     validation solves are one warm path (lasso_path).  converged is true
     only if all 31 solves converged, and extra["unconverged_solves"] counts
     those that did not."""
-    y_tr, y_val, d_tr, d_val = _cv_split(y, design)
+    y_tr, y_val, d_tr, d_val = _split(y, design, 0.5)
     grid = _lasso_grid(y_tr, d_tr.G, sigma2)
     fits = lasso_path(y_tr, d_tr.G, grid, sigma2)
     errs = [np.linalg.norm(y_val - d_val.G @ fit.theta) for fit in fits]
@@ -354,8 +349,8 @@ def est_lasso(y, design, sigma2, ctx):
 
 
 def est_adalasso(y, design, sigma2, ctx):
-    grid = _lasso_grid(y[:int(np.ceil(0.5 * y.size))],
-                       design.G[:int(np.ceil(0.5 * y.size))], sigma2)
+    y_tr, _, d_tr, _ = _split(y, design, 0.5)
+    grid = _lasso_grid(y_tr, d_tr.G, sigma2)
     return solve_adalasso(y, design.G, sigma2, {"gamma": grid})
 
 

@@ -10,7 +10,7 @@ diagnostic, and the two-group worked example.
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.stats import chi2, poisson
+from scipy.stats import ncx2
 
 from .model import MarginalFactor
 from .pqn import PqnConfig, PqnResult, minimize_pqn
@@ -18,7 +18,7 @@ from .pqn import PqnConfig, PqnResult, minimize_pqn
 __all__ = [
     "solve_hgl_pqn", "kkt_residual_hgl", "closed_form_lambda_orth",
     "closed_form_lambda_mkl_orth", "lambda_opt", "ZeroProbQuery",
-    "prob_lambda_zero", "noncentral_chi2_cdf", "two_group_thresholds",
+    "prob_lambda_zero", "two_group_thresholds",
     "TwoGroupThresholds", "weighted_mse_profile", "WeightedMseProfile",
     "PqnConfig", "PqnResult",
 ]
@@ -31,9 +31,7 @@ def _marginal_fun_grad(design, sigma2, gamma, y):
     def fun_grad(lam):
         fac = MarginalFactor(design, lam, sigma2)
         f = 0.5 * fac.logdet() + 0.5 * fac.quad(y) + gamma * lam.sum()
-        gy = fac.gtw_y(y)
-        sq = np.array([np.sum(gy[s] ** 2) for s in design.slices])
-        g = 0.5 * fac.block_traces() - 0.5 * sq + gamma
+        g = 0.5 * fac.block_traces() - 0.5 * fac.block_scores(y) + gamma
         return f, g
 
     return fun_grad
@@ -64,9 +62,7 @@ def kkt_residual_hgl(lam, y, design, sigma2, gamma):
     lam = np.asarray(lam, dtype=float)
     y = np.asarray(y, dtype=float)
     fac = MarginalFactor(design, lam, sigma2)
-    gy = fac.gtw_y(y)
-    sq = np.array([np.sum(gy[s] ** 2) for s in design.slices])
-    e = fac.block_traces() - sq + 2.0 * gamma
+    e = fac.block_traces() - fac.block_scores(y) + 2.0 * gamma
     res = np.where(lam > 0, np.abs(e), np.maximum(0.0, -e))
     return float(np.max(res, initial=0.0))
 
@@ -132,22 +128,6 @@ class ZeroProbQuery:
             raise ValueError("estimator must be 'hgl' or 'mkl'")
 
 
-def noncentral_chi2_cdf(x, k, noncentrality, tail=1e-12):
-    """Noncentral chi-square CDF as a Poisson mixture of central CDFs.
-
-    P[chi2(k, mu) <= x] = sum_j Pois(j; mu/2) P[chi2(k + 2j) <= x],
-    truncated once the remaining Poisson mass drops below `tail`.
-    """
-    mu = float(noncentrality)
-    if mu == 0.0:
-        return float(chi2.cdf(x, k))
-    half = 0.5 * mu
-    jmax = int(poisson.ppf(1.0 - tail, half)) + 1
-    j = np.arange(jmax + 1)
-    w = poisson.pmf(j, half)
-    return float(np.sum(w * chi2.cdf(x, k + 2 * j)))
-
-
 def prob_lambda_zero(q):
     """Exact P[saturated lambda estimate = 0] under an orthogonal design.
 
@@ -161,7 +141,7 @@ def prob_lambda_zero(q):
         thr = q.k + 2.0 * q.gamma * q.sigma2 / q.n
     else:
         thr = 2.0 * q.gamma * q.sigma2 / q.n
-    return noncentral_chi2_cdf(thr, q.k, mu)
+    return float(ncx2.cdf(thr, q.k, mu))
 
 
 # ============================================================

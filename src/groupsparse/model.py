@@ -233,6 +233,11 @@ class MarginalFactor:
         diag = np.diag(self.gtwg())
         return np.array([diag[s].sum() for s in self.design.slices])
 
+    def block_scores(self, y):
+        """||G^(i)^T W y||^2 for every block, as a p-vector."""
+        gy = self.gtw_y(y)
+        return np.array([np.sum(gy[s] ** 2) for s in self.design.slices])
+
 
 # ============================================================
 # operations
@@ -277,9 +282,7 @@ def neg_log_marginal_grad(design, hs, y):
     """
     y = np.asarray(y, dtype=float)
     fac = MarginalFactor(design, hs.lam, hs.sigma2)
-    gy = fac.gtw_y(y)
-    sq = np.array([np.sum(gy[s] ** 2) for s in design.slices])
-    return 0.5 * fac.block_traces() - 0.5 * sq + hs.gamma
+    return 0.5 * fac.block_traces() - 0.5 * fac.block_scores(y) + hs.gamma
 
 
 def mse_of_lambda(design, hs, theta_true):

@@ -21,7 +21,7 @@ from groupsparse import (
 )
 from groupsparse import experiments as ex
 
-from conftest import orthogonal_design
+from conftest import mkl_pqn, orthogonal_design
 
 THREADS = min(8, os.cpu_count() or 1)
 
@@ -126,8 +126,7 @@ def test_kernel_scale_group_lasso_equivalence():
             G = des.G.copy()
             G[:, 1:3] += G[:, [0]]
             des = GroupedDesign(G, des.group_sizes)
-        mth = mkl_recover_theta(solve_mkl_lambda(y, des, s2, gam),
-                                y, des, s2).theta
+        mth = mkl_recover_theta(mkl_pqn(y, des, s2, gam), y, des, s2).theta
         gth = solve_glasso(y, des, s2,
                            ConvexFitConfig(reg_param=np.sqrt(2 * gam))).theta
         worst = max(worst, float(np.linalg.norm(mth - gth)

@@ -134,6 +134,34 @@ def test_fit_gamma_is_honoured_for_hgl(fixture_dir, tmp_path, capsys):
         assert "--gamma must be positive" in capsys.readouterr().err
 
 
+def test_fit_hglc_kkt_residual_is_taken_on_its_set(tmp_path):
+    """hglc pins the blocks outside its selected set at zero, so its KKT
+    residual is certified on that set (over all blocks it read 5.06 here
+    at a converged fit)."""
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--experiment", "exp1", "--seed", "5",
+                 "--out", str(sim)]) == 0
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--method", "hglc", "--data-y", str(sim / "y.csv"),
+                 "--data-g", str(sim / "G.csv"), "--groups", "4",
+                 "--out", str(out)]) == 0
+    diag = json.loads(out.read_text())["diagnostics"]
+    assert diag["converged"] is True
+    assert diag["kkt_residual"] <= 1e-5 * (1 + 100)
+
+
+def test_fit_one_row_cannot_be_split_exits_2(tmp_path, capsys):
+    """The validated estimators need a validation half; one row has none."""
+    np.savetxt(tmp_path / "G.csv", [[1.0, 2.0]], delimiter=",")
+    np.savetxt(tmp_path / "y.csv", [[3.0]], delimiter=",")
+    for method in ("lasso", "adalasso", "hgla"):
+        assert main(["fit", "--method", method, "--sigma2", "1",
+                     "--data-y", str(tmp_path / "y.csv"),
+                     "--data-g", str(tmp_path / "G.csv"),
+                     "--groups", "1"]) == 2
+        assert "degenerate split" in capsys.readouterr().err
+
+
 def test_fit_wide_design_requires_sigma2(tmp_path):
     rng = np.random.default_rng(0)
     np.savetxt(tmp_path / "G.csv", rng.standard_normal((4, 6)), delimiter=",")

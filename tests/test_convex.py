@@ -9,9 +9,10 @@ from groupsparse import (
     solve_glasso, solve_lasso, solve_mkl_lambda,
 )
 from groupsparse.convex import lasso_path
-from groupsparse.experiments import _cv_split, _lasso_grid
+from groupsparse.experiments import _lasso_grid
+from groupsparse.selection import _split
 
-from conftest import orthogonal_design, random_grouped
+from conftest import mkl_pqn, orthogonal_design, random_grouped
 
 
 def test_config_validation():
@@ -82,15 +83,27 @@ def _kkt_violation(y, G, theta, sigma2, gamma):
 
 @pytest.mark.parametrize("experiment,shape", [("exp1", {}),
                                               ("ada", {"n": 60})])
-def test_warm_path_satisfies_kkt_at_every_grid_point(experiment, shape):
+def test_warm_path_satisfies_kkt_at_every_grid_point(experiment, shape,
+                                                     monkeypatch):
     """Each point of a warm-started validation path is a KKT point, and
-    reports its own residual."""
+    reports its own residual; every kernel-scale solve of est_mkl's warm
+    path and refit passes kkt_residual_mkl."""
+    import groupsparse.experiments as ex
+    solve = ex.solve_mkl_lambda
+    mkl_solves = []
+
+    def recorded(y, des, s2, gam, theta0=None):
+        res = solve(y, des, s2, gam, theta0=theta0)
+        mkl_solves.append((y, des, s2, gam, res.lam))
+        return res
+
+    monkeypatch.setattr(ex, "solve_mkl_lambda", recorded)
     cfg = McConfig(experiment=experiment, runs=1, master_seed=11,
                    estimators=[], **shape)
     for run in range(3):
         design, _, y, _ = gen_problem(cfg, run)
         s2 = estimate_sigma2_ls(y, design.G)
-        y_tr, _, d_tr, _ = _cv_split(y, design)
+        y_tr, _, d_tr, _ = _split(y, design, 0.5)
         grid = _lasso_grid(y_tr, d_tr.G, s2)
         fits = lasso_path(y_tr, d_tr.G, grid, s2)
         for gamma, fit in zip(grid, fits):
@@ -98,6 +111,12 @@ def test_warm_path_satisfies_kkt_at_every_grid_point(experiment, shape):
             assert _kkt_violation(y_tr, d_tr.G, fit.theta, s2, gamma) \
                 <= 1e-8 * gamma
             assert fit.extra["kkt_residual"] <= 1e-8 * gamma
+        mkl_solves.clear()
+        ex.est_mkl(y, design, s2, {})
+        assert len(mkl_solves) == 31
+        for y_, d_, s2_, gam, lam in mkl_solves:
+            assert kkt_residual_mkl(lam, y_, d_, s2_, gam) \
+                <= 1e-8 * (1 + 2 * gam)
 
 
 def test_lasso_warm_start_from_solution_stops_at_once(rng):
@@ -139,8 +158,13 @@ def test_glasso_stops_on_a_kkt_point(rng):
         + 0.5 * rng.standard_normal(40)
     s2 = 0.25
     for reg in (0.5, 5.0, 20.0, 60.0):
-        fit = solve_glasso(y, des, s2, ConvexFitConfig(reg_param=reg))
+        cfg = ConvexFitConfig(reg_param=reg)
+        fit = solve_glasso(y, des, s2, cfg)
         assert fit.converged
+        # started from its own solution, one sweep certifies it
+        warm = solve_glasso(y, des, s2, cfg, theta0=fit.theta)
+        assert warm.converged and warm.iterations == 1
+        assert np.allclose(warm.theta, fit.theta, rtol=1e-12, atol=0.0)
         g = des.G.T @ (y - des.G @ fit.theta) / s2
         for sl in des.slices:
             nrm = np.linalg.norm(fit.theta[sl])
@@ -217,8 +241,7 @@ def test_mkl_glasso_equivalence(rng):
         s2 = float(rng.uniform(0.2, 2.0))
         y = G @ th + np.sqrt(s2) * rng.standard_normal(n)
         gam = float(rng.uniform(0.05, 3.0))
-        mth = mkl_recover_theta(solve_mkl_lambda(y, des, s2, gam),
-                                y, des, s2).theta
+        mth = mkl_recover_theta(mkl_pqn(y, des, s2, gam), y, des, s2).theta
         gth = solve_glasso(y, des, s2,
                            ConvexFitConfig(reg_param=np.sqrt(2 * gam))).theta
         rel = np.linalg.norm(mth - gth) / max(np.linalg.norm(gth), 1e-12)

@@ -297,8 +297,9 @@ def _cold_cd_lasso(y, G, gamma, sigma2, max_iter=20000, tol=1e-12):
 def _cold_est_lasso(y, design, sigma2):
     """est_lasso with every grid point solved from zero; returns
     (gamma, theta)."""
-    from groupsparse.experiments import _cv_split, _lasso_grid
-    y_tr, y_val, d_tr, d_val = _cv_split(y, design)
+    from groupsparse.experiments import _lasso_grid
+    from groupsparse.selection import _split
+    y_tr, y_val, d_tr, d_val = _split(y, design, 0.5)
     best = None
     for gamma in _lasso_grid(y_tr, d_tr.G, sigma2):
         th = _cold_cd_lasso(y_tr, d_tr.G, gamma, sigma2)
@@ -335,7 +336,7 @@ def _cold_est_mkl(y, design, sigma2, ctx):
     gamma_ref = ex._hgla_stage(y, design, sigma2, ctx)[1].chosen_gamma
     grid = np.logspace(np.log10(1e-2 * gamma_ref),
                        np.log10(1e4 * gamma_ref), 30)
-    y_tr, y_val, d_tr, d_val = ex._cv_split(y, design)
+    y_tr, y_val, d_tr, d_val = ex._split(y, design, 0.5)
     best = None
     for gamma in grid:
         lam = ex.solve_mkl_lambda(y_tr, d_tr, sigma2, gamma).lam
@@ -364,8 +365,8 @@ def test_mkl_warm_path_matches_cold_solves():
 
 
 def test_converged_is_false_when_one_inner_solve_fails(monkeypatch):
-    """One unconverged inner solve makes lasso, adalasso and mkl report
-    converged=False and count it."""
+    """One unconverged inner solve makes lasso, adalasso, mkl and glasso
+    report converged=False and count it."""
     import dataclasses
     import groupsparse.convex as cv
     import groupsparse.experiments as ex
@@ -390,11 +391,12 @@ def test_converged_is_false_when_one_inner_solve_fails(monkeypatch):
             y, design.G, sigma2, {"gamma": np.logspace(-1, 2, 4),
                                   "eta": np.array([1.0, 2.0])}),
         "mkl": lambda: ESTIMATORS["mkl"](y, design, sigma2, {}),
+        "glasso": lambda: ESTIMATORS["glasso"](y, design, sigma2, {}),
     }
     for name, fit in fits.items():
         assert fit().extra["unconverged_solves"] == 0
         with monkeypatch.context() as mp:
-            if name == "mkl":
+            if name in ("mkl", "glasso"):
                 fail_third_call(mp, ex, "solve_mkl_lambda")
             else:
                 fail_third_call(mp, cv, "solve_lasso")

@@ -9,11 +9,11 @@ from groupsparse import (
     GroupedDesign, HyperState, PqnConfig, ZeroProbQuery,
     closed_form_lambda_mkl_orth, closed_form_lambda_orth, diagonalize_block,
     kkt_residual_hgl, lambda_opt, mse_of_lambda, neg_log_marginal,
-    noncentral_chi2_cdf, prob_lambda_zero, solve_hgl_pqn, solve_mkl_lambda,
+    prob_lambda_zero, solve_hgl_pqn, solve_mkl_lambda,
     two_group_thresholds, weighted_mse_profile,
 )
 
-from conftest import orthogonal_design, random_grouped
+from conftest import mkl_pqn, orthogonal_design, random_grouped
 
 
 # ------------------------------------------------------------
@@ -114,18 +114,6 @@ def test_lambda_opt_beats_grid(rng):
 # ------------------------------------------------------------
 # zero probabilities
 # ------------------------------------------------------------
-
-def test_noncentral_chi2_cdf_against_scipy(rng):
-    worst = 0.0
-    for _ in range(200):
-        k = int(rng.integers(1, 12))
-        nc = float(rng.uniform(0.0, 50.0))
-        x = float(rng.uniform(0.0, 80.0))
-        ours = noncentral_chi2_cdf(x, k, nc)
-        ref = stats.ncx2.cdf(x, k, nc) if nc > 0 else stats.chi2.cdf(x, k)
-        worst = max(worst, abs(ours - ref))
-    assert worst <= 1e-10
-
 
 def test_zero_prob_query_validation():
     with pytest.raises(ValueError):
@@ -234,10 +222,9 @@ def test_two_group_lambda2_matches_generic_solver():
                                              active_set=[1]))
         assert abs(res.lam[1] - tg.lambda2_hgl) <= 1e-8 * (1 + tg.lambda2_hgl)
         if gam > 0:
-            resm = solve_mkl_lambda(y, des, s2, gam,
-                                    config=PqnConfig(grad_tol=1e-12,
-                                                     max_iter=2000,
-                                                     active_set=[1]))
+            resm = mkl_pqn(y, des, s2, gam,
+                           config=PqnConfig(grad_tol=1e-12, max_iter=2000,
+                                            active_set=[1]))
             assert abs(resm.lam[1] - tg.lambda2_mkl) <= 1e-8 * (
                 1 + tg.lambda2_mkl)
 
@@ -261,9 +248,8 @@ def test_two_group_gamma_min_consistent_with_margins():
             res = solve_hgl_pqn(y, des, s2, probe,
                                 config=PqnConfig(grad_tol=1e-12, max_iter=2000))
         else:
-            res = solve_mkl_lambda(y, des, s2, probe,
-                                   config=PqnConfig(grad_tol=1e-12,
-                                                    max_iter=2000))
+            res = mkl_pqn(y, des, s2, probe,
+                          config=PqnConfig(grad_tol=1e-12, max_iter=2000))
         assert res.lam[0] == 0.0
 
 
