@@ -168,7 +168,10 @@ def cmd_fit(args):
                               gamma_grid=None if gamma is None else [gamma])
         res, trace = _data_errors(fit_hglasso, y, design, cfg)
         res.extra["kkt_residual"] = None
-        if args.method == "hglc":
+        if args.method == "hglb":
+            res.extra["kkt_residual"] = kkt_residual_hgl(
+                res.lam, y, design, res.extra["sigma2"], res.gamma)
+        elif args.method == "hglc":
             # hglc pins the blocks outside its set at zero: certify the set
             chosen = trace.chosen_set
             res.extra["kkt_residual"] = kkt_residual_hgl(

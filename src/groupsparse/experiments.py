@@ -25,7 +25,7 @@ from .model import BlockVector, EstimateResult, GroupedDesign
 from .convex import ConvexFitConfig, lasso_path, solve_adalasso, \
     solve_lasso, solve_mkl_lambda, mkl_recover_theta, warm_path
 from .selection import SelectionConfig, _split, estimate_sigma2_ls, \
-    fit_hglasso
+    fit_hglasso, polish_hglasso
 
 EXPERIMENTS = ("exp1", "exp2", "exp2_noisy_a", "exp2_noisy_b", "exp2_noisy_c",
                "ada")
@@ -275,11 +275,14 @@ def _hgla_stage(y, design, sigma2, ctx):
 
 
 def _est_hgl(variant):
+    """hgla reads the cached stage; hglb/hglc polish its selection, the
+    same result fit_hglasso(variant=...) gives."""
     def fit(y, design, sigma2, ctx):
+        res, trace = _hgla_stage(y, design, sigma2, ctx)
         if variant == "hgla":
-            return _hgla_stage(y, design, sigma2, ctx)[0]
-        res, _ = fit_hglasso(y, design, SelectionConfig(variant=variant))
-        return res
+            return res
+        return polish_hglasso(y, design, trace,
+                              SelectionConfig(variant=variant))
     return fit
 
 

@@ -238,6 +238,19 @@ class MarginalFactor:
         gy = self.gtw_y(y)
         return np.array([np.sum(gy[s] ** 2) for s in self.design.slices])
 
+    def block_hessian(self, y):
+        """Hessian in lambda of 0.5 logdet Sigma_y + 0.5 y^T W y, p x p.
+
+        With M = G^T W G and q = G^T W y, entry (i, j) is
+        -0.5 ||M_ij||_F^2 + q_i^T M_ij q_j, M_ij the (i, j) block of M.
+        """
+        M = self.gtwg()
+        q = self.gtw_y(y)
+        starts = [s.start for s in self.design.slices]
+        H = np.add.reduceat(np.add.reduceat(
+            M * (np.outer(q, q) - 0.5 * M), starts, axis=0), starts, axis=1)
+        return 0.5 * (H + H.T)
+
 
 # ============================================================
 # operations

@@ -9,8 +9,11 @@ and pick gamma by validation error, computed once per distinct selected set.
 They differ only in the final polish:
 
   hgla  posterior mean at the forward-selection scales, no polish
-  hglb  quasi-Newton refinement over all blocks from the selected start
-  hglc  quasi-Newton refinement restricted to the selected blocks, gamma=0
+  hglb  projected Newton refinement over all blocks from the selected start
+  hglc  projected Newton refinement on the selected blocks alone, gamma=0
+
+select_hglasso is the shared stage and polish_hglasso the polish, so
+callers that fit several variants run the stage once.
 """
 
 import numpy as np
@@ -34,7 +37,8 @@ class SelectionConfig:
     kappa_bracket: tuple = None        # default [1e-8, 1e8] * (||y_tr||^2 / n_tr)
     variant: str = "hgla"
     sigma2: float = None               # override; otherwise training LS estimate
-    pqn: PqnConfig = field(default_factory=lambda: PqnConfig(grad_tol=1e-8,
+    # projected Newton polish of hglb/hglc (solve_hgl_pqn; memory unused)
+    pqn: PqnConfig = field(default_factory=lambda: PqnConfig(grad_tol=1e-10,
                                                              max_iter=1000))
 
     def __post_init__(self):
@@ -236,15 +240,13 @@ def _split(y, design, frac):
     return y[:n_tr], y[n_tr:], d_tr, d_val
 
 
-def fit_hglasso(y, design, config=None):
-    """Staged group-sparse fit; returns (EstimateResult, SelectionTrace).
+def select_hglasso(y, design, config=None):
+    """Stage one, shared by every variant; returns the SelectionTrace.
 
-    Stage one (shared): prefix split, training-residual sigma2 (unless
-    overridden), kappa estimate, one greedy path cut per gamma on the grid
-    (the same sets forward_select returns), gamma chosen by validation error
-    (ties: largest gamma).  The variant then produces lambda on the full
-    data as described in the module docstring, and theta is the posterior
-    mean at that lambda.
+    Prefix split, training-residual sigma2 (unless overridden), kappa
+    estimate, one greedy path cut per gamma on the grid (the same sets
+    forward_select returns), gamma chosen by validation error (ties:
+    largest gamma).
     """
     cfg = config or SelectionConfig()
     y = np.asarray(y, dtype=float)
@@ -282,39 +284,51 @@ def fit_hglasso(y, design, config=None):
     # validation error is exactly flat across gammas sharing a selected set,
     # so break ties toward the largest gamma (the most parsimonious prior)
     best = int(val_errors.size - 1 - np.argmin(val_errors[::-1]))
-    gamma_hat = float(gammas[best])
-    i_fs = sets[best]
-    lam_fs = np.zeros(design.p)
-    lam_fs[i_fs] = kappa
+    return SelectionTrace(gammas=np.asarray(gammas), selected_sets=sets,
+                          gains=gains_per_gamma, val_errors=val_errors,
+                          chosen_gamma=float(gammas[best]),
+                          chosen_set=list(sets[best]), kappa=kappa,
+                          sigma2=sigma2)
 
-    trace = SelectionTrace(gammas=np.asarray(gammas), selected_sets=sets,
-                           gains=gains_per_gamma, val_errors=val_errors,
-                           chosen_gamma=gamma_hat, chosen_set=list(i_fs),
-                           kappa=kappa, sigma2=sigma2)
 
-    converged = True
-    iterations = 0
-    if cfg.variant == "hgla":
-        lam_hat = lam_fs
-    else:
-        if cfg.variant == "hglb":
-            pqn_cfg = cfg.pqn
-            gamma_solve = gamma_hat
-        else:  # hglc
-            pqn_cfg = PqnConfig(memory=cfg.pqn.memory, armijo_c=cfg.pqn.armijo_c,
-                                backtrack=cfg.pqn.backtrack,
-                                grad_tol=cfg.pqn.grad_tol,
-                                max_iter=cfg.pqn.max_iter, active_set=i_fs)
-            gamma_solve = 0.0
-        res = solve_hgl_pqn(y, design, sigma2, gamma_solve, lam_fs, pqn_cfg)
+def polish_hglasso(y, design, trace, config=None):
+    """Stage two: lambda on the full data for config.variant, starting
+    from the forward-selection scales (kappa on trace.chosen_set), and
+    theta the posterior mean at that lambda (see the module docstring).
+
+    hglb solves over all blocks at the chosen gamma; hglc solves at gamma
+    = 0 on the design restricted to the chosen blocks, which gives the
+    same objective as pinning the others at zero (blocks with lambda_i = 0
+    add nothing to Sigma_y).  .objective is the solve's final objective.
+    """
+    cfg = config or SelectionConfig()
+    y = np.asarray(y, dtype=float)
+    i_fs, sigma2 = trace.chosen_set, trace.sigma2
+    lam_hat = np.zeros(design.p)
+    lam_hat[i_fs] = trace.kappa
+    res = None
+    if cfg.variant == "hglb":
+        res = solve_hgl_pqn(y, design, sigma2, trace.chosen_gamma, lam_hat,
+                            cfg.pqn)
         lam_hat = res.lam
-        converged = res.converged
-        iterations = res.iterations
+    elif cfg.variant == "hglc" and i_fs:
+        res = solve_hgl_pqn(y, design.subdesign(i_fs), sigma2, 0.0,
+                            lam_hat[i_fs], cfg.pqn)
+        lam_hat[i_fs] = res.lam
     bv = posterior_mean(design, HyperState(lam_hat, 0.0, sigma2), y)
     sel = [i for i in range(design.p) if lam_hat[i] > 0]
-    result = EstimateResult(theta=bv.theta, lam=lam_hat, selected=sel,
-                            gamma=gamma_hat, converged=converged,
-                            iterations=iterations,
-                            extra={"kappa": kappa, "sigma2": sigma2,
-                                   "variant": cfg.variant})
-    return result, trace
+    return EstimateResult(
+        theta=bv.theta, lam=lam_hat, selected=sel, gamma=trace.chosen_gamma,
+        converged=res is None or res.converged,
+        iterations=0 if res is None else res.iterations,
+        objective=np.nan if res is None else res.objective,
+        extra={"kappa": trace.kappa, "sigma2": sigma2,
+               "variant": cfg.variant})
+
+
+def fit_hglasso(y, design, config=None):
+    """Staged group-sparse fit; returns (EstimateResult, SelectionTrace):
+    select_hglasso, then polish_hglasso for config.variant."""
+    cfg = config or SelectionConfig()
+    trace = select_hglasso(y, design, cfg)
+    return polish_hglasso(y, design, trace, cfg), trace

@@ -150,6 +150,60 @@ def test_fit_hglc_kkt_residual_is_taken_on_its_set(tmp_path):
     assert diag["kkt_residual"] <= 1e-5 * (1 + 100)
 
 
+def _wide_problem(tmp_path, seed, run):
+    """CSV files of one p=40, k=4, n=100 exp1 problem and its noise
+    variance, the shape the wide benchmark fits through the CLI."""
+    from groupsparse.experiments import McConfig, gen_problem
+    design, _, y, sigma2 = gen_problem(McConfig(
+        experiment="exp1", runs=1, master_seed=seed, estimators=[], p=40,
+        k=4, n=100), run)
+    np.savetxt(tmp_path / "G.csv", design.G, delimiter=",")
+    np.savetxt(tmp_path / "y.csv", y.reshape(-1, 1), delimiter=",")
+    return ["--data-g", str(tmp_path / "G.csv"), "--data-y",
+            str(tmp_path / "y.csv"), "--groups", "4", "--sigma2",
+            repr(sigma2)]
+
+
+def test_fit_hglc_converges_on_a_former_max_iter_case(tmp_path):
+    """This hglc polish stopped unconverged at 1000 quasi-Newton
+    iterations and exited 3; projected Newton converges."""
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--method", "hglc", "--out", str(out)]
+                + _wide_problem(tmp_path, 404, 3)) == 0
+    diag = json.loads(out.read_text())["diagnostics"]
+    assert diag["converged"] is True and diag["iterations"] < 100
+    assert diag["kkt_residual"] <= 1e-5 * (1 + 100)
+
+
+def test_fit_hglb_reports_kkt_residual_and_objective(fixture_dir, tmp_path):
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--method", "hglb", "--data-y",
+                 str(fixture_dir / "y.csv"), "--data-g",
+                 str(fixture_dir / "G.csv"), "--groups", "4",
+                 "--out", str(out)]) == 0
+    diag = json.loads(out.read_text())["diagnostics"]
+    assert diag["converged"] is True
+    assert diag["kkt_residual"] <= 1e-5 * (1 + 100)
+    assert np.isfinite(diag["objective"])
+
+
+def test_fit_unconverged_polish_exits_3(tmp_path, monkeypatch):
+    """converged is False when the polish runs out of iterations, and the
+    fit exits 3."""
+    import functools
+    import groupsparse.cli as cli
+    from groupsparse import PqnConfig, SelectionConfig
+    monkeypatch.setattr(cli, "SelectionConfig", functools.partial(
+        SelectionConfig, pqn=PqnConfig(grad_tol=1e-10, max_iter=1)))
+    data = _wide_problem(tmp_path, 404, 3)
+    for method in ("hglb", "hglc"):
+        out = tmp_path / ("%s.json" % method)
+        assert main(["fit", "--method", method, "--out", str(out)]
+                    + data) == 3
+        diag = json.loads(out.read_text())["diagnostics"]
+        assert diag["converged"] is False and diag["iterations"] == 1
+
+
 def test_fit_one_row_cannot_be_split_exits_2(tmp_path, capsys):
     """The validated estimators need a validation half; one row has none."""
     np.savetxt(tmp_path / "G.csv", [[1.0, 2.0]], delimiter=",")

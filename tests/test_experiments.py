@@ -263,6 +263,40 @@ def test_glasso_reuses_the_mkl_fit_in_ctx(monkeypatch):
     assert np.array_equal(shared.theta, alone.theta)
 
 
+def test_hgl_estimators_polish_the_shared_stage(monkeypatch):
+    """hgla, hglb and hglc on one ctx compute the greedy path once, and
+    hglb/hglc equal fit_hglasso's bit for bit."""
+    import groupsparse.experiments as ex
+    import groupsparse.selection as sel
+    path = sel._greedy_path
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return path(*args, **kwargs)
+
+    for run in range(3):
+        design, _, y, _ = gen_problem(McConfig(experiment="exp1", runs=1,
+                                               master_seed=21), run)
+        sigma2 = ex.estimate_sigma2_ls(y, design.G)
+        alone = {v: sel.fit_hglasso(y, design, sel.SelectionConfig(
+            variant=v))[0] for v in ("hglb", "hglc")}
+        with monkeypatch.context() as mp:
+            mp.setattr(sel, "_greedy_path", counted)
+            ctx = {}
+            shared = {v: ESTIMATORS[v](y, design, sigma2, ctx)
+                      for v in ("hgla", "hglb", "hglc")}
+        assert len(calls) == run + 1
+        for v in ("hglb", "hglc"):
+            a, b = alone[v], shared[v]
+            assert np.array_equal(a.theta, b.theta)
+            assert np.array_equal(a.lam, b.lam)
+            assert (a.gamma, a.selected, a.converged, a.iterations,
+                    a.objective) == (b.gamma, b.selected, b.converged,
+                                     b.iterations, b.objective)
+            assert a.converged and np.isfinite(a.objective)
+
+
 # ------------------------------------------------------------
 # warm-started convex validation paths
 # ------------------------------------------------------------

@@ -62,6 +62,84 @@ def test_hgl_objective_not_worse_than_start(rng):
     assert res.objective <= f0 + 1e-12 * (1 + abs(f0))
 
 
+def test_hgl_boundary_zeros_are_exact(rng):
+    """Where the orthogonal closed form is zero the solve returns exactly
+    0.0, and every coordinate stays >= 0."""
+    zeros = 0
+    for gam in (0.0, 1.0, 10.0):
+        for _ in range(10):
+            sizes = [int(k) for k in rng.integers(1, 4, 4)]
+            des = orthogonal_design(rng, sizes, sum(sizes) + 6)
+            th = rng.standard_normal(des.m) * rng.integers(0, 2, des.m)
+            s2 = float(rng.uniform(0.3, 1.5))
+            y = des.G @ th + np.sqrt(s2) * rng.standard_normal(des.n)
+            ref = _closed_form_vec(des, y, s2, gam)
+            res = solve_hgl_pqn(y, des, s2, gam, lam0=np.ones(des.p))
+            assert res.converged and np.all(res.lam >= 0.0)
+            assert np.all(res.lam[ref == 0.0] == 0.0)
+            zeros += int(np.sum(ref == 0.0))
+    assert zeros > 0
+
+
+def test_hgl_active_set_pins_the_other_blocks(rng):
+    """active_set keeps the other coordinates at exactly zero, and the
+    pinned solve is the solve on the design restricted to the set."""
+    for _ in range(10):
+        des = random_grouped(rng, p_max=6)
+        if des.p < 2:
+            continue
+        keep = sorted(rng.permutation(des.p)[:des.p // 2 + 1].tolist())
+        y = 2.0 * rng.standard_normal(des.n)
+        s2, gam = float(rng.uniform(0.3, 1.5)), float(rng.uniform(0.0, 1.0))
+        cfg = PqnConfig(grad_tol=1e-12, max_iter=2000, active_set=keep)
+        res = solve_hgl_pqn(y, des, s2, gam, lam0=np.ones(des.p), config=cfg)
+        sub = solve_hgl_pqn(y, des.subdesign(keep), s2, gam,
+                            lam0=np.ones(len(keep)),
+                            config=PqnConfig(grad_tol=1e-12, max_iter=2000))
+        off = np.setdiff1d(np.arange(des.p), keep)
+        assert res.converged and np.all(res.lam[off] == 0.0)
+        assert np.all(res.lam >= 0.0)
+        assert np.allclose(res.lam[keep], sub.lam, rtol=1e-6, atol=1e-8)
+        assert kkt_residual_hgl(res.lam[keep], y, des.subdesign(keep), s2,
+                                gam) <= 1e-8 * (1 + des.n)
+
+
+def test_hgl_iterates_stay_feasible_and_descend(rng, monkeypatch):
+    """Every lambda the solve evaluates is >= 0 and off-set blocks are 0;
+    the returned objective is the lowest value accepted."""
+    import groupsparse.hglasso as hg
+    seen = []
+    factor = hg.MarginalFactor
+
+    def recording(design, lam, sigma2):
+        assert np.all(lam >= 0.0) and lam[0] == 0.0
+        seen.append(lam.copy())
+        return factor(design, lam, sigma2)
+
+    monkeypatch.setattr(hg, "MarginalFactor", recording)
+    des = random_grouped(rng, p_max=5)
+    while des.p < 3:
+        des = random_grouped(rng, p_max=5)
+    y = 3.0 * rng.standard_normal(des.n)
+    s2, gam = 0.5, 0.2
+    cfg = PqnConfig(grad_tol=1e-10, active_set=list(range(1, des.p)))
+    res = solve_hgl_pqn(y, des, s2, gam, lam0=np.full(des.p, 2.0), config=cfg)
+    assert res.converged and len(seen) > 1
+    f0 = neg_log_marginal(des, HyperState(seen[0], gam, s2), y)
+    assert res.objective <= f0
+    assert res.objective == neg_log_marginal(des, HyperState(res.lam, gam,
+                                                             s2), y)
+
+
+def test_hgl_converged_is_false_when_max_iter_runs_out(rng):
+    des = random_grouped(rng, p_max=5)
+    y = 3.0 * rng.standard_normal(des.n)
+    res = solve_hgl_pqn(y, des, 0.5, 0.1, lam0=np.full(des.p, 50.0),
+                        config=PqnConfig(grad_tol=1e-10, max_iter=1))
+    assert res.iterations == 1 and not res.converged
+    assert res.grad_norm > 1e-10 * (1 + abs(res.objective))
+
+
 def test_closed_form_validation():
     with pytest.raises(ValueError):
         closed_form_lambda_orth(np.ones(2), 2, 10, 1.0, -0.1)

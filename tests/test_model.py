@@ -173,6 +173,44 @@ def test_gradient_matches_central_differences(rng):
     assert worst <= 1e-5
 
 
+@pytest.mark.parametrize("lowrank", [True, False])
+def test_block_hessian_matches_differences_of_gradient(rng, lowrank):
+    """block_hessian is symmetric and matches second-order differences of
+    neg_log_marginal_grad on both factor routes, at lambdas with zero
+    blocks (central differences, one-sided where lambda_j - h < 0)."""
+    worst = 0.0
+    for trial in range(20):
+        sizes = [int(k) for k in rng.integers(1, 4, int(rng.integers(2, 6)))]
+        m = sum(sizes)
+        n = m + int(rng.integers(1, 10)) if lowrank else \
+            int(rng.integers(2, m + 1))
+        des = GroupedDesign(rng.standard_normal((n, m)), sizes)
+        lam = rng.uniform(0.05, 2.0, des.p)
+        lam[rng.permutation(des.p)[:1 + trial % 2]] = 0.0
+        s2 = float(rng.uniform(0.2, 2.0))
+        y = 2.0 * rng.standard_normal(n)
+        fac = MarginalFactor(des, lam, s2)
+        assert fac.lowrank == lowrank
+        H = fac.block_hessian(y)
+        assert np.array_equal(H, H.T)
+
+        def grad(l):
+            return neg_log_marginal_grad(des, HyperState(l, 0.3, s2), y)
+
+        fd = np.empty((des.p, des.p))
+        for j in range(des.p):
+            h = 1e-5 * max(1.0, lam[j])
+            e = np.zeros(des.p)
+            e[j] = h
+            if lam[j] >= h:
+                fd[:, j] = (grad(lam + e) - grad(lam - e)) / (2 * h)
+            else:
+                fd[:, j] = (-3 * grad(lam) + 4 * grad(lam + e)
+                            - grad(lam + 2 * e)) / (2 * h)
+        worst = max(worst, np.max(np.abs(H - fd)) / (1 + np.max(np.abs(fd))))
+    assert worst <= 1e-5
+
+
 def test_second_moment_of_y_matches_sigma_y(rng):
     """Sample E[y y^T] over simulated outputs converges to Sigma_y."""
     des = GroupedDesign(rng.standard_normal((6, 5)), [2, 3])
