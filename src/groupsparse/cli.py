@@ -187,6 +187,8 @@ def cmd_fit(args):
         res.extra["kkt_residual"] = kkt_residual_mkl(res.lam, y, design,
                                                      sigma2, res.gamma)
     elif args.method in ("glasso", "lasso"):
+        if gamma is not None and gamma < 0:
+            raise CliError("--gamma must be nonnegative")
         if gamma is None and args.method == "glasso":
             res = ex.est_glasso(y, design, sigma2, _hgla_ctx(y, design, args))
         elif gamma is None:

@@ -334,10 +334,13 @@ def _lasso_grid(y, G, sigma2):
 
 
 def est_lasso(y, design, sigma2, ctx):
-    """Lasso with gamma chosen by validation on _lasso_grid; the 30
-    validation solves are one warm path (lasso_path).  converged is true
-    only if all 31 solves converged, and extra["unconverged_solves"] counts
-    those that did not."""
+    """Lasso with gamma chosen by validation on _lasso_grid.  The 30
+    validation fits are exact grid points of one homotopy pass
+    (lasso_path) on the training half, and the full-data fit is the path
+    run down to the chosen gamma (solve_lasso; iterations counts its
+    breakpoints).  converged is true only if all 31 fits passed the KKT
+    certificate, and extra["unconverged_solves"] counts those that did
+    not."""
     y_tr, y_val, d_tr, d_val = _split(y, design, 0.5)
     grid = _lasso_grid(y_tr, d_tr.G, sigma2)
     fits = lasso_path(y_tr, d_tr.G, grid, sigma2)

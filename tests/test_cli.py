@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from groupsparse.cli import main, parse_groups, read_csv_matrix
+from groupsparse import McConfig, gen_problem
+from groupsparse.cli import main, parse_groups, read_csv_matrix, \
+    write_csv_matrix
 from groupsparse.cli import CliError
 
 
@@ -85,6 +87,55 @@ def test_fit_mkl_rejects_nonpositive_gamma(fixture_dir, capsys):
                  "--groups", "4", "--gamma", "0"])
     assert code == 2
     assert "positive gamma" in capsys.readouterr().err
+
+
+def test_fit_lasso_glasso_reject_negative_gamma(fixture_dir, capsys):
+    for method in ("lasso", "glasso"):
+        code = main(["fit", "--method", method,
+                     "--data-y", str(fixture_dir / "y.csv"),
+                     "--data-g", str(fixture_dir / "G.csv"),
+                     "--groups", "4", "--gamma", "-1"])
+        assert code == 2
+        assert "--gamma must be nonnegative" in capsys.readouterr().err
+
+
+def test_fit_lasso_at_gamma_zero_is_least_squares(fixture_dir, tmp_path):
+    out = tmp_path / "fit.json"
+    code = main(["fit", "--method", "lasso",
+                 "--data-y", str(fixture_dir / "y.csv"),
+                 "--data-g", str(fixture_dir / "G.csv"),
+                 "--groups", "4", "--gamma", "0", "--out", str(out)])
+    assert code == 0
+    G = read_csv_matrix(str(fixture_dir / "G.csv"))
+    y = read_csv_matrix(str(fixture_dir / "y.csv")).ravel()
+    ls, *_ = np.linalg.lstsq(G, y, rcond=None)
+    theta = np.array(json.loads(out.read_text())["theta"])
+    assert np.linalg.norm(theta - ls) <= 1e-10 * np.linalg.norm(ls)
+
+
+def test_fit_lasso_on_wide_designs_is_certified(tmp_path):
+    """fit --method lasso --sigma2 on the m > n generator (exp1 with p=40,
+    k=4, n=100, master seed 0, the generator's noise variance): problem 0
+    is certified, and on problem 1, where the active set reaches n, the
+    exit code agrees with the KKT residual."""
+    cfg = McConfig(experiment="exp1", runs=1, master_seed=0, estimators=[],
+                   p=40, k=4, n=100)
+    for run in (0, 1):
+        design, _, y, sigma2 = gen_problem(cfg, run)
+        write_csv_matrix(str(tmp_path / "G.csv"), design.G)
+        write_csv_matrix(str(tmp_path / "y.csv"), y.reshape(-1, 1))
+        out = tmp_path / "fit.json"
+        code = main(["fit", "--method", "lasso",
+                     "--data-y", str(tmp_path / "y.csv"),
+                     "--data-g", str(tmp_path / "G.csv"), "--groups", "4",
+                     "--sigma2", repr(sigma2), "--out", str(out)])
+        doc = json.loads(out.read_text())
+        certified = doc["diagnostics"]["kkt_residual"] <= 1e-8 * doc["gamma"]
+        assert code == (0 if certified else 3)
+        if run == 0:
+            assert certified
+        else:
+            assert np.count_nonzero(doc["theta"]) == design.n
 
 
 def test_fit_zero_data_gives_zero_estimate(tmp_path, capsys):

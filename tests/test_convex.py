@@ -8,7 +8,8 @@ from groupsparse import (
     gen_problem, kkt_residual_mkl, mkl_recover_theta, solve_adalasso,
     solve_glasso, solve_lasso, solve_mkl_lambda,
 )
-from groupsparse.convex import lasso_path
+from groupsparse.convex import ADALASSO_WEIGHT_CAP, _adalasso_weights, \
+    lasso_path
 from groupsparse.experiments import _lasso_grid
 from groupsparse.selection import _split
 
@@ -119,15 +120,51 @@ def test_warm_path_satisfies_kkt_at_every_grid_point(experiment, shape,
                 <= 1e-8 * (1 + 2 * gam)
 
 
-def test_lasso_warm_start_from_solution_stops_at_once(rng):
-    G = rng.standard_normal((30, 8))
-    y = G @ np.array([2.0, 0, 0, -1.0, 0, 0.5, 0, 0]) \
-        + 0.3 * rng.standard_normal(30)
-    cfg = ConvexFitConfig(reg_param=5.0)
-    cold = solve_lasso(y, G, cfg, sigma2=0.1)
-    warm = solve_lasso(y, G, cfg, sigma2=0.1, theta0=cold.theta)
-    assert warm.converged and warm.iterations == 1
-    assert np.allclose(warm.theta, cold.theta, rtol=1e-12, atol=0.0)
+def test_lasso_path_certifies_degenerate_designs(rng):
+    """The homotopy certifies every positive grid point where ties, rank
+    and scale are degenerate: duplicated and sign-flipped columns, m > n
+    (the active set stops at rank G), integer designs with m > n and
+    many-way ties, and a column shrunk by ADALASSO_WEIGHT_CAP, followed down
+    to 1e-12 of the largest penalty, where it has joined (the KKT check
+    allows rounding of 1e-14 of the largest correlation there); at
+    gamma = 0 with n > m the path ends at least squares."""
+    dup = rng.standard_normal((30, 8))
+    dup[:, 1] = dup[:, 0]
+    dup[:, 5] = -dup[:, 2]
+    ints = []
+    # seeds chosen for their ties: in the first, eight columns reach the
+    # bound together at one breakpoint
+    for seed in (218, 504):
+        tie_rng = np.random.default_rng(seed)
+        G = tie_rng.integers(-2, 3, size=(6, 27)).astype(float)
+        y = np.round(G @ np.where(tie_rng.random(27) < 0.3, 3.0
+                                  * tie_rng.standard_normal(27), 0.0)
+                     + 0.5 * tie_rng.standard_normal(6))
+        ints.append((G, y, 1e-4))
+    capped = rng.standard_normal((30, 6))
+    capped[:, 3] /= ADALASSO_WEIGHT_CAP
+    cases = [(dup, dup[:, :4] @ [1.0, -2.0, 0.5, 1.5]
+              + 0.3 * rng.standard_normal(30), 1e-4),
+             (rng.standard_normal((12, 30)), rng.standard_normal(12), 1e-4),
+             *ints,
+             (capped, capped @ [1.0, 0.0, -2.0, 3e8, 0.0, 1.0]
+              + 0.3 * rng.standard_normal(30), 1e-12)]
+    s2 = 0.5
+    for G, y, lo in cases:
+        gmax = np.max(np.abs(G.T @ y)) / s2
+        grid = np.logspace(np.log10(lo * gmax), np.log10(gmax), 30)
+        fits = lasso_path(y, G, grid, s2)
+        for gamma, fit in zip(grid, fits):
+            assert fit.converged and fit.gamma == gamma
+            assert _kkt_violation(y, G, fit.theta, s2, gamma) \
+                <= 1e-8 * gamma + 1e-14 * gmax
+    assert fits[0].theta[3] != 0.0
+    G = rng.standard_normal((25, 6))
+    y = rng.standard_normal(25)
+    fit = solve_lasso(y, G, ConvexFitConfig(reg_param=0.0))
+    ls, *_ = np.linalg.lstsq(G, y, rcond=None)
+    assert fit.converged and fit.iterations >= G.shape[1] - 1
+    assert np.linalg.norm(fit.theta - ls) <= 1e-10 * np.linalg.norm(ls)
 
 
 # ------------------------------------------------------------
@@ -284,3 +321,20 @@ def test_adalasso_prunes_null_variables(rng):
     assert set(np.nonzero(np.abs(fit.theta) > 1e-8)[0]) <= {0, 2, 5, 1, 3, 4}
     # the three real coefficients survive
     assert all(abs(fit.theta[j]) > 0.5 for j in (0, 2, 5))
+
+
+def test_adalasso_converges_on_exp2():
+    """Correlated exp2 designs, where the weighted Gram matrix on the
+    support is ill-conditioned: every adaptive-Lasso solve is certified
+    and the estimate satisfies the KKT conditions of its weighted
+    problem."""
+    from groupsparse.experiments import est_adalasso
+    cfg = McConfig(experiment="exp2", runs=1, master_seed=0, estimators=[])
+    for run in range(5):
+        design, _, y, _ = gen_problem(cfg, run)
+        s2 = estimate_sigma2_ls(y, design.G)
+        fit = est_adalasso(y, design, s2, {})
+        assert fit.converged and fit.extra["unconverged_solves"] == 0
+        w = _adalasso_weights(design.G, y, fit.extra["eta"])
+        assert _kkt_violation(y, design.G / w, w * fit.theta, s2,
+                              fit.gamma) <= 1e-8 * fit.gamma

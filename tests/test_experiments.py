@@ -399,8 +399,9 @@ def test_mkl_warm_path_matches_cold_solves():
 
 
 def test_converged_is_false_when_one_inner_solve_fails(monkeypatch):
-    """One unconverged inner solve makes lasso, adalasso, mkl and glasso
-    report converged=False and count it."""
+    """One unconverged inner solve (for lasso and adalasso, one grid point
+    of the homotopy path) makes lasso, adalasso, mkl and glasso report
+    converged=False and count it."""
     import dataclasses
     import groupsparse.convex as cv
     import groupsparse.experiments as ex
@@ -433,7 +434,7 @@ def test_converged_is_false_when_one_inner_solve_fails(monkeypatch):
             if name in ("mkl", "glasso"):
                 fail_third_call(mp, ex, "solve_mkl_lambda")
             else:
-                fail_third_call(mp, cv, "solve_lasso")
+                fail_third_call(mp, cv, "_lasso_point")
             res = fit()
         assert res.converged is False
         assert res.extra["unconverged_solves"] == 1
