@@ -17,13 +17,10 @@ import sys
 import numpy as np
 
 from .model import GroupedDesign
-from .convex import ConvexFitConfig, kkt_residual_mkl, solve_glasso, \
-    solve_lasso, solve_mkl_lambda
-from .hglasso import kkt_residual_hgl
-from .selection import SelectionConfig, estimate_sigma2_ls, fit_hglasso
+from .selection import SelectionConfig, estimate_sigma2_ls
 from . import experiments as ex
 
-FIT_METHODS = ("hgla", "hglb", "hglc", "mkl", "glasso", "lasso", "adalasso")
+FIT_METHODS = tuple(m for m in ex.ESTIMATORS if m != "oracle")
 
 
 class CliError(Exception):
@@ -112,21 +109,33 @@ def result_to_json(res, path_or_none):
 # subcommands
 # ============================================================
 
-def _data_errors(fit, *args):
-    """fit(*args) with its data errors (e.g. a validation split too short
-    to estimate sigma2 when none is given, or to hold a row) reported as
-    usage errors."""
+def _estimate(args, y, design):
+    """ESTIMATORS[args.method] on (y, design), the one fit of fit and arx.
+
+    sigma2 is --sigma2, or else the least-squares residual variance (n >
+    m).  The ctx holds --gamma and a SelectionConfig with --sigma2 and the
+    --grid-* flags given.  Data errors of the fit (e.g. a split too short
+    to estimate sigma2 or to hold a row) are usage errors."""
+    if args.method not in FIT_METHODS:
+        raise CliError("unknown method %r; choose from %s"
+                       % (args.method, FIT_METHODS))
+    if args.sigma2 is not None and args.sigma2 <= 0:
+        raise CliError("--sigma2 must be positive")
+    if args.sigma2 is None and design.n <= design.m:
+        raise CliError("n <= m: supply --sigma2 explicitly")
+    sigma2 = args.sigma2 if args.sigma2 is not None else \
+        max(estimate_sigma2_ls(y, design.G), 1e-12)
+    flags = vars(args)  # arx has no --gamma or --grid-* flags
+    grid = {k: flags[k] for k in ("grid_lo", "grid_hi", "grid_n")
+            if flags.get(k) is not None}
+    if grid and flags.get("gamma") is not None:
+        raise CliError("--grid-* flags do not apply with a fixed --gamma")
     try:
-        return fit(*args)
+        ctx = {"selection": SelectionConfig(sigma2=args.sigma2, **grid),
+               "gamma": flags.get("gamma")}
+        return ex.ESTIMATORS[args.method](y, design, sigma2, ctx)
     except ValueError as exc:
         raise CliError(str(exc))
-
-
-def _hgla_ctx(y, design, args):
-    """Estimator context holding the hgla stage that est_mkl (and through
-    it est_glasso) centres its gamma grid on, fitted with --sigma2."""
-    return {"hgla": _data_errors(fit_hglasso, y, design, SelectionConfig(
-        variant="hgla", sigma2=args.sigma2))}
 
 
 def cmd_fit(args):
@@ -143,65 +152,7 @@ def cmd_fit(args):
         design = GroupedDesign(G, parse_groups(args.groups, G.shape[1]))
     except ValueError as exc:
         raise CliError(str(exc))
-    if args.method not in FIT_METHODS:
-        raise CliError("unknown method %r; choose from %s"
-                       % (args.method, FIT_METHODS))
-
-    if args.sigma2 is not None:
-        sigma2 = args.sigma2
-        if sigma2 <= 0:
-            raise CliError("--sigma2 must be positive")
-    elif design.n > design.m:
-        sigma2 = estimate_sigma2_ls(y, design.G)
-        sigma2 = max(sigma2, 1e-12)
-    else:
-        raise CliError("n <= m: supply --sigma2 explicitly")
-
-    gamma = args.gamma
-    if args.method in ("hgla", "hglb", "hglc"):
-        if gamma is not None and gamma <= 0:
-            raise CliError("--gamma must be positive")
-        # a given gamma is a one-point grid: one cut of the greedy path
-        cfg = SelectionConfig(variant=args.method, sigma2=args.sigma2,
-                              grid_lo=args.grid_lo, grid_hi=args.grid_hi,
-                              grid_n=args.grid_n,
-                              gamma_grid=None if gamma is None else [gamma])
-        res, trace = _data_errors(fit_hglasso, y, design, cfg)
-        res.extra["kkt_residual"] = None
-        if args.method == "hglb":
-            res.extra["kkt_residual"] = kkt_residual_hgl(
-                res.lam, y, design, res.extra["sigma2"], res.gamma)
-        elif args.method == "hglc":
-            # hglc pins the blocks outside its set at zero: certify the set
-            chosen = trace.chosen_set
-            res.extra["kkt_residual"] = kkt_residual_hgl(
-                res.lam[chosen], y, design.subdesign(chosen),
-                res.extra["sigma2"], 0.0) if chosen else 0.0
-    elif args.method == "mkl":
-        if gamma is not None and gamma <= 0:
-            raise CliError("mkl requires positive gamma")
-        if gamma is None:
-            res = ex.est_mkl(y, design, sigma2, _hgla_ctx(y, design, args))
-        else:
-            res = solve_mkl_lambda(y, design, sigma2, gamma)
-        res.extra["kkt_residual"] = kkt_residual_mkl(res.lam, y, design,
-                                                     sigma2, res.gamma)
-    elif args.method in ("glasso", "lasso"):
-        if gamma is not None and gamma < 0:
-            raise CliError("--gamma must be nonnegative")
-        if gamma is None and args.method == "glasso":
-            res = ex.est_glasso(y, design, sigma2, _hgla_ctx(y, design, args))
-        elif gamma is None:
-            res = _data_errors(ex.est_lasso, y, design, sigma2, {})
-        elif args.method == "glasso":
-            res = solve_glasso(y, design, sigma2,
-                               ConvexFitConfig(reg_param=gamma))
-        else:
-            res = solve_lasso(y, design.G, ConvexFitConfig(reg_param=gamma),
-                              sigma2=sigma2)
-    else:  # adalasso
-        res = _data_errors(ex.est_adalasso, y, design, sigma2, {})
-
+    res = _estimate(args, y, design)
     result_to_json(res, args.out)
     return 3 if not res.converged else 0
 
@@ -261,23 +212,7 @@ def cmd_arx(args):
         prob = ex.build_arx(train, args.q)
     except ValueError as exc:
         raise CliError(str(exc))
-    design, y = prob.design, prob.y
-    if args.sigma2 is not None:
-        sigma2 = args.sigma2
-        if sigma2 <= 0:
-            raise CliError("--sigma2 must be positive")
-    elif design.n > design.m:
-        sigma2 = max(estimate_sigma2_ls(y, design.G), 1e-12)
-    else:
-        raise CliError("training rows <= regressors: supply --sigma2")
-
-    if args.method in ("hgla", "hglb", "hglc"):
-        res, _ = _data_errors(fit_hglasso, y, design, SelectionConfig(
-            variant=args.method, sigma2=args.sigma2))
-    elif args.method == "mkl":
-        res = ex.est_mkl(y, design, sigma2, _hgla_ctx(y, design, args))
-    else:
-        raise CliError("arx supports methods hgla/hglb/hglc/mkl")
+    res = _estimate(args, prob.y, prob.design)
     model = ex.ArxModel(theta=res.theta, q=args.q, n_inputs=prob.n_inputs,
                         means=prob.means, stds=prob.stds)
 
@@ -288,8 +223,8 @@ def cmd_arx(args):
         raise CliError(str(exc))
     out = args.out or "arx_report"
     write_csv_matrix(out + ".csv", np.asarray(cods))
-    norms = [float(np.linalg.norm(res.theta[design.slices[i]]))
-             for i in range(design.p)]
+    norms = [float(np.linalg.norm(res.theta[s]))
+             for s in prob.design.slices]
     with open(out + ".json", "w") as fh:
         json.dump({"method": args.method, "q": args.q,
                    "cod": {str(k): c for k, c in cods},
@@ -326,9 +261,9 @@ def build_parser():
                                     "uniform size")
     p.add_argument("--sigma2", type=float)
     p.add_argument("--gamma", type=float)
-    p.add_argument("--grid-lo", type=float, default=1e-2)
-    p.add_argument("--grid-hi", type=float, default=1e4)
-    p.add_argument("--grid-n", type=int, default=30)
+    p.add_argument("--grid-lo", type=float)
+    p.add_argument("--grid-hi", type=float)
+    p.add_argument("--grid-n", type=int)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("simulate", help="write a synthetic problem to disk")

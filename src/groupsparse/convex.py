@@ -15,8 +15,9 @@ import numpy as np
 from dataclasses import dataclass
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .model import EstimateResult, HyperState, MarginalFactor, \
-    posterior_mean
+from .model import EstimateResult, GroupedDesign, HyperState, \
+    MarginalFactor, posterior_mean
+from .selection import _split
 
 
 @dataclass
@@ -64,7 +65,9 @@ def _support_certificate(H, b, theta, thr):
 
     Solves the stationarity equations on A = supp(theta) with the signs of
     theta held fixed; returns the solution when it keeps every sign and no
-    coordinate off A violates |q_j| <= thr for q = b - H theta.
+    coordinate off A violates |q_j| <= thr for q = b - H theta, up to
+    rounding: 1e-9 of thr and 1e-14 of ||b||_inf (at thr = 0, an
+    interpolating fit when m > n, only rounding is left).
     """
     A = np.flatnonzero(theta)
     s = np.sign(theta[A])
@@ -79,7 +82,8 @@ def _support_certificate(H, b, theta, thr):
     q = b - H @ cand
     off = np.ones(theta.size, dtype=bool)
     off[A] = False
-    if np.any(np.abs(q[off]) > thr * (1.0 + 1e-9)):
+    if np.any(np.abs(q[off]) > thr * (1.0 + 1e-9)
+              + 1e-14 * np.max(np.abs(b), initial=0.0)):
         return None
     return cand
 
@@ -500,10 +504,8 @@ def solve_adalasso(y, G, sigma2, grids):
     G = np.atleast_2d(np.asarray(G, dtype=float))
     gammas = np.asarray(grids["gamma"], dtype=float)
     etas = np.asarray(grids.get("eta", np.arange(0.5, 4.01, 0.5)), dtype=float)
-    n = y.size
-    n_tr = int(np.ceil(0.5 * n))
-    y_tr, y_val = y[:n_tr], y[n_tr:]
-    G_tr, G_val = G[:n_tr], G[n_tr:]
+    y_tr, y_val, d_tr, d_val = _split(y, GroupedDesign(G, [1] * G.shape[1]),
+                                      0.5)
 
     def weighted_fits(Gd, yd, gammas, eta):
         # substitute u = w * theta: plain lasso on rescaled columns
@@ -515,10 +517,10 @@ def solve_adalasso(y, G, sigma2, grids):
     best = None
     unconverged = 0
     for eta in etas:
-        thetas, bad = weighted_fits(G_tr, y_tr, gammas, eta)
+        thetas, bad = weighted_fits(d_tr.G, y_tr, gammas, eta)
         unconverged += bad
         for gamma, th in zip(gammas, thetas):
-            err = np.linalg.norm(y_val - G_val @ th)
+            err = np.linalg.norm(y_val - d_val.G @ th)
             key = (err, gamma, eta)
             if best is None or key < best[0]:
                 best = (key, gamma, eta)

@@ -22,8 +22,8 @@ import numpy as np
 from dataclasses import dataclass, field, asdict, replace
 
 from .model import BlockVector, EstimateResult, GroupedDesign
-from .convex import ConvexFitConfig, lasso_path, solve_adalasso, \
-    solve_lasso, solve_mkl_lambda, mkl_recover_theta, warm_path
+from .convex import ConvexFitConfig, kkt_residual_mkl, lasso_path, \
+    solve_adalasso, solve_glasso, solve_lasso, solve_mkl_lambda, warm_path
 from .selection import SelectionConfig, _split, estimate_sigma2_ls, \
     fit_hglasso, polish_hglasso
 
@@ -266,10 +266,31 @@ ARX_TRUE_ACTIVE_CHANNELS = 2  # output lags + input 1
 # ============================================================
 # estimator registry
 # ============================================================
+# ESTIMATORS[name](y, design, sigma2, ctx).  ctx is shared by the fits of
+# one problem: it caches the hgla stage ("hgla") and mkl ("mkl"), and may
+# hold a SelectionConfig ("selection"), a fixed penalty ("gamma") and, for
+# the oracle, the true coefficients ("theta_true").
+
+def _no_grid(ctx, name):
+    """Rejects a grid set in ctx["selection"] (fit --grid-*) for an
+    estimator that walks none."""
+    cfg = ctx.get("selection", SelectionConfig())
+    if any(getattr(cfg, f) != getattr(SelectionConfig, f)
+           for f in ("grid_lo", "grid_hi", "grid_n")):
+        raise ValueError("--grid-* flags do not apply to " + name)
+
 
 def _hgla_stage(y, design, sigma2, ctx):
+    """The hgla fit and its trace, cached in ctx["hgla"]: the stage the hgl
+    variants polish and mkl centres its grid on, run with ctx["selection"]
+    (default SelectionConfig()).  A fixed gamma is a one-point grid."""
     if "hgla" not in ctx:
-        cfg = SelectionConfig(variant="hgla")
+        cfg = replace(ctx.get("selection", SelectionConfig()), variant="hgla")
+        gamma = ctx.get("gamma")
+        if gamma is not None:
+            if gamma <= 0:
+                raise ValueError("--gamma must be positive")
+            cfg = replace(cfg, gamma_grid=[gamma])
         ctx["hgla"] = fit_hglasso(y, design, cfg)
     return ctx["hgla"]
 
@@ -281,50 +302,70 @@ def _est_hgl(variant):
         res, trace = _hgla_stage(y, design, sigma2, ctx)
         if variant == "hgla":
             return res
-        return polish_hglasso(y, design, trace,
-                              SelectionConfig(variant=variant))
+        return polish_hglasso(y, design, trace, replace(
+            ctx.get("selection", SelectionConfig()), variant=variant))
     return fit
 
 
-def est_mkl(y, design, sigma2, ctx):
-    """Kernel-scale estimator; gamma chosen by validation on a grid spanning
-    [1e-2, 1e4] times the gamma picked by the staged hgla fit.  The
-    validation solves are one warm path (warm_path over solve_mkl_lambda,
-    each Group Lasso solve starting from the previous theta), scored by
-    that theta's validation error; the full-data solve starts from zero and
-    the estimate is the posterior mean at its scales.  converged is true
-    only if all 31 solves converged, and extra["unconverged_solves"] counts
-    those that did not.  The result is cached in ctx["mkl"], and the
-    full-data Group Lasso fit in ctx["mkl_glasso"], where est_glasso reads
-    them."""
-    if "mkl" in ctx:
-        return ctx["mkl"]
-    _, trace = _hgla_stage(y, design, sigma2, ctx)
-    gamma_ref = trace.chosen_gamma
-    grid = np.logspace(np.log10(1e-2 * gamma_ref), np.log10(1e4 * gamma_ref), 30)
+def _validate(y, design, path):
+    """The convex estimators' validation: path(y_tr, d_tr) fits the
+    training half of _split along a grid and returns (grid, fits).
+    Returns the gamma whose theta predicts the validation half best (ties:
+    the smaller, as grids increase) and the number of unconverged fits."""
     y_tr, y_val, d_tr, d_val = _split(y, design, 0.5)
-    fits = warm_path(lambda gamma, theta0: solve_mkl_lambda(
-        y_tr, d_tr, sigma2, gamma, theta0=theta0), grid)
+    grid, fits = path(y_tr, d_tr)
     errs = [np.linalg.norm(y_val - d_val.G @ fit.theta) for fit in fits]
-    gamma = grid[np.argmin(errs)]  # ties: the smaller gamma
-    sol = solve_mkl_lambda(y, design, sigma2, gamma)
-    unconverged = sum(not fit.converged for fit in fits + [sol])
-    res = mkl_recover_theta(sol.lam, y, design, sigma2)
-    res.gamma = gamma
+    return grid[np.argmin(errs)], sum(not fit.converged for fit in fits)
+
+
+def _counted(res, unconverged):
+    """The full-data fit res after `unconverged` failed validation fits:
+    converged only if no fit failed; the count is in
+    extra["unconverged_solves"]."""
+    unconverged += not res.converged
     res.converged = unconverged == 0
     res.extra["unconverged_solves"] = unconverged
-    ctx["mkl"], ctx["mkl_glasso"] = res, sol
+    return res
+
+
+def est_mkl(y, design, sigma2, ctx):
+    """Kernel-scale estimator: the Group Lasso fit of solve_mkl_lambda,
+    whose lam holds the scales, at a fixed ctx["gamma"] or at the gamma
+    _validate picks on a grid spanning [1e-2, 1e4] times the hgla stage's.
+    The 30 validation solves are one warm path (warm_path), the full-data
+    solve starts from zero, and extra["kkt_residual"] is kkt_residual_mkl.
+    Cached in ctx["mkl"], where est_glasso reads it."""
+    if "mkl" in ctx:
+        return ctx["mkl"]
+    gamma, unconverged = ctx.get("gamma"), 0
+    if gamma is None:
+        ref = _hgla_stage(y, design, sigma2, ctx)[1].chosen_gamma
+        grid = np.logspace(np.log10(1e-2 * ref), np.log10(1e4 * ref), 30)
+
+        def path(y_tr, d_tr):
+            return grid, warm_path(lambda g, theta0: solve_mkl_lambda(
+                y_tr, d_tr, sigma2, g, theta0=theta0), grid)
+        gamma, unconverged = _validate(y, design, path)
+    res = _counted(solve_mkl_lambda(y, design, sigma2, gamma), unconverged)
+    res.extra["kkt_residual"] = kkt_residual_mkl(res.lam, y, design, sigma2,
+                                                 gamma)
+    ctx["mkl"] = res
     return res
 
 
 def est_glasso(y, design, sigma2, ctx):
-    """Group Lasso with the penalty tied to mkl's choice via sqrt(2 gamma):
-    the full-data fit est_mkl made, so converged and
-    extra["unconverged_solves"] cover the MKL stage too."""
+    """Group Lasso at a fixed ctx["gamma"], or else est_mkl's full-data fit
+    at penalty sqrt(2 gamma), so converged and extra["unconverged_solves"]
+    cover the MKL stage too."""
+    gamma = ctx.get("gamma")
+    if gamma is not None:
+        if gamma < 0:
+            raise ValueError("--gamma must be nonnegative")
+        return solve_glasso(y, design, sigma2,
+                            ConvexFitConfig(reg_param=gamma))
     mkl = est_mkl(y, design, sigma2, ctx)
     return replace(
-        ctx["mkl_glasso"], lam=None, gamma=np.sqrt(2.0 * mkl.gamma),
-        converged=mkl.converged,
+        mkl, lam=None, gamma=np.sqrt(2.0 * mkl.gamma),
         extra={"unconverged_solves": mkl.extra["unconverged_solves"]})
 
 
@@ -334,30 +375,34 @@ def _lasso_grid(y, G, sigma2):
 
 
 def est_lasso(y, design, sigma2, ctx):
-    """Lasso with gamma chosen by validation on _lasso_grid.  The 30
-    validation fits are exact grid points of one homotopy pass
-    (lasso_path) on the training half, and the full-data fit is the path
-    run down to the chosen gamma (solve_lasso; iterations counts its
-    breakpoints).  converged is true only if all 31 fits passed the KKT
-    certificate, and extra["unconverged_solves"] counts those that did
-    not."""
-    y_tr, y_val, d_tr, d_val = _split(y, design, 0.5)
-    grid = _lasso_grid(y_tr, d_tr.G, sigma2)
-    fits = lasso_path(y_tr, d_tr.G, grid, sigma2)
-    errs = [np.linalg.norm(y_val - d_val.G @ fit.theta) for fit in fits]
-    gamma = grid[np.argmin(errs)]  # ties: the smaller gamma
-    res = solve_lasso(y, design.G, ConvexFitConfig(reg_param=gamma),
-                      sigma2=sigma2)
-    unconverged = sum(not fit.converged for fit in fits + [res])
-    res.converged = unconverged == 0
-    res.extra["unconverged_solves"] = unconverged
-    return res
+    """Lasso at a fixed ctx["gamma"], or at the gamma _validate picks on
+    _lasso_grid; the validation fits are exact grid points of one homotopy
+    pass (lasso_path).  The full-data fit is solve_lasso (iterations
+    counts its breakpoints, extra["kkt_residual"] is its certificate)."""
+    _no_grid(ctx, "lasso")
+
+    def path(y_tr, d_tr):
+        grid = _lasso_grid(y_tr, d_tr.G, sigma2)
+        return grid, lasso_path(y_tr, d_tr.G, grid, sigma2)
+
+    gamma, unconverged = ctx.get("gamma"), 0
+    if gamma is None:
+        gamma, unconverged = _validate(y, design, path)
+    elif gamma < 0:
+        raise ValueError("--gamma must be nonnegative")
+    return _counted(solve_lasso(y, design.G, ConvexFitConfig(
+        reg_param=gamma), sigma2=sigma2), unconverged)
 
 
 def est_adalasso(y, design, sigma2, ctx):
+    """Adaptive Lasso (solve_adalasso) on _lasso_grid of the training half;
+    it validates gamma with eta, so ctx may fix neither gamma nor a grid."""
+    _no_grid(ctx, "adalasso")
+    if ctx.get("gamma") is not None:
+        raise ValueError("adalasso validates its gamma; it takes no --gamma")
     y_tr, _, d_tr, _ = _split(y, design, 0.5)
-    grid = _lasso_grid(y_tr, d_tr.G, sigma2)
-    return solve_adalasso(y, design.G, sigma2, {"gamma": grid})
+    return solve_adalasso(y, design.G, sigma2,
+                          {"gamma": _lasso_grid(y_tr, d_tr.G, sigma2)})
 
 
 def est_oracle(y, design, sigma2, ctx):

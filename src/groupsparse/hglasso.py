@@ -17,9 +17,9 @@ from .model import MarginalFactor
 from .pqn import PqnConfig, PqnResult
 
 __all__ = [
-    "solve_hgl_pqn", "kkt_residual_hgl", "closed_form_lambda_orth",
-    "closed_form_lambda_mkl_orth", "lambda_opt", "ZeroProbQuery",
-    "prob_lambda_zero", "two_group_thresholds",
+    "solve_hgl_pqn", "kkt_residual_hgl", "kkt_violation_hgl",
+    "closed_form_lambda_orth", "closed_form_lambda_mkl_orth", "lambda_opt",
+    "ZeroProbQuery", "prob_lambda_zero", "two_group_thresholds",
     "TwoGroupThresholds", "weighted_mse_profile", "WeightedMseProfile",
     "PqnConfig", "PqnResult",
 ]
@@ -117,7 +117,8 @@ def solve_hgl_pqn(y, design, sigma2, gamma, lam0=None, config=None):
 
     gnorm = pg_norm(lam, g)
     return PqnResult(lam=lam, converged=gnorm <= cfg.grad_tol * (1.0 + abs(f)),
-                     iterations=it, objective=float(f), grad_norm=gnorm)
+                     iterations=it, objective=float(f), grad_norm=gnorm,
+                     grad=g)
 
 
 def kkt_residual_hgl(lam, y, design, sigma2, gamma):
@@ -130,7 +131,13 @@ def kkt_residual_hgl(lam, y, design, sigma2, gamma):
     lam = np.asarray(lam, dtype=float)
     y = np.asarray(y, dtype=float)
     fac = MarginalFactor(design, lam, sigma2)
-    e = fac.block_traces() - fac.block_scores(y) + 2.0 * gamma
+    return kkt_violation_hgl(
+        lam, fac.block_traces() - fac.block_scores(y) + 2.0 * gamma)
+
+
+def kkt_violation_hgl(lam, e):
+    """kkt_residual_hgl from e, which is twice the gradient of the
+    objective of solve_hgl_pqn: max |e_i| if lam_i > 0, else max(0, -e_i)."""
     res = np.where(lam > 0, np.abs(e), np.maximum(0.0, -e))
     return float(np.max(res, initial=0.0))
 

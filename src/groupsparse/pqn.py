@@ -35,6 +35,7 @@ class PqnResult:
     iterations: int
     objective: float
     grad_norm: float
+    grad: np.ndarray = None   # gradient at lam (solve_hgl_pqn)
 
 
 def _two_loop(g, S, Y):

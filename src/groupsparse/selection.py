@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .model import EstimateResult, GroupedDesign, HyperState, MarginalFactor, \
     posterior_mean
-from .hglasso import solve_hgl_pqn
+from .hglasso import kkt_violation_hgl, solve_hgl_pqn
 from .pqn import PqnConfig
 
 VARIANTS = ("hgla", "hglb", "hglc")
@@ -46,6 +46,9 @@ class SelectionConfig:
             raise ValueError("split_fraction must lie in (0,1)")
         if self.variant not in VARIANTS:
             raise ValueError("variant must be one of %s" % (VARIANTS,))
+        if not (0 < self.grid_lo <= self.grid_hi and self.grid_n >= 1):
+            raise ValueError("the gamma grid needs 0 < grid_lo <= grid_hi "
+                             "and grid_n >= 1")
         if self.gamma_grid is not None:
             g = np.asarray(self.gamma_grid, dtype=float)
             if g.size == 0 or np.any(np.diff(g) <= 0) or np.any(g <= 0):
@@ -299,7 +302,8 @@ def polish_hglasso(y, design, trace, config=None):
     hglb solves over all blocks at the chosen gamma; hglc solves at gamma
     = 0 on the design restricted to the chosen blocks, which gives the
     same objective as pinning the others at zero (blocks with lambda_i = 0
-    add nothing to Sigma_y).  .objective is the solve's final objective.
+    add nothing to Sigma_y).  .objective is the solve's final objective
+    and extra["kkt_residual"] its kkt_violation_hgl (None for hgla).
     """
     cfg = config or SelectionConfig()
     y = np.asarray(y, dtype=float)
@@ -315,6 +319,10 @@ def polish_hglasso(y, design, trace, config=None):
         res = solve_hgl_pqn(y, design.subdesign(i_fs), sigma2, 0.0,
                             lam_hat[i_fs], cfg.pqn)
         lam_hat[i_fs] = res.lam
+    if res is not None:
+        kkt = kkt_violation_hgl(res.lam, 2.0 * res.grad)
+    else:
+        kkt = None if cfg.variant == "hgla" else 0.0
     bv = posterior_mean(design, HyperState(lam_hat, 0.0, sigma2), y)
     sel = [i for i in range(design.p) if lam_hat[i] > 0]
     return EstimateResult(
@@ -323,7 +331,7 @@ def polish_hglasso(y, design, trace, config=None):
         iterations=0 if res is None else res.iterations,
         objective=np.nan if res is None else res.objective,
         extra={"kappa": trace.kappa, "sigma2": sigma2,
-               "variant": cfg.variant})
+               "variant": cfg.variant, "kkt_residual": kkt})
 
 
 def fit_hglasso(y, design, config=None):

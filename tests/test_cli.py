@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from groupsparse import McConfig, gen_problem
-from groupsparse.cli import main, parse_groups, read_csv_matrix, \
-    write_csv_matrix
+from groupsparse import GroupedDesign, McConfig, SelectionConfig, \
+    estimate_sigma2_ls, gen_problem
+from groupsparse.cli import FIT_METHODS, main, parse_groups, \
+    read_csv_matrix, write_csv_matrix
 from groupsparse.cli import CliError
+from groupsparse.experiments import ESTIMATORS
 
 
 @pytest.fixture
@@ -138,6 +140,56 @@ def test_fit_lasso_on_wide_designs_is_certified(tmp_path):
             assert np.count_nonzero(doc["theta"]) == design.n
 
 
+@pytest.mark.parametrize("method,flags", [(m, []) for m in FIT_METHODS]
+                         + [("mkl", ["--grid-n", "5"])])
+def test_fit_is_the_registry_estimator(fixture_dir, tmp_path, method, flags):
+    """fit makes one registry call: its JSON is ESTIMATORS[method] called
+    with the sigma2 and ctx the CLI builds, and --grid-* reach the hgla
+    stage that centres mkl's gamma grid."""
+    out = tmp_path / "fit.json"
+    code = main(["fit", "--method", method,
+                 "--data-y", str(fixture_dir / "y.csv"),
+                 "--data-g", str(fixture_dir / "G.csv"), "--groups", "4",
+                 "--out", str(out)] + flags)
+    doc = json.loads(out.read_text())
+    G = read_csv_matrix(str(fixture_dir / "G.csv"))
+    y = read_csv_matrix(str(fixture_dir / "y.csv")).ravel()
+    ctx = {"selection": SelectionConfig(grid_n=5) if flags
+           else SelectionConfig(), "gamma": None}
+    res = ESTIMATORS[method](y, GroupedDesign(G, [4] * 10),
+                             max(estimate_sigma2_ls(y, G), 1e-12), ctx)
+    assert code == (0 if res.converged else 3)
+    assert doc["theta"] == [float(x) for x in res.theta]
+    assert doc["lambda"] == (None if res.lam is None
+                             else [float(x) for x in res.lam])
+    assert doc["gamma"] == float(res.gamma)
+    assert doc["selected"] == [int(i) for i in res.selected]
+    if flags:
+        assert ctx["hgla"][1].gammas.size == 5
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--method", "adalasso", "--gamma", "5"], "takes no --gamma"),
+    (["--method", "lasso", "--grid-n", "5"], "do not apply to lasso"),
+    (["--method", "adalasso", "--grid-lo", "1"], "do not apply to adalasso"),
+    (["--method", "hgla", "--gamma", "1", "--grid-hi", "10"],
+     "with a fixed --gamma"),
+    (["--method", "mkl", "--gamma", "1", "--grid-n", "5"],
+     "with a fixed --gamma"),
+    (["--method", "glasso", "--gamma", "1", "--grid-lo", "1"],
+     "with a fixed --gamma"),
+    (["--method", "hglb", "--grid-n", "0"], "grid_n >= 1"),
+])
+def test_fit_rejects_flags_its_method_ignores(fixture_dir, capsys, flags,
+                                              message):
+    """A flag is honoured or rejected: adalasso validates its own gamma,
+    and no grid is walked by lasso/adalasso or with a fixed --gamma."""
+    assert main(["fit", "--data-y", str(fixture_dir / "y.csv"),
+                 "--data-g", str(fixture_dir / "G.csv"),
+                 "--groups", "4"] + flags) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_fit_zero_data_gives_zero_estimate(tmp_path, capsys):
     rng = np.random.default_rng(0)
     G = rng.standard_normal((20, 4))
@@ -213,6 +265,20 @@ def _wide_problem(tmp_path, seed, run):
     return ["--data-g", str(tmp_path / "G.csv"), "--data-y",
             str(tmp_path / "y.csv"), "--groups", "4", "--sigma2",
             repr(sigma2)]
+
+
+def test_fit_lasso_at_gamma_zero_interpolates_wide_designs(tmp_path):
+    """At gamma = 0 with m > n the Lasso interpolates; the certificate
+    allows the rounding left in the off-support correlations (5.7e-15
+    here, which failed it and exited 3)."""
+    data = _wide_problem(tmp_path, 0, 0)
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--method", "lasso", "--gamma", "0",
+                 "--out", str(out)] + data) == 0
+    G = read_csv_matrix(str(tmp_path / "G.csv"))
+    y = read_csv_matrix(str(tmp_path / "y.csv")).ravel()
+    theta = np.array(json.loads(out.read_text())["theta"])
+    assert np.linalg.norm(G @ theta - y) <= 1e-10 * np.linalg.norm(y)
 
 
 def test_fit_hglc_converges_on_a_former_max_iter_case(tmp_path):
@@ -329,6 +395,16 @@ def test_arx_end_to_end(arx_csv, tmp_path, capsys):
     assert doc["cod"]["1"] > 0.0
     assert len(doc["block_norms"]) == 4           # output + 3 inputs
     assert "COD_1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("method", ["lasso", "glasso"])
+def test_arx_takes_every_fit_method(arx_csv, tmp_path, method):
+    """arx fits through the registry call of fit, so it has its methods."""
+    out = tmp_path / "arx"
+    assert main(["arx", "--data", str(arx_csv), "--method", method,
+                 "--q", "10", "--horizon", "2", "--out", str(out)]) == 0
+    with open(str(out) + ".json") as fh:
+        assert json.load(fh)["cod"]["1"] > 0.0
 
 
 def test_arx_sigma2_reaches_hgl_selection(tmp_path, capsys):

@@ -311,6 +311,14 @@ def test_adalasso_weights_reciprocal(rng):
     assert fit.extra["eta"] == 1.0
 
 
+def test_adalasso_one_row_cannot_be_split():
+    """solve_adalasso validates on the second half of the rows (_split's
+    split); one row leaves no validation half."""
+    with pytest.raises(ValueError, match="degenerate split"):
+        solve_adalasso(np.array([3.0]), np.array([[1.0, 2.0]]), 1.0,
+                       {"gamma": np.array([1.0])})
+
+
 def test_adalasso_prunes_null_variables(rng):
     n, m = 80, 6
     G = rng.standard_normal((n, m))

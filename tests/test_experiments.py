@@ -364,9 +364,11 @@ def test_lasso_path_matches_cold_coordinate_descent(experiment, shape, runs):
 
 
 def _cold_est_mkl(y, design, sigma2, ctx):
-    """est_mkl with every validation solve started from zero; returns
-    (gamma, theta)."""
+    """est_mkl with every validation solve started from zero and scored by
+    the posterior mean at its scales; returns (gamma, theta of the
+    full-data solve)."""
     import groupsparse.experiments as ex
+    from groupsparse.convex import mkl_recover_theta
     gamma_ref = ex._hgla_stage(y, design, sigma2, ctx)[1].chosen_gamma
     grid = np.logspace(np.log10(1e-2 * gamma_ref),
                        np.log10(1e4 * gamma_ref), 30)
@@ -374,12 +376,11 @@ def _cold_est_mkl(y, design, sigma2, ctx):
     best = None
     for gamma in grid:
         lam = ex.solve_mkl_lambda(y_tr, d_tr, sigma2, gamma).lam
-        th = ex.mkl_recover_theta(lam, y_tr, d_tr, sigma2).theta
+        th = mkl_recover_theta(lam, y_tr, d_tr, sigma2).theta
         err = np.linalg.norm(y_val - d_val.G @ th)
         if best is None or err < best[0]:
             best = (err, gamma)
-    lam = ex.solve_mkl_lambda(y, design, sigma2, best[1]).lam
-    return best[1], ex.mkl_recover_theta(lam, y, design, sigma2).theta
+    return best[1], ex.solve_mkl_lambda(y, design, sigma2, best[1]).theta
 
 
 def test_mkl_warm_path_matches_cold_solves():
