@@ -21,6 +21,8 @@ from .selection import SelectionConfig, estimate_sigma2_ls
 from . import experiments as ex
 
 FIT_METHODS = tuple(m for m in ex.ESTIMATORS if m != "oracle")
+# methods whose `selected` lists columns; the others list blocks
+COLUMN_SELECTED = ("lasso", "adalasso")
 
 
 class CliError(Exception):
@@ -113,9 +115,10 @@ def _estimate(args, y, design):
     """ESTIMATORS[args.method] on (y, design), the one fit of fit and arx.
 
     sigma2 is --sigma2, or else the least-squares residual variance (n >
-    m).  The ctx holds --gamma and a SelectionConfig with --sigma2 and the
-    --grid-* flags given.  Data errors of the fit (e.g. a split too short
-    to estimate sigma2 or to hold a row) are usage errors."""
+    m).  The ctx holds --gamma, a SelectionConfig with --sigma2 and the
+    --grid-* flags given, and the names of those flags.  Data errors of
+    the fit (e.g. a split too short to estimate sigma2 or to hold a row)
+    are usage errors."""
     if args.method not in FIT_METHODS:
         raise CliError("unknown method %r; choose from %s"
                        % (args.method, FIT_METHODS))
@@ -132,7 +135,7 @@ def _estimate(args, y, design):
         raise CliError("--grid-* flags do not apply with a fixed --gamma")
     try:
         ctx = {"selection": SelectionConfig(sigma2=args.sigma2, **grid),
-               "gamma": flags.get("gamma")}
+               "gamma": flags.get("gamma"), "grid_flags": sorted(grid)}
         return ex.ESTIMATORS[args.method](y, design, sigma2, ctx)
     except ValueError as exc:
         raise CliError(str(exc))
@@ -225,10 +228,15 @@ def cmd_arx(args):
     write_csv_matrix(out + ".csv", np.asarray(cods))
     norms = [float(np.linalg.norm(res.theta[s]))
              for s in prob.design.slices]
+    selected = res.selected
+    if args.method in COLUMN_SELECTED:  # the blocks of the chosen columns
+        owner = np.repeat(np.arange(prob.design.p),
+                          prob.design.group_sizes)
+        selected = np.unique(owner[np.asarray(selected, dtype=int)])
     with open(out + ".json", "w") as fh:
         json.dump({"method": args.method, "q": args.q,
                    "cod": {str(k): c for k, c in cods},
-                   "selected": [int(i) for i in res.selected],
+                   "selected": [int(i) for i in selected],
                    "block_norms": norms}, fh, indent=2, sort_keys=True)
     print("\n".join("COD_%d = %.4f" % kc for kc in cods))
     return 0

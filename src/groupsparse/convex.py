@@ -6,9 +6,11 @@ over lambda >= 0 with K^(i) = G^(i) G^(i)^T.  It is Group Lasso in another
 parametrization: with theta the Group Lasso solution at regularization
 sqrt(2 gamma), lambda_i = ||theta^(i)|| / sqrt(2 gamma) is its minimizer and
 theta is the posterior mean at those scales (Bach, JMLR 2008).  So one
-block coordinate descent solver (solve_glasso) serves both.  The Lasso and
-the adaptive Lasso are solved exactly, by one homotopy pass over the
-penalty (lasso_path).
+Group Lasso solver serves both: glasso_path walks a penalty grid by an
+active-set Newton corrector from each warm start, with block coordinate
+descent as its last resort, and solve_glasso is that path at one
+penalty.  The Lasso and the adaptive Lasso are solved exactly, by one
+homotopy pass over the penalty (lasso_path).
 """
 
 import numpy as np
@@ -23,8 +25,9 @@ from .selection import _split
 @dataclass
 class ConvexFitConfig:
     reg_param: float = 0.0
-    # max_iter and tol bound the Group Lasso sweeps (solve_glasso) only;
-    # the Lasso is an exact homotopy (lasso_path) and ignores them
+    # max_iter and tol bound the Group Lasso's coordinate descent fallback
+    # (solve_glasso) only; the Lasso is an exact homotopy (lasso_path) and
+    # ignores them
     max_iter: int = 20000
     tol: float = 1e-12
 
@@ -41,6 +44,11 @@ ADALASSO_WEIGHT_CAP = 1e8
 
 # Lasso path events less than _TIE * mu apart in mu happen together
 _TIE = 1e-12
+
+# the Group Lasso corrector: Newton steps per solve of an active set, and
+# solves (after each drop or add) per corrector run
+_NEWTON_STEPS = 10
+_CORRECTOR_SOLVES = 8
 
 
 def _lasso_objective(y, G, theta, sigma2, gamma):
@@ -270,18 +278,6 @@ def lasso_path(y, G, gammas, sigma2=1.0):
     return fits
 
 
-def warm_path(solve, gammas):
-    """solve(gamma, theta0) at every penalty in gammas, walked from the
-    largest down with each solution's theta starting the next solve; fits
-    in the order given."""
-    fits = [None] * len(gammas)
-    start = None
-    for i in np.argsort(gammas, kind="stable")[::-1]:
-        fits[i] = solve(gammas[i], start)
-        start = fits[i].theta
-    return fits
-
-
 def _glasso_block_update(eigvals, Qtb, bnorm, a):
     """Exact proximal update magnitude for one block.
 
@@ -307,131 +303,199 @@ def _glasso_block_update(eigvals, Qtb, bnorm, a):
     return t
 
 
-def solve_glasso(y, design, sigma2, config, theta0=None):
-    """Group Lasso by block coordinate descent with exact block updates.
+def _block_step(eig, q, a):
+    """The block's exact minimizer with the other blocks fixed, from its
+    correlation q with their residual and eig = (s, Q), the
+    eigendecomposition of G^(i)T G^(i): zero when ||q|| <= a, otherwise
+    Q (Q^T q) / (s + a / t) with t from _glasso_block_update (at a = 0, the
+    least-squares step)."""
+    s, Q = eig
+    qn = np.linalg.norm(q)
+    if a > 0 and qn <= a:
+        return np.zeros_like(q)
+    Qtq = Q.T @ q
+    if a == 0:
+        keep = s > 1e-12 * np.max(s, initial=0.0)
+        return Q @ np.divide(Qtq, s, out=np.zeros_like(Qtq), where=keep)
+    t = _glasso_block_update(s, Qtq, qn, a)
+    return Q @ (Qtq / (s + a / t)) if t > 0 else np.zeros_like(q)
 
-    Minimizes (y - G theta)^T (y - G theta)/(2 sigma2)
-    + reg sum_i ||theta^(i)||, starting from theta0 (default zero) with the
-    residual y - G theta0.  A block is set exactly to zero when
-    ||G^(i)T r_i|| / sigma2 <= reg for its partial residual r_i; otherwise
-    the update magnitude comes from a 1-D Newton root-find.  After every
-    sweep the active blocks are solved exactly (_block_certificate); the
-    solve stops there when that point satisfies the optimality conditions,
-    and otherwise on the same objective-decrease and max_iter rules as
-    solve_lasso.
+
+def _newton(H_AA, b_A, x, blk, a):
+    """Newton's method on the stationarity equations of a set of blocks,
+    H_AA x - b_A + a x_i / ||x_i|| = 0, from x (nonzero on every block);
+    blk numbers each coordinate's block 0, 1, ...  The block terms
+    a (I - u_i u_i^T) / ||x_i|| of the Jacobian are filled in at once
+    through a same-block mask, whatever the block sizes.  Returns
+    (x, steps, turned): on convergence (a step below 1e-10 of max |x|:
+    convergence is quadratic, so what is left is rounding) turned is None;
+    when a step would turn some block around (x_new_i . x_i <= 0, a > 0)
+    x is the iterate before it and turned flags those blocks; x is None
+    when the Jacobian is singular or _NEWTON_STEPS run out.
+    """
+    nb = blk[-1] + 1
+    same = blk[:, None] == blk[None, :]
+    eye = np.eye(x.size)
+    for it in range(1, _NEWTON_STEPS + 1):
+        nrm = np.sqrt(np.bincount(blk, x * x, minlength=nb))
+        if np.any(nrm == 0.0):
+            return None, it, None
+        u = x / nrm[blk]
+        F = H_AA @ x - b_A + a * u
+        J = H_AA + same * ((a / nrm[blk])[:, None] * (eye - np.outer(u, u)))
+        try:
+            step = np.linalg.solve(J, F)
+        except np.linalg.LinAlgError:
+            return None, it, None
+        x_new = x - step
+        turned = np.bincount(blk, x_new * x, minlength=nb) <= 0.0
+        if a > 0 and turned.any():
+            return x, it, turned
+        x = x_new
+        if np.max(np.abs(step)) <= 1e-10 * np.max(np.abs(x)):
+            return x, it, None
+    return None, _NEWTON_STEPS, None
+
+
+class _GlassoProblem:
+    """What glasso_path computes once per design and data: H = G^T G
+    (design.gram()), b = G^T y, each block's eigendecomposition and the
+    block that owns each column."""
+
+    def __init__(self, y, design, sigma2):
+        self.y, self.design, self.sigma2 = y, design, sigma2
+        self.H = design.gram()
+        self.b = design.G.T @ y
+        self.eigs = []
+        for sl in design.slices:
+            s, Q = np.linalg.eigh(self.H[sl, sl])
+            self.eigs.append((np.maximum(s, 0.0), Q))
+        self.owner = np.repeat(np.arange(design.p), design.group_sizes)
+
+    def block_norms(self, v):
+        return np.sqrt(np.bincount(self.owner, v * v,
+                                   minlength=self.design.p))
+
+    def correct(self, x, a):
+        """Active-set corrector from x: Newton (_newton) on x's nonzero
+        blocks; a block that turns around is set to zero and the rest
+        solved again; every inactive block with ||b_i - H_iA x_A|| >
+        a (1 + 1e-9) is then added through its exact block step
+        (_block_step, all from the same point) and the set solved again.
+        Returns (x, newton steps, blocks added), x None unless a solve
+        left no violator within _CORRECTOR_SOLVES solves: then x
+        satisfies the Group Lasso optimality conditions (the
+        certificate)."""
+        H, b, owner = self.H, self.b, self.owner
+        x = x.copy()
+        steps = added = 0
+        for _ in range(_CORRECTOR_SOLVES):
+            act = self.block_norms(x) > 0
+            idx = np.flatnonzero(act[owner])
+            if idx.size:
+                blk = (np.cumsum(act) - 1)[owner[idx]]
+                xA, k, turned = _newton(H[np.ix_(idx, idx)], b[idx], x[idx],
+                                        blk, a)
+                steps += k
+                if xA is None:
+                    break
+                x[idx] = xA
+                if turned is not None:
+                    x[idx[turned[blk]]] = 0.0
+                    continue
+            q = b - H[:, idx] @ x[idx]
+            viol = np.flatnonzero(~act & (self.block_norms(q)
+                                          > a * (1.0 + 1e-9)))
+            if not viol.size:
+                return x, steps, added
+            for i in viol:
+                sl = self.design.slices[i]
+                x[sl] = _block_step(self.eigs[i], q[sl], a)
+            added += viol.size
+        return None, steps, added
+
+    def objective(self, x, reg):
+        """(y - G x)^T (y - G x) / (2 sigma2) + reg sum_i ||x_i||."""
+        r = self.y - self.design.G @ x
+        return (r @ r) / (2.0 * self.sigma2) \
+            + reg * np.sum(self.block_norms(x))
+
+
+def _glasso_point(prob, warm, reg, max_iter, tol):
+    """One point of glasso_path, from the warm start: the active-set
+    corrector (_GlassoProblem.correct), else, as the last resort, block
+    coordinate descent sweeps from warm with the corrector tried after
+    every sweep, stopping where it certifies the point or where a sweep
+    lowers the objective by at most tol (1 + |objective|), within
+    max_iter sweeps.  iterations counts those sweeps and extra the
+    corrector's Newton steps and added blocks."""
+    H, b, slices = prob.H, prob.b, prob.design.slices
+    a = prob.sigma2 * reg
+    x, steps, added = prob.correct(warm, a)
+    sweeps, converged = 0, x is not None
+    if x is None:
+        x = warm.copy()
+        obj = prob.objective(x, reg)
+        while sweeps < max_iter:
+            sweeps += 1
+            for i, sl in enumerate(slices):
+                q = b[sl] - H[sl] @ x + H[sl, sl] @ x[sl]
+                x[sl] = _block_step(prob.eigs[i], q, a)
+            cert, k, n_add = prob.correct(x, a)
+            steps, added = steps + k, added + n_add
+            if cert is not None:
+                x, converged = cert, True
+                break
+            new_obj = prob.objective(x, reg)
+            if obj - new_obj <= tol * (1.0 + abs(new_obj)):
+                converged = True
+                break
+            obj = new_obj
+    return EstimateResult(
+        theta=x, selected=list(np.flatnonzero(prob.block_norms(x))),
+        gamma=reg, converged=converged, iterations=sweeps,
+        objective=prob.objective(x, reg),
+        extra={"newton_steps": steps, "blocks_added": added})
+
+
+def glasso_path(y, design, sigma2, regs, theta0=None, max_iter=20000,
+                tol=1e-12):
+    """Group Lasso solutions at every penalty in regs, fits in the order
+    given.
+
+    Minimizes (y - G theta)^T (y - G theta) / (2 sigma2)
+    + reg sum_i ||theta^(i)||.  H = G^T G, b = G^T y and the per-block
+    eigendecompositions are computed once; the walk goes from the largest
+    reg down, each point starting from the previous solution (the first
+    from theta0, default zero), and is solved by an active-set corrector
+    (Roth & Fischer, ICML 2008): Newton on the warm active set's
+    stationarity equations, blocks that turn around dropped, violating
+    blocks added by their exact block update, with block coordinate
+    descent from the warm point as the last resort (_glasso_point).
+    converged is true where the point passed the certificate (the
+    optimality conditions of every block, inactive ones up to 1e-9 of
+    sigma2 reg) or, after coordinate descent, the objective stalled;
+    iterations counts coordinate descent sweeps, and extra["newton_steps"]
+    and extra["blocks_added"] the corrector's work.
     """
     y = np.asarray(y, dtype=float)
-    gamma = config.reg_param
-    p = design.p
-    theta = np.zeros(design.m) if theta0 is None else \
+    prob = _GlassoProblem(y, design, sigma2)
+    regs = np.asarray(regs, dtype=float)
+    x = np.zeros(design.m) if theta0 is None else \
         np.array(theta0, dtype=float)
-    GtG = design.G.T @ design.G
-    Gty = design.G.T @ y
-    # per-block eigendecompositions, computed once
-    eigs, rots = [], []
-    for i in range(p):
-        Gi = design.block(i)
-        w, Q = np.linalg.eigh(Gi.T @ Gi)
-        eigs.append(np.maximum(w, 0.0))
-        rots.append(Q)
-    r = y - design.G @ theta
-    a = sigma2 * gamma
-
-    def objective():
-        bn = sum(np.linalg.norm(theta[design.slices[i]]) for i in range(p))
-        return (r @ r) / (2.0 * sigma2) + gamma * bn
-
-    obj = objective()
-    converged = False
-    it = 0
-    for it in range(1, config.max_iter + 1):
-        for i in range(p):
-            sl = design.slices[i]
-            Gi = design.block(i)
-            old = theta[sl].copy()
-            b = Gi.T @ r + (Gi.T @ Gi) @ old if np.any(old) else Gi.T @ r
-            bnorm = np.linalg.norm(b)
-            if a > 0 and bnorm <= a:
-                new = np.zeros_like(old)
-            elif a == 0:
-                new, *_ = np.linalg.lstsq(Gi, r + Gi @ old, rcond=None)
-            else:
-                Q = rots[i]
-                t = _glasso_block_update(eigs[i], Q.T @ b, bnorm, a)
-                if t <= 0:
-                    new = np.zeros_like(old)
-                else:
-                    new = Q @ ((Q.T @ b) / (eigs[i] + a / t))
-            if np.any(new != old):
-                r += Gi @ (old - new)
-                theta[sl] = new
-        cert = _block_certificate(GtG, Gty, theta, design.slices, a)
-        if cert is not None:
-            theta = cert
-            r = y - design.G @ theta
-            obj = objective()
-            converged = True
-            break
-        new_obj = objective()
-        if obj - new_obj <= config.tol * (1.0 + abs(new_obj)):
-            obj = new_obj
-            converged = True
-            break
-        obj = new_obj
-    sel = [i for i in range(p) if np.any(theta[design.slices[i]])]
-    return EstimateResult(theta=theta, selected=sel, gamma=gamma,
-                          converged=converged, iterations=it, objective=obj)
+    fits = [None] * regs.size
+    for i in np.argsort(regs, kind="stable")[::-1]:
+        fits[i] = _glasso_point(prob, x, regs[i], max_iter, tol)
+        x = fits[i].theta
+    return fits
 
 
-def _block_certificate(H, b, theta, slices, a):
-    """Exact Group Lasso solution on theta's active blocks, or None.
-
-    Newton's method, from theta, on the stationarity equations of the
-    active blocks, H_AA x - b_A + a x_i / ||x_i|| = 0 (H = G^T G,
-    b = G^T y, a = sigma2 reg); returns the solution when Newton converges
-    within 10 steps without turning any block around (for blocks of one, the signs stay
-    unchanged) and every inactive block satisfies
-    ||b_i - H_iA x|| <= a (1 + 1e-9).
-    """
-    active = [sl for sl in slices if np.any(theta[sl])]
-    cand = np.zeros_like(theta)
-    if active:
-        idx = np.concatenate([np.arange(sl.start, sl.stop) for sl in active])
-        local, off = [], 0
-        for sl in active:
-            local.append(slice(off, off + sl.stop - sl.start))
-            off = local[-1].stop
-        H_AA, x = H[np.ix_(idx, idx)], theta[idx].copy()
-        for _ in range(10):
-            F = H_AA @ x - b[idx]
-            J = H_AA.copy()
-            for sl in local:
-                nrm = np.linalg.norm(x[sl])
-                if nrm == 0.0:
-                    return None
-                u = x[sl] / nrm
-                F[sl] += a * u
-                J[sl, sl] += (a / nrm) * (np.eye(u.size) - np.outer(u, u))
-            try:
-                step = np.linalg.solve(J, F)
-            except np.linalg.LinAlgError:
-                return None
-            x_new = x - step
-            if any(x_new[sl] @ x[sl] <= 0.0 for sl in local):
-                return None  # a block turned around: the support is wrong
-            x = x_new
-            # convergence is quadratic: after a step this small, what is
-            # left of the error is below rounding
-            if np.max(np.abs(step)) <= 1e-10 * np.max(np.abs(x)):
-                break
-        else:
-            return None
-        cand[idx] = x
-    q = b - H @ cand
-    for sl in slices:
-        if not np.any(cand[sl]) and np.linalg.norm(q[sl]) > a * (1.0 + 1e-9):
-            return None
-    return cand
+def solve_glasso(y, design, sigma2, config, theta0=None):
+    """Group Lasso at the single penalty config.reg_param: glasso_path run
+    at that penalty from theta0 (default zero), with config.max_iter and
+    config.tol bounding its coordinate descent fallback."""
+    return glasso_path(y, design, sigma2, [config.reg_param], theta0,
+                       config.max_iter, config.tol)[0]
 
 
 def solve_mkl_lambda(y, design, sigma2, gamma, theta0=None):

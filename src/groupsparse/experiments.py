@@ -22,8 +22,8 @@ import numpy as np
 from dataclasses import dataclass, field, asdict, replace
 
 from .model import BlockVector, EstimateResult, GroupedDesign
-from .convex import ConvexFitConfig, kkt_residual_mkl, lasso_path, \
-    solve_adalasso, solve_glasso, solve_lasso, solve_mkl_lambda, warm_path
+from .convex import ConvexFitConfig, glasso_path, kkt_residual_mkl, \
+    lasso_path, solve_adalasso, solve_glasso, solve_lasso, solve_mkl_lambda
 from .selection import SelectionConfig, _split, estimate_sigma2_ls, \
     fit_hglasso, polish_hglasso
 
@@ -268,15 +268,14 @@ ARX_TRUE_ACTIVE_CHANNELS = 2  # output lags + input 1
 # ============================================================
 # ESTIMATORS[name](y, design, sigma2, ctx).  ctx is shared by the fits of
 # one problem: it caches the hgla stage ("hgla") and mkl ("mkl"), and may
-# hold a SelectionConfig ("selection"), a fixed penalty ("gamma") and, for
-# the oracle, the true coefficients ("theta_true").
+# hold a SelectionConfig ("selection"), the names of the fit --grid-* flags
+# that set its grid ("grid_flags"), a fixed penalty ("gamma") and, for the
+# oracle, the true coefficients ("theta_true").
 
 def _no_grid(ctx, name):
-    """Rejects a grid set in ctx["selection"] (fit --grid-*) for an
-    estimator that walks none."""
-    cfg = ctx.get("selection", SelectionConfig())
-    if any(getattr(cfg, f) != getattr(SelectionConfig, f)
-           for f in ("grid_lo", "grid_hi", "grid_n")):
+    """Rejects any fit --grid-* flag given (ctx["grid_flags"]), whatever
+    its value, for an estimator that walks no such grid."""
+    if ctx.get("grid_flags"):
         raise ValueError("--grid-* flags do not apply to " + name)
 
 
@@ -311,18 +310,18 @@ def _validate(y, design, path):
     """The convex estimators' validation: path(y_tr, d_tr) fits the
     training half of _split along a grid and returns (grid, fits).
     Returns the gamma whose theta predicts the validation half best (ties:
-    the smaller, as grids increase) and the number of unconverged fits."""
+    the smaller, as grids increase) and the fits."""
     y_tr, y_val, d_tr, d_val = _split(y, design, 0.5)
     grid, fits = path(y_tr, d_tr)
     errs = [np.linalg.norm(y_val - d_val.G @ fit.theta) for fit in fits]
-    return grid[np.argmin(errs)], sum(not fit.converged for fit in fits)
+    return grid[np.argmin(errs)], fits
 
 
-def _counted(res, unconverged):
-    """The full-data fit res after `unconverged` failed validation fits:
-    converged only if no fit failed; the count is in
+def _counted(res, fits):
+    """The full-data fit res after the validation fits: converged only if
+    none of them failed; the failures are counted in
     extra["unconverged_solves"]."""
-    unconverged += not res.converged
+    unconverged = sum(not fit.converged for fit in fits + [res])
     res.converged = unconverged == 0
     res.extra["unconverged_solves"] = unconverged
     return res
@@ -332,31 +331,35 @@ def est_mkl(y, design, sigma2, ctx):
     """Kernel-scale estimator: the Group Lasso fit of solve_mkl_lambda,
     whose lam holds the scales, at a fixed ctx["gamma"] or at the gamma
     _validate picks on a grid spanning [1e-2, 1e4] times the hgla stage's.
-    The 30 validation solves are one warm path (warm_path), the full-data
-    solve starts from zero, and extra["kkt_residual"] is kkt_residual_mkl.
-    Cached in ctx["mkl"], where est_glasso reads it."""
+    The 30 validation fits are one Group Lasso path (glasso_path) at
+    penalties sqrt(2 gamma), and the full-data solve starts from zero.
+    extra["kkt_residual"] is kkt_residual_mkl, and extra["newton_steps"],
+    ["blocks_added"] and ["cd_sweeps"] total the work of the path and
+    the full-data solve.  Cached in ctx["mkl"], where est_glasso reads
+    it."""
     if "mkl" in ctx:
         return ctx["mkl"]
-    gamma, unconverged = ctx.get("gamma"), 0
+    gamma, fits = ctx.get("gamma"), []
     if gamma is None:
         ref = _hgla_stage(y, design, sigma2, ctx)[1].chosen_gamma
         grid = np.logspace(np.log10(1e-2 * ref), np.log10(1e4 * ref), 30)
-
-        def path(y_tr, d_tr):
-            return grid, warm_path(lambda g, theta0: solve_mkl_lambda(
-                y_tr, d_tr, sigma2, g, theta0=theta0), grid)
-        gamma, unconverged = _validate(y, design, path)
-    res = _counted(solve_mkl_lambda(y, design, sigma2, gamma), unconverged)
-    res.extra["kkt_residual"] = kkt_residual_mkl(res.lam, y, design, sigma2,
-                                                 gamma)
+        gamma, fits = _validate(y, design, lambda y_tr, d_tr: (
+            grid, glasso_path(y_tr, d_tr, sigma2, np.sqrt(2.0 * grid))))
+    res = _counted(solve_mkl_lambda(y, design, sigma2, gamma), fits)
+    fits = fits + [res]
+    res.extra.update(
+        newton_steps=sum(fit.extra["newton_steps"] for fit in fits),
+        blocks_added=sum(fit.extra["blocks_added"] for fit in fits),
+        cd_sweeps=sum(fit.iterations for fit in fits),
+        kkt_residual=kkt_residual_mkl(res.lam, y, design, sigma2, gamma))
     ctx["mkl"] = res
     return res
 
 
 def est_glasso(y, design, sigma2, ctx):
     """Group Lasso at a fixed ctx["gamma"], or else est_mkl's full-data fit
-    at penalty sqrt(2 gamma), so converged and extra["unconverged_solves"]
-    cover the MKL stage too."""
+    at penalty sqrt(2 gamma), so converged and extra (unconverged solves
+    and the path's work) cover the MKL stage too."""
     gamma = ctx.get("gamma")
     if gamma is not None:
         if gamma < 0:
@@ -364,9 +367,10 @@ def est_glasso(y, design, sigma2, ctx):
         return solve_glasso(y, design, sigma2,
                             ConvexFitConfig(reg_param=gamma))
     mkl = est_mkl(y, design, sigma2, ctx)
-    return replace(
-        mkl, lam=None, gamma=np.sqrt(2.0 * mkl.gamma),
-        extra={"unconverged_solves": mkl.extra["unconverged_solves"]})
+    return replace(mkl, lam=None, gamma=np.sqrt(2.0 * mkl.gamma),
+                   extra={k: mkl.extra[k] for k in (
+                       "unconverged_solves", "newton_steps", "blocks_added",
+                       "cd_sweeps")})
 
 
 def _lasso_grid(y, G, sigma2):
@@ -385,13 +389,13 @@ def est_lasso(y, design, sigma2, ctx):
         grid = _lasso_grid(y_tr, d_tr.G, sigma2)
         return grid, lasso_path(y_tr, d_tr.G, grid, sigma2)
 
-    gamma, unconverged = ctx.get("gamma"), 0
+    gamma, fits = ctx.get("gamma"), []
     if gamma is None:
-        gamma, unconverged = _validate(y, design, path)
+        gamma, fits = _validate(y, design, path)
     elif gamma < 0:
         raise ValueError("--gamma must be nonnegative")
     return _counted(solve_lasso(y, design.G, ConvexFitConfig(
-        reg_param=gamma), sigma2=sigma2), unconverged)
+        reg_param=gamma), sigma2=sigma2), fits)
 
 
 def est_adalasso(y, design, sigma2, ctx):

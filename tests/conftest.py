@@ -42,3 +42,28 @@ def orthogonal_design(rng, sizes, n):
     assert n >= m
     Q, _ = np.linalg.qr(rng.standard_normal((n, m)))
     return GroupedDesign(Q * np.sqrt(n), list(sizes))
+
+
+def cold_cd_glasso(y, des, s2, reg, tol=1e-15, max_sweeps=200000):
+    """Group Lasso at penalty reg by cyclic block coordinate descent from
+    theta = 0, each block set to its exact minimizer with the others held
+    fixed, until a sweep moves theta by at most tol ||theta||: a solver
+    without the path's warm starts, active sets or Newton steps, kept as
+    its reference."""
+    from groupsparse.convex import _glasso_block_update
+    y = np.asarray(y, dtype=float)
+    H, b, a = des.G.T @ des.G, des.G.T @ y, s2 * reg
+    eigs = [np.linalg.eigh(H[sl, sl]) for sl in des.slices]
+    theta = np.zeros(des.m)
+    for _ in range(max_sweeps):
+        old = theta.copy()
+        for (s, Q), sl in zip(eigs, des.slices):
+            q = b[sl] - H[sl] @ theta + H[sl, sl] @ theta[sl]
+            c = Q.T @ q
+            t = _glasso_block_update(np.maximum(s, 0.0), c,
+                                     np.linalg.norm(q), a) \
+                if np.linalg.norm(q) > a else 0.0
+            theta[sl] = Q @ (c / (s + a / t)) if t > 0 else 0.0
+        if np.linalg.norm(theta - old) <= tol * np.linalg.norm(theta):
+            break
+    return theta

@@ -179,6 +179,12 @@ def test_fit_is_the_registry_estimator(fixture_dir, tmp_path, method, flags):
     (["--method", "glasso", "--gamma", "1", "--grid-lo", "1"],
      "with a fixed --gamma"),
     (["--method", "hglb", "--grid-n", "0"], "grid_n >= 1"),
+    # given with SelectionConfig's default values, still not walked
+    (["--method", "lasso", "--grid-n", "30"], "do not apply to lasso"),
+    (["--method", "adalasso", "--grid-lo", "0.01"],
+     "do not apply to adalasso"),
+    (["--method", "adalasso", "--grid-hi", "1e4"],
+     "do not apply to adalasso"),
 ])
 def test_fit_rejects_flags_its_method_ignores(fixture_dir, capsys, flags,
                                               message):
@@ -405,6 +411,20 @@ def test_arx_takes_every_fit_method(arx_csv, tmp_path, method):
                  "--q", "10", "--horizon", "2", "--out", str(out)]) == 0
     with open(str(out) + ".json") as fh:
         assert json.load(fh)["cod"]["1"] > 0.0
+
+
+def test_arx_lasso_selected_lists_blocks(arx_csv, tmp_path):
+    """arx reports selected blocks for every method, next to the block
+    norms: the Lasso's selected columns are mapped to their blocks."""
+    out = tmp_path / "arx"
+    assert main(["arx", "--data", str(arx_csv), "--method", "lasso",
+                 "--q", "10", "--horizon", "2", "--out", str(out)]) == 0
+    with open(str(out) + ".json") as fh:
+        doc = json.load(fh)
+    assert len(doc["block_norms"]) == 4
+    assert doc["selected"] and all(0 <= i < 4 for i in doc["selected"])
+    assert doc["selected"] == [i for i, nrm in enumerate(doc["block_norms"])
+                               if nrm > 0]
 
 
 def test_arx_sigma2_reaches_hgl_selection(tmp_path, capsys):

@@ -9,11 +9,12 @@ from groupsparse import (
     solve_glasso, solve_lasso, solve_mkl_lambda,
 )
 from groupsparse.convex import ADALASSO_WEIGHT_CAP, _adalasso_weights, \
-    lasso_path
-from groupsparse.experiments import _lasso_grid
+    glasso_path, lasso_path
+from groupsparse.experiments import _lasso_grid, build_arx, gen_arx_series
 from groupsparse.selection import _split
 
-from conftest import mkl_pqn, orthogonal_design, random_grouped
+from conftest import cold_cd_glasso, mkl_pqn, orthogonal_design, \
+    random_grouped
 
 
 def test_config_validation():
@@ -87,17 +88,26 @@ def _kkt_violation(y, G, theta, sigma2, gamma):
 def test_warm_path_satisfies_kkt_at_every_grid_point(experiment, shape,
                                                      monkeypatch):
     """Each point of a warm-started validation path is a KKT point, and
-    reports its own residual; every kernel-scale solve of est_mkl's warm
-    path and refit passes kkt_residual_mkl."""
+    reports its own residual; every point of est_mkl's Group Lasso path
+    and its one full-data solve pass kkt_residual_mkl at the scales
+    lam_i = ||theta_i|| / sqrt(2 gamma)."""
     import groupsparse.experiments as ex
-    solve = ex.solve_mkl_lambda
-    mkl_solves = []
+    path, solve = ex.glasso_path, ex.solve_mkl_lambda
+    mkl_points, refits = [], []
+
+    def recorded_path(y, des, s2, regs):
+        fits = path(y, des, s2, regs)
+        mkl_points.extend((y, des, s2, reg, fit)
+                          for reg, fit in zip(regs, fits))
+        return fits
 
     def recorded(y, des, s2, gam, theta0=None):
         res = solve(y, des, s2, gam, theta0=theta0)
-        mkl_solves.append((y, des, s2, gam, res.lam))
+        refits.append(gam)
+        mkl_points.append((y, des, s2, np.sqrt(2.0 * gam), res))
         return res
 
+    monkeypatch.setattr(ex, "glasso_path", recorded_path)
     monkeypatch.setattr(ex, "solve_mkl_lambda", recorded)
     cfg = McConfig(experiment=experiment, runs=1, master_seed=11,
                    estimators=[], **shape)
@@ -112,10 +122,15 @@ def test_warm_path_satisfies_kkt_at_every_grid_point(experiment, shape,
             assert _kkt_violation(y_tr, d_tr.G, fit.theta, s2, gamma) \
                 <= 1e-8 * gamma
             assert fit.extra["kkt_residual"] <= 1e-8 * gamma
-        mkl_solves.clear()
+        mkl_points.clear()
+        refits.clear()
         ex.est_mkl(y, design, s2, {})
-        assert len(mkl_solves) == 31
-        for y_, d_, s2_, gam, lam in mkl_solves:
+        assert len(refits) == 1 and len(mkl_points) == 31
+        for y_, d_, s2_, reg, fit in mkl_points:
+            gam = reg * reg / 2.0
+            lam = np.array([np.linalg.norm(fit.theta[sl])
+                            for sl in d_.slices]) / reg
+            assert fit.converged
             assert kkt_residual_mkl(lam, y_, d_, s2_, gam) \
                 <= 1e-8 * (1 + 2 * gam)
 
@@ -186,6 +201,20 @@ def test_glasso_equals_lasso_for_singleton_blocks(rng):
             1 + np.linalg.norm(la.theta))
 
 
+def _block_kkt_violation(y, des, theta, s2, reg):
+    """Largest violation of the Group Lasso optimality conditions, in
+    units of a = s2 reg, from g = G^T (y - G theta): g_i = a theta_i /
+    ||theta_i|| on active blocks, ||g_i|| <= a on the others."""
+    a = s2 * reg
+    g = des.G.T @ (y - des.G @ theta)
+    worst = 0.0
+    for sl in des.slices:
+        nrm = np.linalg.norm(theta[sl])
+        worst = max(worst, np.linalg.norm(g[sl] - a * theta[sl] / nrm)
+                    if nrm > 0 else np.linalg.norm(g[sl]) - a)
+    return worst / a
+
+
 def test_glasso_stops_on_a_kkt_point(rng):
     """Block optimality at the output: G_i^T r / sigma2 equals
     reg theta_i / ||theta_i|| on active blocks, with norm <= reg on the
@@ -198,18 +227,87 @@ def test_glasso_stops_on_a_kkt_point(rng):
         cfg = ConvexFitConfig(reg_param=reg)
         fit = solve_glasso(y, des, s2, cfg)
         assert fit.converged
-        # started from its own solution, one sweep certifies it
+        # started from its own solution, the corrector certifies it with
+        # at most one Newton step and no coordinate descent sweep
         warm = solve_glasso(y, des, s2, cfg, theta0=fit.theta)
-        assert warm.converged and warm.iterations == 1
+        assert warm.converged and warm.iterations == 0
+        assert warm.extra == {"newton_steps": int(np.any(fit.theta)),
+                              "blocks_added": 0}
         assert np.allclose(warm.theta, fit.theta, rtol=1e-12, atol=0.0)
-        g = des.G.T @ (y - des.G @ fit.theta) / s2
-        for sl in des.slices:
-            nrm = np.linalg.norm(fit.theta[sl])
-            if nrm > 0:
-                assert np.max(np.abs(g[sl] - reg * fit.theta[sl] / nrm)) \
-                    <= 1e-8 * reg
-            else:
-                assert np.linalg.norm(g[sl]) <= reg * (1 + 1e-8)
+        assert _block_kkt_violation(y, des, fit.theta, s2, reg) <= 1e-8
+
+
+def _path_designs():
+    """(name, design, y, sigma2, lowest penalty as a fraction of the one
+    that zeroes every block): exp1, exp2 (correlated columns), unequal
+    block sizes, the ARX design and m > n (exp1 with p = 40)."""
+    for exp, lo in (("exp1", 1e-3), ("exp2", 3e-2)):
+        des, _, y, _ = gen_problem(McConfig(experiment=exp, runs=1,
+                                            master_seed=5, estimators=[]), 0)
+        yield exp, des, y, estimate_sigma2_ls(y, des.G), lo
+    rng = np.random.default_rng(3)
+    G = rng.standard_normal((30, 10))
+    y = G[:, :4] @ [1.0, -2.0, 0.5, 1.0] + 0.5 * rng.standard_normal(30)
+    yield "unequal", GroupedDesign(G, [1, 3, 4, 2]), y, 0.25, 1e-3
+    prob = build_arx(gen_arx_series(T=400, seed=4), 10)
+    yield "arx", prob.design, prob.y, \
+        estimate_sigma2_ls(prob.y, prob.design.G), 1e-3
+    des, _, y, s2 = gen_problem(McConfig(experiment="exp1", runs=1, p=40,
+                                         master_seed=5, estimators=[]), 0)
+    yield "wide", des, y, s2, 3e-2
+
+
+@pytest.mark.parametrize("name,des,y,s2,lo", [
+    pytest.param(*case, id=case[0]) for case in _path_designs()])
+def test_glasso_path_matches_cold_coordinate_descent(name, des, y, s2, lo):
+    """Every point of one warm path equals cold block coordinate descent
+    at its penalty to 1e-10 relative, and passes an independent block-KKT
+    check at 1e-8 of sigma2 reg (the top of the grid zeroes every
+    block)."""
+    b = des.G.T @ y
+    top = max(np.linalg.norm(b[sl]) for sl in des.slices) / s2
+    regs = np.logspace(np.log10(lo * top), np.log10(2.0 * top), 8)
+    fits = glasso_path(y, des, s2, regs)
+    assert not np.any(fits[-1].theta)
+    for reg, fit in zip(regs, fits):
+        ref = cold_cd_glasso(y, des, s2, reg)
+        assert np.linalg.norm(fit.theta - ref) <= \
+            1e-10 * np.linalg.norm(ref)
+        assert fit.converged and fit.gamma == reg
+        assert _block_kkt_violation(y, des, fit.theta, s2, reg) <= 1e-8
+
+
+def test_glasso_path_equals_lasso_path_for_singleton_blocks(rng):
+    """With blocks of one the Group Lasso path is the Lasso path."""
+    for _ in range(10):
+        m = int(rng.integers(2, 10))
+        n = int(rng.integers(m, m + 15))
+        G = rng.standard_normal((n, m))
+        y = rng.standard_normal(n)
+        s2 = float(rng.uniform(0.3, 1.5))
+        grid = _lasso_grid(y, G, s2)
+        gl = glasso_path(y, GroupedDesign(G, [1] * m), s2, grid)
+        la = lasso_path(y, G, grid, s2)
+        # relative to the path's largest solution: at the top of the grid
+        # both are zero up to rounding
+        scale = np.linalg.norm(la[0].theta)
+        for a, b in zip(gl, la):
+            assert a.converged and b.converged
+            assert np.linalg.norm(a.theta - b.theta) <= 1e-10 * scale
+
+
+def test_glasso_cold_solve_falls_back_to_coordinate_descent():
+    """A cold solve on a correlated exp2 design, where Newton from the
+    blocks added at zero keeps turning blocks around: the coordinate
+    descent fallback runs, and the point it returns is certified."""
+    des, _, y, _ = gen_problem(McConfig(experiment="exp2", runs=1,
+                                        master_seed=7, estimators=[]), 0)
+    s2 = estimate_sigma2_ls(y, des.G)
+    b = des.G.T @ y
+    reg = 1e-3 * max(np.linalg.norm(b[sl]) for sl in des.slices) / s2
+    fit = solve_glasso(y, des, s2, ConvexFitConfig(reg_param=reg))
+    assert fit.iterations > 0 and fit.converged
+    assert _block_kkt_violation(y, des, fit.theta, s2, reg) <= 1e-8
 
 
 def test_glasso_block_zero_condition(rng):

@@ -239,21 +239,22 @@ def test_estimator_failure_is_recorded_not_fatal(monkeypatch):
 
 
 def test_glasso_reuses_the_mkl_fit_in_ctx(monkeypatch):
-    """mkl then glasso on one ctx: the 30 validation solves and the final
+    """mkl then glasso on one ctx: the 30 validation points and the final
     solve run once, and glasso's penalty matches a glasso fit on its own."""
+    import groupsparse.convex as cv
     import groupsparse.experiments as ex
     design, _, y, _ = gen_problem(McConfig(experiment="exp1", runs=1,
                                            master_seed=3), 0)
     sigma2 = ex.estimate_sigma2_ls(y, design.G)
     alone = ESTIMATORS["glasso"](y, design, sigma2, {})
     calls = []
-    solve = ex.solve_mkl_lambda
+    solve = cv._glasso_point
 
     def counted(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(ex, "solve_mkl_lambda", counted)
+    monkeypatch.setattr(cv, "_glasso_point", counted)
     ctx = {}
     mkl = ESTIMATORS["mkl"](y, design, sigma2, ctx)
     shared = ESTIMATORS["glasso"](y, design, sigma2, ctx)
@@ -400,9 +401,9 @@ def test_mkl_warm_path_matches_cold_solves():
 
 
 def test_converged_is_false_when_one_inner_solve_fails(monkeypatch):
-    """One unconverged inner solve (for lasso and adalasso, one grid point
-    of the homotopy path) makes lasso, adalasso, mkl and glasso report
-    converged=False and count it."""
+    """One unconverged inner solve (one grid point of the Lasso homotopy
+    path, or of the Group Lasso path of mkl and glasso) makes lasso,
+    adalasso, mkl and glasso report converged=False and count it."""
     import dataclasses
     import groupsparse.convex as cv
     import groupsparse.experiments as ex
@@ -432,10 +433,8 @@ def test_converged_is_false_when_one_inner_solve_fails(monkeypatch):
     for name, fit in fits.items():
         assert fit().extra["unconverged_solves"] == 0
         with monkeypatch.context() as mp:
-            if name in ("mkl", "glasso"):
-                fail_third_call(mp, ex, "solve_mkl_lambda")
-            else:
-                fail_third_call(mp, cv, "_lasso_point")
+            fail_third_call(mp, cv, "_glasso_point" if name in (
+                "mkl", "glasso") else "_lasso_point")
             res = fit()
         assert res.converged is False
         assert res.extra["unconverged_solves"] == 1
