@@ -57,7 +57,9 @@ def solve_hgl_pqn(y, design, sigma2, gamma, lam0=None, config=None):
     config.active_set pins the other coordinates at zero; armijo_c and
     backtrack set the line search; config.memory applies to minimize_pqn
     only.  The objective is nonconvex; the result is a stationary point
-    reached from lam0 (default: zeros), returned as a PqnResult.
+    reached from lam0 (default: zeros), returned as a PqnResult whose
+    min_free_hessian_eig is the smallest eigenvalue of the Hessian on the
+    final free coordinates (positive at a strict local minimum).
     """
     cfg = config or PqnConfig(grad_tol=1e-10, max_iter=2000)
     y = np.asarray(y, dtype=float)
@@ -116,9 +118,14 @@ def solve_hgl_pqn(y, design, sigma2, gamma, lam0=None, config=None):
         lam, fac, f, g = lam_t, fac_t, f_t, g_t
 
     gnorm = pg_norm(lam, g)
+    free = ~pinned & ((lam > gnorm) | (g <= 0.0))     # the final split
+    eig = None
+    if free.any():     # from fac's cached G^T W G and W y
+        eig = float(np.linalg.eigvalsh(
+            fac.block_hessian(y)[np.ix_(free, free)])[0])
     return PqnResult(lam=lam, converged=gnorm <= cfg.grad_tol * (1.0 + abs(f)),
                      iterations=it, objective=float(f), grad_norm=gnorm,
-                     grad=g)
+                     grad=g, min_free_hessian_eig=eig)
 
 
 def kkt_residual_hgl(lam, y, design, sigma2, gamma):

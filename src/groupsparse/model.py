@@ -14,7 +14,8 @@ and the numerical kernel shared by all solvers.
 
 import numpy as np
 from dataclasses import dataclass, field
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 
 # ============================================================
@@ -44,6 +45,7 @@ class GroupedDesign:
         self.group_sizes = sizes
         ends = np.cumsum(sizes)
         self.slices = [slice(int(e - k), int(e)) for k, e in zip(sizes, ends)]
+        self.starts = ends - sizes         # first column of each block
         self._gtg = None
 
     @property
@@ -68,6 +70,12 @@ class GroupedDesign:
         if per_block.shape != (self.p,):
             raise ValueError("expected a length-%d per-block vector" % self.p)
         return np.repeat(per_block, self.group_sizes)
+
+    def block_sums(self, x):
+        """Per-block sums of a length-m vector, as a p-vector."""
+        if len(set(self.group_sizes)) == 1:    # equal sizes: one reduction
+            return x.reshape(self.p, -1).sum(axis=1)
+        return np.add.reduceat(x, self.starts)
 
     def gram(self):
         """G^T G, cached."""
@@ -157,13 +165,21 @@ class EstimateResult:
 class MarginalFactor:
     """Factorized access to Sigma_y = G Lam G^T + sigma2 I.
 
-    Two routes with identical semantics: an n x n Cholesky when n <= m, and
-    for n > m the low-rank form built from Gt = G diag(sqrt(lam)), for which
+    Two routes with identical semantics, both built from
+    Gt = G diag(sqrt(lam)):
 
-        Sigma_y = sigma2 I + Gt Gt^T,
-        Sigma_y^{-1} = [I - Gt (sigma2 I + Gt^T Gt)^{-1} Gt^T] / sigma2.
+    - n <= m (dense): the Cholesky factor L of Sigma_y = Gt Gt^T + sigma2 I,
+      formed by one symmetric rank-m product, and G^T W G = X^T X with
+      X = L^{-1} G from one triangular solve;
+    - n > m (low rank): the m x m factor of M = sigma2 I + Gt^T Gt, with
 
-    The low-rank route never inverts Lam so lambda_i = 0 is fine.
+        Sigma_y^{-1} = [I - Gt M^{-1} Gt^T] / sigma2,
+
+      which never inverts Lam, so lambda_i = 0 is fine.
+
+    Both raise np.linalg.LinAlgError when Sigma_y is not positive definite.
+    The solve against y is kept for the last y queried, so quad, gtw_y,
+    block_scores and block_hessian of one y share it.
     """
 
     def __init__(self, design, lam, sigma2):
@@ -177,22 +193,26 @@ class MarginalFactor:
         self.lam_full = design.expand(lam)
         n, m = design.n, design.m
         self.lowrank = n > m
+        self._d = d = np.sqrt(self.lam_full)
         if self.lowrank:
-            d = np.sqrt(self.lam_full)
-            self._d = d
+            if not self.sigma2 > 0:
+                raise np.linalg.LinAlgError(
+                    "Sigma_y is not positive definite (sigma2 <= 0, n > m)")
             gram = design.gram()
             M = d[:, None] * gram * d[None, :]
             M[np.diag_indices_from(M)] += self.sigma2
-            self._cM = cho_factor(M, lower=True)
+            self._L = _cholesky(M)
             self._A = gram * d[None, :]          # G^T Gt
             self._logdet = ((n - m) * np.log(self.sigma2)
-                            + 2.0 * np.sum(np.log(np.diag(self._cM[0]))))
+                            + 2.0 * np.sum(np.log(np.diag(self._L))))
         else:
-            S = (design.G * self.lam_full) @ design.G.T
+            # lower triangle of Gt Gt^T (Gt.T is Fortran-ordered: no copy)
+            S = dsyrk(1.0, (design.G * d).T, trans=1, lower=1)
             S[np.diag_indices_from(S)] += self.sigma2
-            self._cS = cho_factor(S, lower=True)
-            self._logdet = 2.0 * np.sum(np.log(np.diag(self._cS[0])))
+            self._L = _cholesky(S)
+            self._logdet = 2.0 * np.sum(np.log(np.diag(self._L)))
         self._gtwg = None
+        self._y = self._y_terms = None
 
     def logdet(self):
         return self._logdet
@@ -201,42 +221,54 @@ class MarginalFactor:
         """Sigma_y^{-1} B."""
         if self.lowrank:
             Gt = self.design.G * self._d[None, :]
-            return (B - Gt @ cho_solve(self._cM, Gt.T @ B)) / self.sigma2
-        return cho_solve(self._cS, B)
+            return (B - Gt @ dpotrs(self._L, Gt.T @ B, lower=1)[0]) \
+                / self.sigma2
+        return dpotrs(self._L, B, lower=1)[0]
+
+    def _terms(self, y):
+        """(y^T W y, G^T W y) from one solve against y, kept for the last
+        y (compared by value, so a y changed in place is solved again)."""
+        if self._y is None or not np.array_equal(self._y, y):
+            y = np.array(y, dtype=float)
+            if self.lowrank:
+                gy = self.design.G.T @ y
+                ty = self._d * gy
+                z = dpotrs(self._L, ty, lower=1)[0]
+                quad = (y @ y - ty @ z) / self.sigma2
+                gwy = (gy - self._A @ z) / self.sigma2
+            else:
+                wy = self.solve(y)
+                quad, gwy = y @ wy, self.design.G.T @ wy
+            gwy.flags.writeable = False
+            self._y, self._y_terms = y, (quad, gwy)
+        return self._y_terms
 
     def quad(self, y):
         """y^T Sigma_y^{-1} y without forming anything n x n on the low-rank route."""
-        if self.lowrank:
-            ty = self._d * (self.design.G.T @ y)
-            return (y @ y - ty @ cho_solve(self._cM, ty)) / self.sigma2
-        return y @ self.solve(y)
+        return self._terms(y)[0]
 
     def gtw_y(self, y):
-        """G^T Sigma_y^{-1} y, an m-vector."""
-        if self.lowrank:
-            gy = self.design.G.T @ y
-            return (gy - self._A @ cho_solve(self._cM, self._d * gy)) / self.sigma2
-        return self.design.G.T @ self.solve(y)
+        """G^T Sigma_y^{-1} y, an m-vector (read-only)."""
+        return self._terms(y)[1]
 
     def gtwg(self):
         """G^T Sigma_y^{-1} G, an m x m matrix (cached)."""
         if self._gtwg is None:
             if self.lowrank:
-                self._gtwg = (self.design.gram()
-                              - self._A @ cho_solve(self._cM, self._A.T)) / self.sigma2
+                self._gtwg = (self.design.gram() - self._A @ dpotrs(
+                    self._L, self._A.T, lower=1)[0]) / self.sigma2
             else:
-                self._gtwg = self.design.G.T @ self.solve(self.design.G)
+                X = dtrtrs(self._L, self.design.G, lower=1)[0]  # L^{-1} G
+                self._gtwg = X.T @ X
         return self._gtwg
 
     def block_traces(self):
         """tr(G^(i)^T W G^(i)) for every block, as a p-vector."""
-        diag = np.diag(self.gtwg())
-        return np.array([diag[s].sum() for s in self.design.slices])
+        return self.design.block_sums(np.diag(self.gtwg()))
 
     def block_scores(self, y):
         """||G^(i)^T W y||^2 for every block, as a p-vector."""
-        gy = self.gtw_y(y)
-        return np.array([np.sum(gy[s] ** 2) for s in self.design.slices])
+        return self.design.block_sums(self.gtw_y(y) ** 2)
 
     def block_hessian(self, y):
         """Hessian in lambda of 0.5 logdet Sigma_y + 0.5 y^T W y, p x p.
@@ -246,10 +278,20 @@ class MarginalFactor:
         """
         M = self.gtwg()
         q = self.gtw_y(y)
-        starts = [s.start for s in self.design.slices]
+        starts = self.design.starts
         H = np.add.reduceat(np.add.reduceat(
             M * (np.outer(q, q) - 0.5 * M), starts, axis=0), starts, axis=1)
         return 0.5 * (H + H.T)
+
+
+def _cholesky(S):
+    """Lower Cholesky factor of S, computed in place (LAPACK directly: on
+    these sizes the checks of the scipy.linalg wrappers cost more than the
+    factorization)."""
+    L, info = dpotrf(S, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("Sigma_y is not positive definite")
+    return L
 
 
 # ============================================================

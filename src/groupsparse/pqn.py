@@ -36,6 +36,9 @@ class PqnResult:
     objective: float
     grad_norm: float
     grad: np.ndarray = None   # gradient at lam (solve_hgl_pqn)
+    # smallest Hessian eigenvalue on the final free coordinates
+    # (solve_hgl_pqn; None when none is free)
+    min_free_hessian_eig: float = None
 
 
 def _two_loop(g, S, Y):

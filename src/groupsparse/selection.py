@@ -6,7 +6,9 @@ noise variance from training least squares, estimate a common scale kappa,
 compute one unpenalized greedy block path on the training data, cut it for
 each gamma on a grid (gamma only moves the stopping point, never the order),
 and pick gamma by validation error, computed once per distinct selected set.
-They differ only in the final polish:
+(The path carries Sigma_y^{-1} G and Sigma_y^{-1} y and updates them by one
+rank-k term per accepted block, so it builds no MarginalFactor.)  The
+variants differ only in the final polish:
 
   hgla  posterior mean at the forward-selection scales, no polish
   hglb  projected Newton refinement over all blocks from the selected start
@@ -67,6 +69,8 @@ class SelectionTrace:
     chosen_set: list
     kappa: float
     sigma2: float
+    greedy_order: list           # unpenalized greedy path, in order
+    greedy_gains: list           # its unpenalized gains
 
 
 def estimate_sigma2_ls(y, G):
@@ -162,36 +166,6 @@ def _log_posterior(y, design, sigma2, kappa, gamma, subset):
             - gamma * kappa * len(subset))
 
 
-def _block_gains(fac, y, blocks, kappa):
-    """Unpenalized gain L(I + {j}) - L(I) of each listed block j, where I is
-    the set factored in fac (scales kappa on I).
-
-    With W = Sigma_y(I)^{-1}, S_j = G_j^T W G_j, q_j = G_j^T W y and
-    C_j = I_k + kappa S_j, the determinant lemma and Woodbury give
-
-        gain_j = -0.5 logdet C_j + 0.5 kappa q_j^T C_j^{-1} q_j,
-
-    so every candidate costs k x k work after one solve against the factor.
-    Blocks of equal size are scored together as a stack.
-    """
-    design = fac.design
-    gains = np.empty(len(blocks))
-    by_size = {}
-    for pos, j in enumerate(blocks):
-        by_size.setdefault(design.group_sizes[j], []).append(pos)
-    for k, pos in by_size.items():
-        G = design.G[:, np.r_[tuple(design.slices[blocks[i]] for i in pos)]]
-        shape = (design.n, len(pos), k)          # rows x blocks x columns
-        WG = fac.solve(G).reshape(shape)
-        C = np.eye(k) + kappa * np.einsum("nri,nrj->rij", G.reshape(shape), WG)
-        q = np.einsum("nri,n->ri", WG, y)
-        L = np.linalg.cholesky(C)
-        z = np.linalg.solve(L, q[..., None])[..., 0]    # L^{-1} q
-        logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
-        gains[pos] = -0.5 * logdet + 0.5 * kappa * np.sum(z * z, axis=1)
-    return gains
-
-
 def _greedy_path(y_tr, design_tr, sigma2, kappa, floor):
     """Unpenalized greedy block path, shared by every gamma.
 
@@ -199,24 +173,60 @@ def _greedy_path(y_tr, design_tr, sigma2, kappa, floor):
     gain L(I + {j}) - L(I) at gamma = 0, smallest index on ties, and stop
     at the first step whose best gain is <= floor.  The penalty gamma kappa
     |I| lowers every candidate's gain by the same gamma kappa, so the greedy
-    order is the same for every gamma; only the stopping point moves.  One
-    MarginalFactor is built per step.  Returns (blocks in order of
-    inclusion, their unpenalized gains), every gain > floor.
+    order is the same for every gamma; only the stopping point moves.
+    Returns (blocks in order of inclusion, their unpenalized gains), every
+    gain > floor.
+
+    With W = Sigma_y(I)^{-1}, S_j = G_j^T W G_j, q_j = G_j^T W y and
+    C_j = I_k + kappa S_j, the determinant lemma and Woodbury give
+
+        gain_j = -0.5 logdet C_j + 0.5 kappa q_j^T C_j^{-1} q_j,
+
+    and adding j changes W by the rank-k term -kappa U C_j^{-1} U^T,
+    U = W G_j (Tipping & Faul, AISTATS 2003).  So the path carries WG and
+    Wy from W = I / sigma2 and updates them by that term after each step;
+    it factors nothing larger than C_j.  Blocks of equal size are scored
+    together as a stack.
     """
     y = np.asarray(y_tr, dtype=float)
-    lam = np.zeros(design_tr.p)
+    G = design_tr.G
+    sizes = np.asarray(design_tr.group_sizes)
+    # per block size k: the blocks of that size and their columns (r x k)
+    classes = [(k, np.flatnonzero(sizes == k)) for k in np.unique(sizes)]
+    classes = [(k, b, design_tr.starts[b][:, None] + np.arange(k))
+               for k, b in classes]
+    row = np.empty(design_tr.p, dtype=int)     # a block's row in its class
+    for _, blocks, _ in classes:
+        row[blocks] = np.arange(blocks.size)
+    WG, Wy = G / sigma2, y / sigma2
+    out = np.ones(design_tr.p, dtype=bool)     # not yet on the path
+    cand = np.empty(design_tr.p)
     order, gains = [], []
-    remaining = list(range(design_tr.p))
-    while remaining:
-        fac = MarginalFactor(design_tr, lam, sigma2)
-        cand = _block_gains(fac, y, remaining, kappa)
+    while out.any():
+        # score every block (those on the path are masked below)
+        scored = {}
+        for k, blocks, cols in classes:
+            Gb = G[:, cols]                              # n x blocks x k
+            C = np.eye(k) + kappa * np.einsum("nri,nrj->rij", Gb, WG[:, cols])
+            q = np.einsum("nri,n->ri", Gb, Wy)
+            L = np.linalg.cholesky(C)
+            z = np.linalg.solve(L, q[..., None])[..., 0]    # L^{-1} q
+            logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+            cand[blocks] = -0.5 * logdet + 0.5 * kappa * np.sum(z * z, axis=1)
+            scored[k] = L, z
+        cand[~out] = -np.inf
         best = int(np.argmax(cand))          # first maximum: smallest index
         if cand[best] <= floor:
             break
-        j = remaining.pop(best)
-        order.append(j)
+        out[best] = False
+        order.append(best)
         gains.append(float(cand[best]))
-        lam[j] = kappa
+        # W <- W - kappa V V^T with V = U L^{-T}, C_j = L L^T; V^T y = z
+        L, z = (a[row[best]] for a in scored[sizes[best]])
+        cols = design_tr.slices[best]
+        V = np.linalg.solve(L, WG[:, cols].T).T
+        WG -= kappa * V @ (V.T @ G)
+        Wy -= kappa * V @ z
     return order, gains
 
 
@@ -291,7 +301,8 @@ def select_hglasso(y, design, config=None):
                           gains=gains_per_gamma, val_errors=val_errors,
                           chosen_gamma=float(gammas[best]),
                           chosen_set=list(sets[best]), kappa=kappa,
-                          sigma2=sigma2)
+                          sigma2=sigma2, greedy_order=order,
+                          greedy_gains=path_gains)
 
 
 def polish_hglasso(y, design, trace, config=None):
@@ -302,8 +313,12 @@ def polish_hglasso(y, design, trace, config=None):
     hglb solves over all blocks at the chosen gamma; hglc solves at gamma
     = 0 on the design restricted to the chosen blocks, which gives the
     same objective as pinning the others at zero (blocks with lambda_i = 0
-    add nothing to Sigma_y).  .objective is the solve's final objective
-    and extra["kkt_residual"] its kkt_violation_hgl (None for hgla).
+    add nothing to Sigma_y).  .objective is the solve's final objective,
+    extra["kkt_residual"] its kkt_violation_hgl (None for hgla) and
+    extra["min_free_hessian_eig"] the smallest eigenvalue of its Hessian
+    on the final free blocks (None without a solve or a free block); a
+    positive value marks a strict local minimum.  extra["greedy_order"]
+    and extra["greedy_gains"] are trace's unpenalized greedy path.
     """
     cfg = config or SelectionConfig()
     y = np.asarray(y, dtype=float)
@@ -331,7 +346,11 @@ def polish_hglasso(y, design, trace, config=None):
         iterations=0 if res is None else res.iterations,
         objective=np.nan if res is None else res.objective,
         extra={"kappa": trace.kappa, "sigma2": sigma2,
-               "variant": cfg.variant, "kkt_residual": kkt})
+               "variant": cfg.variant, "kkt_residual": kkt,
+               "min_free_hessian_eig": None if res is None
+               else res.min_free_hessian_eig,
+               "greedy_order": list(trace.greedy_order),
+               "greedy_gains": list(trace.greedy_gains)})
 
 
 def fit_hglasso(y, design, config=None):

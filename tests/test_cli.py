@@ -82,6 +82,23 @@ def test_fit_hgla_on_fixture(fixture_dir, tmp_path):
     assert doc["diagnostics"]["converged"] is True
 
 
+def test_fit_hgl_reports_the_greedy_path(fixture_dir, tmp_path):
+    """The fit's diagnostics carry the unpenalized greedy path; hgla's
+    selection is its head."""
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--method", "hgla",
+                 "--data-y", str(fixture_dir / "y.csv"),
+                 "--data-g", str(fixture_dir / "G.csv"),
+                 "--groups", "4", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    order = doc["diagnostics"]["greedy_order"]
+    gains = doc["diagnostics"]["greedy_gains"]
+    assert len(order) == len(gains) >= len(doc["selected"]) > 0
+    assert sorted(order[:len(doc["selected"])]) == doc["selected"]
+    assert all(g > 0 for g in gains)
+    assert doc["diagnostics"]["min_free_hessian_eig"] is None
+
+
 def test_fit_mkl_rejects_nonpositive_gamma(fixture_dir, capsys):
     code = main(["fit", "--method", "mkl",
                  "--data-y", str(fixture_dir / "y.csv"),

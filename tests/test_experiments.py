@@ -298,6 +298,27 @@ def test_hgl_estimators_polish_the_shared_stage(monkeypatch):
             assert a.converged and np.isfinite(a.objective)
 
 
+def test_hgl_fits_report_their_path_and_local_minimum():
+    """hgl fits carry the greedy path, and the hglb/hglc polish the
+    smallest Hessian eigenvalue on its free blocks (finite on exp1)."""
+    for run in range(3):
+        design, _, y, sigma2 = gen_problem(McConfig(experiment="exp1",
+                                                    runs=1, master_seed=4),
+                                           run)
+        ctx = {}
+        fits = {v: ESTIMATORS[v](y, design, sigma2, ctx)
+                for v in ("hgla", "hglb", "hglc")}
+        _, trace = ctx["hgla"]
+        for v, res in fits.items():
+            assert res.extra["greedy_order"] == trace.greedy_order
+            assert res.extra["greedy_gains"] == trace.greedy_gains
+            eig = res.extra["min_free_hessian_eig"]
+            assert eig is None if v == "hgla" else np.isfinite(eig)
+        order = fits["hgla"].extra["greedy_order"]
+        assert sorted(order[:len(fits["hgla"].selected)]) == \
+            fits["hgla"].selected
+
+
 # ------------------------------------------------------------
 # warm-started convex validation paths
 # ------------------------------------------------------------

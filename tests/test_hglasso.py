@@ -42,6 +42,23 @@ def test_hgl_matches_orthogonal_closed_form_gamma_grid(rng):
             assert np.all(np.abs(res.lam - ref) <= 1e-6 * (1 + ref))
 
 
+def test_hgl_min_free_hessian_eig_is_positive_on_orthogonal_designs(rng):
+    """With G^T G = n I the objective separates by block and every free
+    block sits at a strict minimum of its own term."""
+    seen = 0
+    for gam in (0.0, 0.1, 1.0):
+        for _ in range(10):
+            des = orthogonal_design(rng, [2, 3, 1, 2], 20)
+            th = rng.standard_normal(des.m) * rng.integers(0, 2, des.m)
+            y = des.G @ th + 0.5 * rng.standard_normal(20)
+            res = solve_hgl_pqn(y, des, 0.25, gam)
+            assert res.converged
+            if res.min_free_hessian_eig is not None:
+                seen += 1
+                assert res.min_free_hessian_eig > 0
+    assert seen >= 20
+
+
 def test_hgl_kkt_residual_at_solution(rng):
     for _ in range(20):
         des = random_grouped(rng)

@@ -80,15 +80,22 @@ def test_sigma_y_symmetric_and_bounded_below(rng):
 
 
 def test_marginal_factor_routes_agree(rng):
-    """Dense and low-rank routes produce identical logdet/solve/quad."""
-    for trial in range(30):
+    """Dense (n <= m) and low-rank (n > m) routes give logdet, solve, quad,
+    G^T W y, G^T W G and the per-block traces, scores and Hessian of an
+    explicit W = Sigma_y^{-1}, with some blocks at lambda = 0."""
+    routes = set()
+    for trial in range(40):
         des = random_grouped(rng, n_extra=15)
+        if trial % 2 == 0 and des.n > des.m:    # force the dense route
+            des = GroupedDesign(des.G[:max(1, des.m - trial % 3)],
+                                des.group_sizes)
         lam = rng.uniform(0.0, 2.0, des.p)
-        if trial % 4 == 0:
-            lam[rng.integers(0, des.p)] = 0.0
+        if trial % 4 < 2:
+            lam[rng.integers(0, des.p, size=1 + des.p // 3)] = 0.0
         s2 = float(rng.uniform(0.2, 2.0))
         y = rng.standard_normal(des.n)
         fac = MarginalFactor(des, lam, s2)
+        routes.add(fac.lowrank)
         S = assemble_sigma_y(des, HyperState(lam, 0.0, s2))
         sign, logdet = np.linalg.slogdet(S)
         assert sign > 0
@@ -97,8 +104,42 @@ def test_marginal_factor_routes_agree(rng):
         assert np.linalg.norm(fac.solve(y) - ref) <= 1e-8 * (1 + np.linalg.norm(ref))
         assert abs(fac.quad(y) - y @ ref) <= 1e-8 * (1 + abs(y @ ref))
         assert np.allclose(fac.gtw_y(y), des.G.T @ ref, atol=1e-8)
-        assert np.allclose(fac.gtwg(), des.G.T @ np.linalg.solve(S, des.G),
-                           atol=1e-8)
+        M = des.G.T @ np.linalg.solve(S, des.G)
+        assert np.allclose(fac.gtwg(), M, atol=1e-8)
+        q = des.G.T @ ref
+        sl = des.slices
+        np.testing.assert_allclose(
+            fac.block_traces(), [np.trace(M[s, s]) for s in sl], atol=1e-8)
+        np.testing.assert_allclose(
+            fac.block_scores(y), [q[s] @ q[s] for s in sl], atol=1e-8)
+        H = [[-0.5 * np.sum(M[a, b] ** 2) + q[a] @ M[a, b] @ q[b]
+              for b in sl] for a in sl]
+        np.testing.assert_allclose(fac.block_hessian(y), H, atol=1e-8)
+    assert routes == {False, True}
+
+
+def test_marginal_factor_caches_the_solve_by_value(rng):
+    """A y changed in place after a query is solved again."""
+    for n in (6, 30):                       # dense and low-rank routes
+        des = GroupedDesign(rng.standard_normal((n, 12)), [4, 4, 4])
+        fac = MarginalFactor(des, np.array([1.0, 0.0, 0.5]), 0.3)
+        y = rng.standard_normal(n)
+        q1 = fac.quad(y)
+        y *= 2.0
+        assert fac.quad(y) == pytest.approx(4.0 * q1, rel=1e-12)
+        np.testing.assert_allclose(fac.gtw_y(y),
+                                   des.G.T @ fac.solve(y), rtol=1e-10)
+
+
+def test_marginal_factor_raises_when_sigma_y_is_not_pd(rng):
+    """Both routes raise LinAlgError (the CLI's exit 3) for a Sigma_y
+    that is not positive definite."""
+    for n in (6, 30):                       # dense and low-rank routes
+        des = GroupedDesign(rng.standard_normal((n, 12)), [4, 4, 4])
+        for lam, s2 in ((np.zeros(3), -1.0), (np.array([1.0, 0.0, 2.0]),
+                                               -1e3)):
+            with pytest.raises(np.linalg.LinAlgError):
+                MarginalFactor(des, lam, s2)
 
 
 def test_marginal_factor_rejects_wrong_length():

@@ -11,7 +11,7 @@ from groupsparse import (
     estimate_sigma2_ls, fit_hglasso, forward_select,
 )
 from groupsparse.model import HyperState, MarginalFactor, posterior_mean
-from groupsparse.selection import _log_posterior
+from groupsparse.selection import _greedy_path, _log_posterior
 
 from conftest import orthogonal_design
 
@@ -150,7 +150,8 @@ def test_forward_select_exhaustive_small(rng):
 def _reference_forward_select(y, des, s2, kap, gam):
     """Per-gamma greedy over full log posteriors: add the block with the
     largest penalized gain L(I + {j}) - L(I), smallest index on ties, until
-    the best gain is not positive."""
+    the best gain is not positive.  Returns (blocks in order of inclusion,
+    their penalized gains)."""
     current, gains = [], []
     L = _log_posterior(y, des, s2, kap, gam, current)
     remaining = list(range(des.p))
@@ -165,7 +166,54 @@ def _reference_forward_select(y, des, s2, kap, gam):
         remaining.remove(j)
         gains.append(best_gain)
         L += best_gain
-    return sorted(current), gains
+    return current, gains
+
+
+def _long_path_problem():
+    """A dense-route training design (n = 50 < m = 160, p = 40, k = 4) with
+    every block active, whose unpenalized greedy path takes 36 steps."""
+    rng = np.random.default_rng(5)
+    des = GroupedDesign(rng.standard_normal((50, 160)), [4] * 40)
+    y = des.G @ rng.standard_normal(160) + np.sqrt(0.1) * \
+        rng.standard_normal(50)
+    return des, y, 0.1, 0.3
+
+
+def test_greedy_path_long_dense_route_matches_reference():
+    """The incrementally updated path adds blocks in the order of the
+    greedy over freshly factored log posteriors."""
+    des, y, s2, kap = _long_path_problem()
+    order, gains = _greedy_path(y, des, s2, kap, 0.0)
+    ref_order, ref_gains = _reference_forward_select(y, des, s2, kap, 0.0)
+    assert len(order) >= 30
+    assert order == ref_order
+    np.testing.assert_allclose(gains, ref_gains, rtol=1e-9, atol=0)
+
+
+def test_greedy_path_gains_are_log_posterior_differences():
+    """Every step's gain is L(I + {j}) - L(I) of the set before it."""
+    des, y, s2, kap = _long_path_problem()
+    order, gains = _greedy_path(y, des, s2, kap, 0.0)
+    logpost = [_log_posterior(y, des, s2, kap, 0.0, order[:t])
+               for t in range(len(order) + 1)]
+    np.testing.assert_allclose(gains, np.diff(logpost), rtol=1e-9, atol=0)
+
+
+def test_greedy_path_exact_tie_goes_to_the_smaller_index(rng):
+    """Mixed block sizes with block 3 a copy of block 1: both score the
+    same first gain bit for bit, and block 1 is taken."""
+    sizes = [2, 3, 1, 3, 2]
+    G = rng.standard_normal((30, sum(sizes)))
+    des = GroupedDesign(G, sizes)
+    G[:, des.slices[3]] = G[:, des.slices[1]]
+    y = G[:, des.slices[1]] @ np.array([2.0, -1.0, 1.5]) + \
+        0.3 * rng.standard_normal(30)
+    order, gains = _greedy_path(y, des, 0.09, 2.0, 0.0)
+    assert order[0] == 1
+    # without block 1 its copy (index 2 of the subdesign) scores the same
+    sub_order, sub_gains = _greedy_path(y, des.subdesign([0, 2, 3, 4]),
+                                        0.09, 2.0, 0.0)
+    assert sub_order[0] == 2 and sub_gains[0] == gains[0]
 
 
 def _two_route_problems(rng):
@@ -187,10 +235,10 @@ def test_forward_select_matches_per_gamma_greedy(rng):
         s2 = s2 or 0.25
         sets = []
         for gam in np.logspace(-4, 4, 17):
-            ref_set, ref_gains = _reference_forward_select(y, des, s2, 2.0,
-                                                           gam)
+            ref_order, ref_gains = _reference_forward_select(y, des, s2, 2.0,
+                                                             gam)
             sel, gains = forward_select(y, des, s2, 2.0, gam)
-            assert sel == ref_set
+            assert sel == sorted(ref_order)
             np.testing.assert_allclose(gains, ref_gains, rtol=1e-9, atol=0)
             sets.append(sel)
         assert [] in sets and len(sets[0]) >= 3
@@ -211,8 +259,9 @@ def test_fit_selection_matches_per_gamma_greedy(rng):
             assert any(len(s) >= 2 for s in trace.selected_sets)
             for gam, sel, gains, err in zip(trace.gammas, trace.selected_sets,
                                             trace.gains, trace.val_errors):
-                ref_set, ref_gains = _reference_forward_select(
+                ref_order, ref_gains = _reference_forward_select(
                     y[:n_tr], d_tr, trace.sigma2, trace.kappa, gam)
+                ref_set = sorted(ref_order)
                 lam = np.zeros(des.p)
                 lam[ref_set] = trace.kappa
                 th = posterior_mean(d_tr, HyperState(lam, 0.0, trace.sigma2),
@@ -224,8 +273,9 @@ def test_fit_selection_matches_per_gamma_greedy(rng):
 
 
 def test_fit_factorizations_bounded_by_path(rng, monkeypatch):
-    """One factor per path step (at most p + 1), one per distinct selected
-    set for validation, one for the final posterior mean."""
+    """The greedy path builds no factor: a fit builds exactly one per
+    distinct selected set for validation and one for the final posterior
+    mean."""
     builds = []
     init = MarginalFactor.__init__
 
@@ -238,7 +288,7 @@ def test_fit_factorizations_bounded_by_path(rng, monkeypatch):
         _, trace = fit_hglasso(y, des, SelectionConfig(variant="hgla",
                                                        sigma2=s2))
         distinct = len({tuple(s) for s in trace.selected_sets})
-        assert len(builds) <= des.p + 1 + distinct + 1
+        assert len(builds) == distinct + 1
         builds.clear()
 
 
