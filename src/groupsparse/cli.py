@@ -56,7 +56,10 @@ def read_csv_matrix(path):
             rows.append(row)
     if not rows:
         raise CliError("%s: empty CSV" % path)
-    return np.asarray(rows)
+    A = np.asarray(rows)
+    if not np.all(np.isfinite(A)):
+        raise CliError("%s: non-finite entry (nan or inf)" % path)
+    return A
 
 
 def write_csv_matrix(path, A):
@@ -122,13 +125,16 @@ def _estimate(args, y, design):
     if args.method not in FIT_METHODS:
         raise CliError("unknown method %r; choose from %s"
                        % (args.method, FIT_METHODS))
+    flags = vars(args)  # arx has no --gamma or --grid-* flags
+    for flag in ("sigma2", "gamma"):
+        if flags.get(flag) is not None and not np.isfinite(flags[flag]):
+            raise CliError("--%s must be finite" % flag)
     if args.sigma2 is not None and args.sigma2 <= 0:
         raise CliError("--sigma2 must be positive")
     if args.sigma2 is None and design.n <= design.m:
         raise CliError("n <= m: supply --sigma2 explicitly")
     sigma2 = args.sigma2 if args.sigma2 is not None else \
         max(estimate_sigma2_ls(y, design.G), 1e-12)
-    flags = vars(args)  # arx has no --gamma or --grid-* flags
     grid = {k: flags[k] for k in ("grid_lo", "grid_hi", "grid_n")
             if flags.get(k) is not None}
     if grid and flags.get("gamma") is not None:

@@ -7,10 +7,11 @@ parametrization: with theta the Group Lasso solution at regularization
 sqrt(2 gamma), lambda_i = ||theta^(i)|| / sqrt(2 gamma) is its minimizer and
 theta is the posterior mean at those scales (Bach, JMLR 2008).  So one
 Group Lasso solver serves both: glasso_path walks a penalty grid by an
-active-set Newton corrector from each warm start, with block coordinate
-descent as its last resort, and solve_glasso is that path at one
-penalty.  The Lasso and the adaptive Lasso are solved exactly, by one
-homotopy pass over the penalty (lasso_path).
+active-set Newton corrector from each warm start, retreating to the last
+certified point with a halved penalty step where the corrector fails,
+and solve_glasso is that path at one penalty.  The Lasso and the
+adaptive Lasso are solved exactly, by one homotopy pass over the penalty
+(lasso_path).
 """
 
 import numpy as np
@@ -25,17 +26,14 @@ from .selection import _split
 @dataclass
 class ConvexFitConfig:
     reg_param: float = 0.0
-    # max_iter and tol bound the Group Lasso's coordinate descent fallback
-    # (solve_glasso) only; the Lasso is an exact homotopy (lasso_path) and
-    # ignores them
+    # the Lasso is an exact homotopy (lasso_path) and ignores max_iter; it
+    # is kept only because benchmarks/tracing.py reads it on a fit
     max_iter: int = 20000
-    tol: float = 1e-12
 
     def __post_init__(self):
-        if self.reg_param < 0:
-            raise ValueError("reg_param must be nonnegative")
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ValueError("tol and max_iter must be positive")
+        if self.reg_param < 0 or self.max_iter < 1:
+            raise ValueError("reg_param must be nonnegative, max_iter "
+                             "positive")
 
 
 # weight used in place of |theta_ls_j|^(-eta) when the LS coefficient is 0;
@@ -49,11 +47,9 @@ _TIE = 1e-12
 # solves (after each drop or add) per corrector run
 _NEWTON_STEPS = 10
 _CORRECTOR_SOLVES = 8
-
-
-def _lasso_objective(y, G, theta, sigma2, gamma):
-    r = y - G @ theta
-    return (r @ r) / (2.0 * sigma2) + gamma * np.sum(np.abs(theta))
+# halvings of the penalty step after which the Group Lasso's retreat
+# (_glasso_point) gives a point up as unconverged; they bound its runs
+_HALVINGS = 40
 
 
 def solve_lasso(y, G, config, sigma2=1.0):
@@ -61,7 +57,7 @@ def solve_lasso(y, G, config, sigma2=1.0):
 
     Minimizes (y - G theta)^T (y - G theta) / (2 sigma2) + reg ||theta||_1
     exactly: lasso_path walked from ||G^T y||_inf down to mu = sigma2 reg
-    (config.max_iter and config.tol do not apply).  iterations is the
+    (config.max_iter does not apply).  iterations is the
     number of breakpoints walked and extra["kkt_residual"] the largest
     violation of the optimality conditions, in units of reg.
     """
@@ -106,11 +102,12 @@ def _lasso_point(y, G, H, b, theta, gamma, sigma2, breakpoints):
     g = (b - H @ theta) / sigma2
     viol = np.where(theta != 0, np.abs(g - gamma * np.sign(theta)),
                     np.maximum(0.0, np.abs(g) - gamma))
+    r = y - G @ theta
     return EstimateResult(theta=theta, selected=list(np.nonzero(theta)[0]),
                           gamma=gamma, converged=cert is not None,
                           iterations=breakpoints,
-                          objective=_lasso_objective(y, G, theta, sigma2,
-                                                     gamma),
+                          objective=(r @ r) / (2.0 * sigma2)
+                          + gamma * np.sum(np.abs(theta)),
                           extra={"kkt_residual": float(np.max(viol,
                                                               initial=0.0))})
 
@@ -306,17 +303,13 @@ def _glasso_block_update(eigvals, Qtb, bnorm, a):
 def _block_step(eig, q, a):
     """The block's exact minimizer with the other blocks fixed, from its
     correlation q with their residual and eig = (s, Q), the
-    eigendecomposition of G^(i)T G^(i): zero when ||q|| <= a, otherwise
-    Q (Q^T q) / (s + a / t) with t from _glasso_block_update (at a = 0, the
-    least-squares step)."""
+    eigendecomposition of G^(i)T G^(i): zero when ||q|| <= a (a > 0),
+    otherwise Q (Q^T q) / (s + a / t) with t from _glasso_block_update."""
     s, Q = eig
     qn = np.linalg.norm(q)
-    if a > 0 and qn <= a:
+    if qn <= a:
         return np.zeros_like(q)
     Qtq = Q.T @ q
-    if a == 0:
-        keep = s > 1e-12 * np.max(s, initial=0.0)
-        return Q @ np.divide(Qtq, s, out=np.zeros_like(Qtq), where=keep)
     t = _glasso_block_update(s, Qtq, qn, a)
     return Q @ (Qtq / (s + a / t)) if t > 0 else np.zeros_like(q)
 
@@ -329,7 +322,7 @@ def _newton(H_AA, b_A, x, blk, a):
     through a same-block mask, whatever the block sizes.  Returns
     (x, steps, turned): on convergence (a step below 1e-10 of max |x|:
     convergence is quadratic, so what is left is rounding) turned is None;
-    when a step would turn some block around (x_new_i . x_i <= 0, a > 0)
+    when a step would turn some block around (x_new_i . x_i <= 0)
     x is the iterate before it and turned flags those blocks; x is None
     when the Jacobian is singular or _NEWTON_STEPS run out.
     """
@@ -349,7 +342,7 @@ def _newton(H_AA, b_A, x, blk, a):
             return None, it, None
         x_new = x - step
         turned = np.bincount(blk, x_new * x, minlength=nb) <= 0.0
-        if a > 0 and turned.any():
+        if turned.any():
             return x, it, turned
         x = x_new
         if np.max(np.abs(step)) <= 1e-10 * np.max(np.abs(x)):
@@ -376,11 +369,12 @@ class _GlassoProblem:
         return np.sqrt(np.bincount(self.owner, v * v,
                                    minlength=self.design.p))
 
-    def correct(self, x, a):
-        """Active-set corrector from x: Newton (_newton) on x's nonzero
-        blocks; a block that turns around is set to zero and the rest
-        solved again; every inactive block with ||b_i - H_iA x_A|| >
-        a (1 + 1e-9) is then added through its exact block step
+    def correct(self, x, a, one=False):
+        """Active-set corrector from x at a = sigma2 reg > 0: Newton
+        (_newton) on x's nonzero blocks; a block that turns around is set
+        to zero and the rest solved again; every inactive block with
+        ||b_i - H_iA x_A|| > a (1 + 1e-9) (with one, only the most
+        violating of them) is then added through its exact block step
         (_block_step, all from the same point) and the set solved again.
         Returns (x, newton steps, blocks added), x None unless a solve
         left no violator within _CORRECTOR_SOLVES solves: then x
@@ -404,62 +398,58 @@ class _GlassoProblem:
                     x[idx[turned[blk]]] = 0.0
                     continue
             q = b - H[:, idx] @ x[idx]
-            viol = np.flatnonzero(~act & (self.block_norms(q)
-                                          > a * (1.0 + 1e-9)))
+            qn = self.block_norms(q)
+            viol = np.flatnonzero(~act & (qn > a * (1.0 + 1e-9)))
             if not viol.size:
                 return x, steps, added
+            if one:
+                viol = viol[[np.argmax(qn[viol])]]
             for i in viol:
                 sl = self.design.slices[i]
                 x[sl] = _block_step(self.eigs[i], q[sl], a)
             added += viol.size
         return None, steps, added
 
-    def objective(self, x, reg):
-        """(y - G x)^T (y - G x) / (2 sigma2) + reg sum_i ||x_i||."""
-        r = self.y - self.design.G @ x
-        return (r @ r) / (2.0 * self.sigma2) \
-            + reg * np.sum(self.block_norms(x))
 
-
-def _glasso_point(prob, warm, reg, max_iter, tol):
-    """One point of glasso_path, from the warm start: the active-set
-    corrector (_GlassoProblem.correct), else, as the last resort, block
-    coordinate descent sweeps from warm with the corrector tried after
-    every sweep, stopping where it certifies the point or where a sweep
-    lowers the objective by at most tol (1 + |objective|), within
-    max_iter sweeps.  iterations counts those sweeps and extra the
-    corrector's Newton steps and added blocks."""
-    H, b, slices = prob.H, prob.b, prob.design.slices
-    a = prob.sigma2 * reg
-    x, steps, added = prob.correct(warm, a)
-    sweeps, converged = 0, x is not None
-    if x is None:
-        x = warm.copy()
-        obj = prob.objective(x, reg)
-        while sweeps < max_iter:
-            sweeps += 1
-            for i, sl in enumerate(slices):
-                q = b[sl] - H[sl] @ x + H[sl, sl] @ x[sl]
-                x[sl] = _block_step(prob.eigs[i], q, a)
-            cert, k, n_add = prob.correct(x, a)
-            steps, added = steps + k, added + n_add
-            if cert is not None:
-                x, converged = cert, True
-                break
-            new_obj = prob.objective(x, reg)
-            if obj - new_obj <= tol * (1.0 + abs(new_obj)):
-                converged = True
-                break
-            obj = new_obj
+def _glasso_point(prob, warm, reg, cert):
+    """One point of glasso_path.  At reg = 0, the minimum-norm least-squares
+    solution, certified where ||G^T r||_inf <= 1e-9 ||G||_2 ||y||.
+    Otherwise the active-set corrector (_GlassoProblem.correct) from warm,
+    adding every violator; where it fails, the retreat: the corrector from
+    the last certified point cert = (reg_c, x_c) at penalty t, adding one
+    block per solve, first at t = reg; a failure moves t to the midpoint of
+    reg_c and t, a success at t != reg advances cert to t and sends t back
+    to reg, until reg is certified or _HALVINGS halvings are spent (x is
+    then x_c, unconverged).  iterations counts the retreat's
+    corrector runs and extra the Newton steps and added blocks."""
+    G, y = prob.design.G, prob.y
+    runs = steps = added = halvings = 0
+    if reg == 0:
+        x, _, _, sv = np.linalg.lstsq(G, y, rcond=None)
+        converged = np.max(np.abs(G.T @ (y - G @ x))) \
+            <= 1e-9 * sv[0] * np.linalg.norm(y)
+    else:
+        x, steps, added = prob.correct(warm, prob.sigma2 * reg)
+        (reg_c, x_c), t = cert, reg
+        while x is None and halvings <= _HALVINGS:
+            x, k, n_add = prob.correct(x_c, prob.sigma2 * t, one=True)
+            runs, steps, added = runs + 1, steps + k, added + n_add
+            if x is None:
+                t, halvings = 0.5 * (reg_c + t), halvings + 1
+            elif t != reg:
+                reg_c, x_c, t, x = t, x, reg, None
+        converged = x is not None
+        x = x if converged else x_c
+    r = y - G @ x
     return EstimateResult(
         theta=x, selected=list(np.flatnonzero(prob.block_norms(x))),
-        gamma=reg, converged=converged, iterations=sweeps,
-        objective=prob.objective(x, reg),
+        gamma=reg, converged=converged, iterations=runs,
+        objective=(r @ r) / (2.0 * prob.sigma2)
+        + reg * np.sum(prob.block_norms(x)),
         extra={"newton_steps": steps, "blocks_added": added})
 
 
-def glasso_path(y, design, sigma2, regs, theta0=None, max_iter=20000,
-                tol=1e-12):
+def glasso_path(y, design, sigma2, regs, theta0=None):
     """Group Lasso solutions at every penalty in regs, fits in the order
     given.
 
@@ -470,32 +460,34 @@ def glasso_path(y, design, sigma2, regs, theta0=None, max_iter=20000,
     from theta0, default zero), and is solved by an active-set corrector
     (Roth & Fischer, ICML 2008): Newton on the warm active set's
     stationarity equations, blocks that turn around dropped, violating
-    blocks added by their exact block update, with block coordinate
-    descent from the warm point as the last resort (_glasso_point).
-    converged is true where the point passed the certificate (the
-    optimality conditions of every block, inactive ones up to 1e-9 of
-    sigma2 reg) or, after coordinate descent, the objective stalled;
-    iterations counts coordinate descent sweeps, and extra["newton_steps"]
-    and extra["blocks_added"] the corrector's work.
+    blocks added by their exact block update.  Where that fails the point
+    is reached from the last certified one (at first reg_max =
+    max_i ||b_i|| / sigma2, where theta = 0) by penalty steps halved on
+    failure, one block added at a time (_glasso_point).  converged is true
+    only where the point passed the certificate (the optimality
+    conditions of every block, inactive ones up to 1e-9 of sigma2 reg).
     """
     y = np.asarray(y, dtype=float)
-    prob = _GlassoProblem(y, design, sigma2)
     regs = np.asarray(regs, dtype=float)
+    if np.any(regs < 0):
+        raise ValueError("reg must be nonnegative")
+    prob = _GlassoProblem(y, design, sigma2)
     x = np.zeros(design.m) if theta0 is None else \
         np.array(theta0, dtype=float)
+    cert = (np.max(prob.block_norms(prob.b)) / sigma2, np.zeros(design.m))
     fits = [None] * regs.size
     for i in np.argsort(regs, kind="stable")[::-1]:
-        fits[i] = _glasso_point(prob, x, regs[i], max_iter, tol)
+        fits[i] = _glasso_point(prob, x, regs[i], cert)
         x = fits[i].theta
+        if fits[i].converged:
+            cert = (regs[i], x)
     return fits
 
 
-def solve_glasso(y, design, sigma2, config, theta0=None):
-    """Group Lasso at the single penalty config.reg_param: glasso_path run
-    at that penalty from theta0 (default zero), with config.max_iter and
-    config.tol bounding its coordinate descent fallback."""
-    return glasso_path(y, design, sigma2, [config.reg_param], theta0,
-                       config.max_iter, config.tol)[0]
+def solve_glasso(y, design, sigma2, reg, theta0=None):
+    """Group Lasso at the single penalty reg: glasso_path run at that
+    penalty from theta0 (default zero)."""
+    return glasso_path(y, design, sigma2, [reg], theta0)[0]
 
 
 def solve_mkl_lambda(y, design, sigma2, gamma, theta0=None):
@@ -509,8 +501,7 @@ def solve_mkl_lambda(y, design, sigma2, gamma, theta0=None):
     if gamma <= 0:
         raise ValueError("mkl requires positive gamma")
     reg = np.sqrt(2.0 * gamma)
-    res = solve_glasso(y, design, sigma2, ConvexFitConfig(reg_param=reg),
-                       theta0=theta0)
+    res = solve_glasso(y, design, sigma2, reg, theta0=theta0)
     res.lam = np.array([np.linalg.norm(res.theta[s])
                         for s in design.slices]) / reg
     res.gamma = gamma

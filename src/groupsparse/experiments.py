@@ -334,9 +334,9 @@ def est_mkl(y, design, sigma2, ctx):
     The 30 validation fits are one Group Lasso path (glasso_path) at
     penalties sqrt(2 gamma), and the full-data solve starts from zero.
     extra["kkt_residual"] is kkt_residual_mkl, and extra["newton_steps"],
-    ["blocks_added"] and ["cd_sweeps"] total the work of the path and
-    the full-data solve.  Cached in ctx["mkl"], where est_glasso reads
-    it."""
+    ["blocks_added"] and ["retreats"] (glasso_path's retreat runs) total
+    the work of the path and the full-data solve.  Cached in ctx["mkl"],
+    where est_glasso reads it."""
     if "mkl" in ctx:
         return ctx["mkl"]
     gamma, fits = ctx.get("gamma"), []
@@ -350,7 +350,7 @@ def est_mkl(y, design, sigma2, ctx):
     res.extra.update(
         newton_steps=sum(fit.extra["newton_steps"] for fit in fits),
         blocks_added=sum(fit.extra["blocks_added"] for fit in fits),
-        cd_sweeps=sum(fit.iterations for fit in fits),
+        retreats=sum(fit.iterations for fit in fits),
         kkt_residual=kkt_residual_mkl(res.lam, y, design, sigma2, gamma))
     ctx["mkl"] = res
     return res
@@ -364,13 +364,12 @@ def est_glasso(y, design, sigma2, ctx):
     if gamma is not None:
         if gamma < 0:
             raise ValueError("--gamma must be nonnegative")
-        return solve_glasso(y, design, sigma2,
-                            ConvexFitConfig(reg_param=gamma))
+        return solve_glasso(y, design, sigma2, gamma)
     mkl = est_mkl(y, design, sigma2, ctx)
     return replace(mkl, lam=None, gamma=np.sqrt(2.0 * mkl.gamma),
                    extra={k: mkl.extra[k] for k in (
                        "unconverged_solves", "newton_steps", "blocks_added",
-                       "cd_sweeps")})
+                       "retreats")})
 
 
 def _lasso_grid(y, G, sigma2):

@@ -49,7 +49,8 @@ def solve_hgl_pqn(y, design, sigma2, gamma, lam0=None, config=None):
     while that block is not positive definite.  The step is scaled so that
     no free coordinate moves by more than max(1, max lam), and accepted by
     Armijo backtracking along the projection arc, so coordinates land on
-    zero exactly.
+    zero exactly; a trial point that passes the convergence test is
+    accepted whatever its objective.
 
     The convergence test is minimize_pqn's: ||lam - P(lam - g)||_inf <=
     grad_tol (1 + |f|) over the free coordinates, P the projection on the
@@ -107,9 +108,11 @@ def solve_hgl_pqn(y, design, sigma2, gamma, lam0=None, config=None):
             if not np.any(step):
                 break
             fac_t, f_t, g_t = evaluate(lam_t)
-            # the 1e-13|f| term keeps rounding noise from rejecting honest
-            # decreases once |f_t - f| nears machine precision
-            if f_t <= f + min(cfg.armijo_c * (g @ step), 0.0) + 1e-13 * abs(f):
+            # a trial passing the convergence test is taken whatever its
+            # objective; 1e-13|f| keeps rounding from rejecting decreases
+            if pg_norm(lam_t, g_t) <= cfg.grad_tol * (1.0 + abs(f_t)) or \
+                    f_t <= f + min(cfg.armijo_c * (g @ step), 0.0) \
+                    + 1e-13 * abs(f):
                 accepted = True
                 break
             t *= cfg.backtrack

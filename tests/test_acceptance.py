@@ -127,8 +127,7 @@ def test_kernel_scale_group_lasso_equivalence():
             G[:, 1:3] += G[:, [0]]
             des = GroupedDesign(G, des.group_sizes)
         mth = mkl_recover_theta(mkl_pqn(y, des, s2, gam), y, des, s2).theta
-        gth = solve_glasso(y, des, s2,
-                           ConvexFitConfig(reg_param=np.sqrt(2 * gam))).theta
+        gth = solve_glasso(y, des, s2, np.sqrt(2 * gam)).theta
         worst = max(worst, float(np.linalg.norm(mth - gth)
                                  / max(np.linalg.norm(gth), 1e-12)))
     ok = worst <= 1e-4

@@ -39,6 +39,14 @@ def test_read_csv_reports_line_numbers(tmp_path):
         read_csv_matrix(str(p))
 
 
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+def test_read_csv_rejects_non_finite_entries(tmp_path, entry):
+    p = tmp_path / "bad.csv"
+    p.write_text("1,2\n3,%s\n" % entry)
+    with pytest.raises(CliError, match="non-finite"):
+        read_csv_matrix(str(p))
+
+
 def test_parse_groups():
     assert parse_groups("2,3", 5) == [2, 3]
     assert parse_groups("4", 12) == [4, 4, 4]
@@ -106,6 +114,32 @@ def test_fit_mkl_rejects_nonpositive_gamma(fixture_dir, capsys):
                  "--groups", "4", "--gamma", "0"])
     assert code == 2
     assert "positive gamma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method,flags,message", [
+    ("lasso", ["--gamma", "nan"], "--gamma must be finite"),
+    ("hgla", ["--gamma", "inf"], "--gamma must be finite"),
+    ("hgla", ["--sigma2", "inf"], "--sigma2 must be finite"),
+    ("hglb", ["--sigma2", "nan"], "--sigma2 must be finite"),
+    ("hgla", ["--nan-y"], "non-finite entry"),
+    ("mkl", ["--nan-g"], "non-finite entry"),
+])
+def test_fit_rejects_non_finite_input(fixture_dir, tmp_path, capsys,
+                                      method, flags, message):
+    """A non-finite --gamma or --sigma2, or a nan in either CSV, exits 2
+    before any fit (a nan penalty would never end the Lasso path, an
+    infinite one would write invalid JSON)."""
+    data = {"y": fixture_dir / "y.csv", "g": fixture_dir / "G.csv"}
+    if flags[0].startswith("--nan-"):
+        which = flags.pop()[-1]
+        A = read_csv_matrix(str(data[which]))
+        A[1, 0] = np.nan
+        data[which] = tmp_path / ("nan_%s.csv" % which)
+        write_csv_matrix(str(data[which]), A)
+    code = main(["fit", "--method", method, "--data-y", str(data["y"]),
+                 "--data-g", str(data["g"]), "--groups", "4"] + flags)
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_fit_lasso_glasso_reject_negative_gamma(fixture_dir, capsys):

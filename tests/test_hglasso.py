@@ -157,6 +157,23 @@ def test_hgl_converged_is_false_when_max_iter_runs_out(rng):
     assert res.grad_norm > 1e-10 * (1 + abs(res.objective))
 
 
+def test_hgl_line_search_takes_a_converged_trial_on_the_armijo_edge():
+    """exp2 (master seed 7) problem 6, hglc: the polish of its one block
+    reaches a full Newton trial that passes the convergence test while its
+    objective lies rounding noise above the current one.  The trial is
+    taken, so the fit converges in 13 iterations instead of backtracking
+    onto worse points until the line search gives up."""
+    from groupsparse import McConfig, estimate_sigma2_ls, gen_problem
+    from groupsparse.experiments import ESTIMATORS
+    des, _, y, _ = gen_problem(McConfig(experiment="exp2", runs=10,
+                                        master_seed=7, estimators=[]), 6)
+    s2 = estimate_sigma2_ls(y, des.G)
+    res = ESTIMATORS["hglc"](y, des, s2, {})
+    assert res.selected == [5]
+    assert res.converged and res.iterations == 13
+    assert res.extra["kkt_residual"] <= 1e-10
+
+
 def test_closed_form_validation():
     with pytest.raises(ValueError):
         closed_form_lambda_orth(np.ones(2), 2, 10, 1.0, -0.1)
