@@ -6,14 +6,13 @@ them from the marginal likelihood, and read off sparsity from exact zeros.
 """
 
 from .model import (
-    GroupedDesign, HyperState, BlockVector, DiagonalizedBlock, EstimateResult,
-    MarginalFactor, assemble_sigma_y, posterior_mean, neg_log_marginal,
-    neg_log_marginal_grad, mse_of_lambda, diagonalize_block,
+    GroupedDesign, BlockVector, EstimateResult, MarginalFactor,
+    posterior_mean, mse_of_lambda, diagonalize_block,
 )
 from .pqn import PqnConfig, PqnResult, minimize_pqn
 from .convex import (
     ConvexFitConfig, solve_lasso, solve_glasso, solve_mkl_lambda,
-    mkl_recover_theta, kkt_residual_mkl, solve_adalasso,
+    kkt_residual_mkl, solve_adalasso,
 )
 from .hglasso import (
     solve_hgl_pqn, kkt_residual_hgl, closed_form_lambda_orth,

@@ -322,18 +322,34 @@ def main(argv=None):
         try:
             with open(args.config) as fh:
                 file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+            if not isinstance(file_cfg, dict):
+                raise ValueError("not a JSON object")
+        except (OSError, ValueError) as exc:
             print("error: bad config file: %s" % exc, file=sys.stderr)
             return 2
-        # flags win over the config file, which wins over defaults
+        # flags win over the config file, which wins over defaults; a file
+        # value goes through its flag's type as if typed on the command line
         tokens = list(argv if argv is not None else sys.argv[1:])
+        sub = next(a for a in ap._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        types = {a.dest: a.type for a in sub.choices[args.command]._actions
+                 if hasattr(args, a.dest)}    # the command's options
         for key, val in file_cfg.items():
             attr = key.replace("-", "_")
             flag = "--" + attr.replace("_", "-")
             supplied = any(t == flag or t.startswith(flag + "=")
                            for t in tokens)
-            if hasattr(args, attr) and not supplied:
-                setattr(args, attr, val)
+            if attr not in types or supplied:
+                continue
+            convert = types[attr]
+            if convert is not None and val is not None:
+                try:
+                    val = convert(str(val))
+                except ValueError:
+                    print("error: config key %r: %r is not a valid %s"
+                          % (key, val, convert.__name__), file=sys.stderr)
+                    return 2
+            setattr(args, attr, val)
     try:
         return args.func(args)
     except CliError as exc:

@@ -18,8 +18,7 @@ import numpy as np
 from dataclasses import dataclass
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .model import EstimateResult, GroupedDesign, HyperState, \
-    MarginalFactor, posterior_mean
+from .model import EstimateResult, GroupedDesign, MarginalFactor
 from .selection import _split
 
 
@@ -508,15 +507,6 @@ def solve_mkl_lambda(y, design, sigma2, gamma, theta0=None):
     return res
 
 
-def mkl_recover_theta(lam, y, design, sigma2):
-    """Coefficients from kernel scales: theta^(i) = lam_i G^(i)T c with
-    c = (K(lam) + sigma2 I)^{-1} y; algebraically the posterior mean."""
-    lam = np.asarray(getattr(lam, "lam", lam), dtype=float)
-    bv = posterior_mean(design, HyperState(lam, 0.0, sigma2), y)
-    sel = [i for i in range(design.p) if lam[i] > 0]
-    return EstimateResult(theta=bv.theta, lam=lam, selected=sel)
-
-
 def kkt_residual_mkl(lam, y, design, sigma2, gamma):
     """Max violation of the kernel-scale optimality conditions at lambda.
 
@@ -559,8 +549,7 @@ def solve_adalasso(y, G, sigma2, grids):
     G = np.atleast_2d(np.asarray(G, dtype=float))
     gammas = np.asarray(grids["gamma"], dtype=float)
     etas = np.asarray(grids.get("eta", np.arange(0.5, 4.01, 0.5)), dtype=float)
-    y_tr, y_val, d_tr, d_val = _split(y, GroupedDesign(G, [1] * G.shape[1]),
-                                      0.5)
+    y_tr, y_val, d_tr, d_val = _split(y, GroupedDesign(G, [1] * G.shape[1]))
 
     def weighted_fits(Gd, yd, gammas, eta):
         # substitute u = w * theta: plain lasso on rescaled columns

@@ -311,7 +311,7 @@ def _validate(y, design, path):
     training half of _split along a grid and returns (grid, fits).
     Returns the gamma whose theta predicts the validation half best (ties:
     the smaller, as grids increase) and the fits."""
-    y_tr, y_val, d_tr, d_val = _split(y, design, 0.5)
+    y_tr, y_val, d_tr, d_val = _split(y, design)
     grid, fits = path(y_tr, d_tr)
     errs = [np.linalg.norm(y_val - d_val.G @ fit.theta) for fit in fits]
     return grid[np.argmin(errs)], fits
@@ -403,7 +403,7 @@ def est_adalasso(y, design, sigma2, ctx):
     _no_grid(ctx, "adalasso")
     if ctx.get("gamma") is not None:
         raise ValueError("adalasso validates its gamma; it takes no --gamma")
-    y_tr, _, d_tr, _ = _split(y, design, 0.5)
+    y_tr, _, d_tr, _ = _split(y, design)
     return solve_adalasso(y, design.G, sigma2,
                           {"gamma": _lasso_grid(y_tr, d_tr.G, sigma2)})
 

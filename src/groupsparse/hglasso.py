@@ -74,9 +74,7 @@ def solve_hgl_pqn(y, design, sigma2, gamma, lam0=None, config=None):
 
     def evaluate(lam):
         fac = MarginalFactor(design, lam, sigma2)
-        f = 0.5 * fac.logdet() + 0.5 * fac.quad(y) + gamma * lam.sum()
-        g = 0.5 * fac.block_traces() - 0.5 * fac.block_scores(y) + gamma
-        return fac, f, g
+        return (fac,) + fac.neg_log_marginal(y, gamma)
 
     def pg_norm(lam, g):
         pg = lam - np.maximum(lam - g, 0.0)
@@ -134,15 +132,13 @@ def solve_hgl_pqn(y, design, sigma2, gamma, lam0=None, config=None):
 def kkt_residual_hgl(lam, y, design, sigma2, gamma):
     """Max stationarity violation of the first-order conditions at lambda.
 
-    With W = Sigma_y^{-1} and e_i = tr(G^(i)T W G^(i)) - ||G^(i)T W y||^2
-    + 2 gamma: active coordinates must have e_i = 0, zero coordinates must
-    have e_i >= 0.
+    With e = 2 grad of MarginalFactor.neg_log_marginal, e_i = tr(G^(i)T W
+    G^(i)) - ||G^(i)T W y||^2 + 2 gamma: active coordinates must have e_i =
+    0, zero coordinates must have e_i >= 0.
     """
-    lam = np.asarray(lam, dtype=float)
     y = np.asarray(y, dtype=float)
     fac = MarginalFactor(design, lam, sigma2)
-    return kkt_violation_hgl(
-        lam, fac.block_traces() - fac.block_scores(y) + 2.0 * gamma)
+    return kkt_violation_hgl(fac.lam, 2.0 * fac.neg_log_marginal(y, gamma)[1])
 
 
 def kkt_violation_hgl(lam, e):
@@ -327,8 +323,9 @@ class WeightedMseProfile:
     breve_lambda_limit: float
 
 
-def weighted_mse_profile(dblock, alpha, n, grid_points=400):
-    """Weighted MSE of a diagonalized block over a log grid of lambda.
+def weighted_mse_profile(d, beta, alpha, n, grid_points=400):
+    """Weighted MSE of a diagonalized block (d and beta of
+    diagonalize_block) over a log grid of lambda.
 
     W(lam) = sum_k d_k^alpha (beta_k^2/n + lam^2 d_k^2) / (1/n + lam d_k^2)^2.
 
@@ -336,10 +333,10 @@ def weighted_mse_profile(dblock, alpha, n, grid_points=400):
     analytic limit sum d^(alpha-4) beta^2 / sum d^(alpha-4) of the zero of
     the weighted score.
     """
-    if dblock.beta is None:
+    if beta is None:
         raise ValueError("diagonalized block lacks beta (true theta not supplied)")
-    d = np.asarray(dblock.d, dtype=float)
-    b = np.asarray(dblock.beta, dtype=float)
+    d = np.asarray(d, dtype=float)
+    b = np.asarray(beta, dtype=float)
     wk = d ** (alpha - 4.0)
     limit = float(np.sum(wk * b * b) / np.sum(wk))
     center = limit if limit > 0 else float(np.mean(b * b)) + 1e-12

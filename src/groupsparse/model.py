@@ -93,24 +93,6 @@ class GroupedDesign:
 
 
 @dataclass
-class HyperState:
-    """Per-block scales lambda, hyperprior rate gamma, noise variance sigma2."""
-
-    lam: np.ndarray
-    gamma: float
-    sigma2: float
-
-    def __post_init__(self):
-        self.lam = np.asarray(self.lam, dtype=float)
-        if np.any(self.lam < 0):
-            raise ValueError("lambda must be nonnegative")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
-        if not self.sigma2 > 0:
-            raise ValueError("sigma2 must be positive")
-
-
-@dataclass
 class BlockVector:
     """Coefficient vector partitioned like a GroupedDesign."""
 
@@ -131,17 +113,6 @@ class BlockVector:
     def block_norms(self):
         return np.array([np.linalg.norm(self.block(i))
                          for i in range(len(self.group_sizes))])
-
-
-@dataclass
-class DiagonalizedBlock:
-    """One block of the model rotated to diagonal form z = D beta + eps."""
-
-    z: np.ndarray
-    d: np.ndarray
-    beta: np.ndarray  # None when the true theta block is not supplied
-    block_index: int
-    eps: np.ndarray = None
 
 
 @dataclass
@@ -177,9 +148,10 @@ class MarginalFactor:
 
       which never inverts Lam, so lambda_i = 0 is fine.
 
-    Both raise np.linalg.LinAlgError when Sigma_y is not positive definite.
-    The solve against y is kept for the last y queried, so quad, gtw_y,
-    block_scores and block_hessian of one y share it.
+    A negative lambda raises ValueError; sigma2 <= 0, or a Sigma_y that is
+    not positive definite, raises np.linalg.LinAlgError.  The solve against
+    y is kept for the last y queried, so quad, gtw_y, block_scores,
+    neg_log_marginal and block_hessian of one y share it.
     """
 
     def __init__(self, design, lam, sigma2):
@@ -187,6 +159,11 @@ class MarginalFactor:
         if lam.shape != (design.p,):
             raise ValueError("lambda length %d does not match p=%d"
                              % (lam.size, design.p))
+        if np.any(lam < 0):
+            raise ValueError("lambda must be nonnegative")
+        if not sigma2 > 0:
+            raise np.linalg.LinAlgError(
+                "Sigma_y is not positive definite (sigma2 <= 0)")
         self.design = design
         self.lam = lam
         self.sigma2 = float(sigma2)
@@ -195,9 +172,6 @@ class MarginalFactor:
         self.lowrank = n > m
         self._d = d = np.sqrt(self.lam_full)
         if self.lowrank:
-            if not self.sigma2 > 0:
-                raise np.linalg.LinAlgError(
-                    "Sigma_y is not positive definite (sigma2 <= 0, n > m)")
             gram = design.gram()
             M = d[:, None] * gram * d[None, :]
             M[np.diag_indices_from(M)] += self.sigma2
@@ -270,6 +244,20 @@ class MarginalFactor:
         """||G^(i)^T W y||^2 for every block, as a p-vector."""
         return self.design.block_sums(self.gtw_y(y) ** 2)
 
+    def neg_log_marginal(self, y, gamma):
+        """(f, grad) of the penalized negative log marginal likelihood
+
+            f = 0.5 logdet Sigma_y + 0.5 y^T W y + gamma sum_i lambda_i
+
+        at this factor's lambda, W = Sigma_y^{-1}; grad_i = 0.5 tr(G^(i)T W
+        G^(i)) - 0.5 ||G^(i)T W y||^2 + gamma.  gamma must be nonnegative.
+        """
+        if gamma < 0:
+            raise ValueError("gamma must be nonnegative")
+        f = 0.5 * self.logdet() + 0.5 * self.quad(y) + gamma * self.lam.sum()
+        grad = 0.5 * self.block_traces() - 0.5 * self.block_scores(y) + gamma
+        return f, grad
+
     def block_hessian(self, y):
         """Hessian in lambda of 0.5 logdet Sigma_y + 0.5 y^T W y, p x p.
 
@@ -298,49 +286,21 @@ def _cholesky(S):
 # operations
 # ============================================================
 
-def assemble_sigma_y(design, hs):
-    """Dense output covariance sigma2 I + sum_i lambda_i G^(i) G^(i)^T."""
-    if hs.lam.shape != (design.p,):
-        raise ValueError("lambda length %d does not match p=%d"
-                         % (hs.lam.size, design.p))
-    lam_full = design.expand(hs.lam)
-    S = (design.G * lam_full) @ design.G.T
-    S[np.diag_indices_from(S)] += hs.sigma2
-    return 0.5 * (S + S.T)
+def posterior_mean(design, lam, sigma2, y):
+    """Conditional mean E[theta | y, lambda] = Lam G^T Sigma_y^{-1} y, an
+    m-vector.  Blocks with lambda_i = 0 come out exactly zero."""
+    fac = MarginalFactor(design, lam, sigma2)
+    return fac.lam_full * fac.gtw_y(np.asarray(y, dtype=float))
 
 
-def posterior_mean(design, hs, y):
-    """Conditional mean E[theta | y, lambda] = Lam G^T Sigma_y^{-1} y.
-
-    Blocks with lambda_i = 0 come out exactly zero.
-    """
-    fac = MarginalFactor(design, hs.lam, hs.sigma2)
-    theta = fac.lam_full * fac.gtw_y(np.asarray(y, dtype=float))
-    return BlockVector(theta, design.group_sizes)
+def _block_vector(theta, design):
+    """theta (an m-vector or a BlockVector) as a BlockVector of design."""
+    if isinstance(theta, BlockVector):
+        return theta
+    return BlockVector(np.asarray(theta, dtype=float), design.group_sizes)
 
 
-def neg_log_marginal(design, hs, y):
-    """Penalized negative log marginal likelihood of lambda.
-
-    0.5 logdet Sigma_y + 0.5 y^T Sigma_y^{-1} y + gamma sum_i lambda_i.
-    """
-    y = np.asarray(y, dtype=float)
-    fac = MarginalFactor(design, hs.lam, hs.sigma2)
-    return 0.5 * fac.logdet() + 0.5 * fac.quad(y) + hs.gamma * hs.lam.sum()
-
-
-def neg_log_marginal_grad(design, hs, y):
-    """Gradient of neg_log_marginal in lambda.
-
-    Component i is 0.5 tr(G^(i)^T W G^(i)) - 0.5 ||G^(i)^T W y||^2 + gamma
-    with W = Sigma_y^{-1}.
-    """
-    y = np.asarray(y, dtype=float)
-    fac = MarginalFactor(design, hs.lam, hs.sigma2)
-    return 0.5 * fac.block_traces() - 0.5 * fac.block_scores(y) + hs.gamma
-
-
-def mse_of_lambda(design, hs, theta_true):
+def mse_of_lambda(design, lam, sigma2, theta_true):
     """Mean squared error of the posterior-mean estimator at a given lambda.
 
     For blocks with lambda_i > 0 this is the matrix formula
@@ -353,53 +313,49 @@ def mse_of_lambda(design, hs, theta_true):
     as exactly zero, so it contributes ||theta_true^(i)||^2 (the limit of the
     formula as lambda_i -> 0).
     """
-    if isinstance(theta_true, BlockVector):
-        tb = theta_true
-    else:
-        tb = BlockVector(np.asarray(theta_true, dtype=float), design.group_sizes)
-    active = [i for i in range(design.p) if hs.lam[i] > 0]
-    dead = [i for i in range(design.p) if hs.lam[i] == 0]
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam < 0):
+        raise ValueError("lambda must be nonnegative")
+    tb = _block_vector(theta_true, design)
+    active = [i for i in range(design.p) if lam[i] > 0]
+    dead = [i for i in range(design.p) if lam[i] == 0]
     total = sum(float(tb.block(i) @ tb.block(i)) for i in dead)
     if not active:
         return total
     sub = design.subdesign(active)
-    lam_full = sub.expand(hs.lam[active])
+    lam_full = sub.expand(lam[active])
     tb_act = np.concatenate([tb.block(i) for i in active])
-    M = sub.gram() + hs.sigma2 * np.diag(1.0 / lam_full)
+    M = sub.gram() + sigma2 * np.diag(1.0 / lam_full)
     u = tb_act / lam_full
-    inner = sub.gram() + hs.sigma2 * np.outer(u, u)
+    inner = sub.gram() + sigma2 * np.outer(u, u)
     Minv = np.linalg.inv(M)
-    total += hs.sigma2 * np.trace(Minv @ inner @ Minv)
+    total += sigma2 * np.trace(Minv @ inner @ Minv)
     return total
 
 
-def diagonalize_block(design, hs, i, y, theta_true=None):
+def diagonalize_block(design, lam, sigma2, i, y, theta_true=None):
     """Rotate block i of the model into the scalar form z = D beta + eps.
 
-    The disturbance covariance seen by block i is
-    Sigma_v = sum_{j != i} lambda_j G^(j) G^(j)^T + sigma2 I; with the SVD
-    Sigma_v^{-1/2} G^(i) / sqrt(n) = U D V^T the transformed data are
-    z = U^T Sigma_v^{-1/2} y / sqrt(n) and beta = V^T theta^(i).
+    The disturbance covariance seen by block i is Sigma_v = Sigma_y at
+    lambda_i = 0; with the thin SVD Sigma_v^{-1/2} G^(i) / sqrt(n) = U D
+    V^T, the transformed data are z = U^T Sigma_v^{-1/2} y / sqrt(n) and
+    beta = V^T theta^(i).  D^2 and V are the eigenpairs of
+    G^(i)T Sigma_v^{-1} G^(i) / n (its min(n, k_i) largest, descending),
+    so z = D^{-1} V^T G^(i)T Sigma_v^{-1} y / n.  Returns (z, d, beta),
+    beta None without theta_true.
     """
-    y = np.asarray(y, dtype=float)
-    lam_rest = hs.lam.copy()
-    lam_rest[i] = 0.0
-    Sv = assemble_sigma_y(design, HyperState(lam_rest, 0.0, hs.sigma2))
-    w, Q = np.linalg.eigh(Sv)
-    if np.min(w) <= 0:
-        raise np.linalg.LinAlgError("disturbance covariance not positive definite")
-    isq = Q @ ((1.0 / np.sqrt(w))[:, None] * Q.T)
-    rootn = np.sqrt(design.n)
-    A = isq @ design.block(i) / rootn
-    U, d, Vt = np.linalg.svd(A, full_matrices=False)
-    if np.min(d) <= 0:
+    lam_v = np.array(lam, dtype=float)
+    lam_v[i] = 0.0
+    fac = MarginalFactor(design, lam_v, sigma2)
+    sl, n = design.slices[i], design.n
+    w, V = np.linalg.eigh(fac.gtwg()[sl, sl] / n)
+    r = min(n, w.size)
+    w, V = w[::-1][:r], V[:, ::-1][:, :r]
+    if w[-1] <= 0:
         raise np.linalg.LinAlgError("block %d is numerically rank deficient" % i)
-    z = U.T @ (isq @ y) / rootn
-    beta = eps = None
+    d = np.sqrt(w)
+    z = V.T @ fac.gtw_y(np.asarray(y, dtype=float))[sl] / (n * d)
+    beta = None
     if theta_true is not None:
-        tb = (theta_true if isinstance(theta_true, BlockVector)
-              else BlockVector(np.asarray(theta_true, dtype=float),
-                               design.group_sizes))
-        beta = Vt @ tb.block(i)
-        eps = z - d * beta
-    return DiagonalizedBlock(z=z, d=d, beta=beta, block_index=i, eps=eps)
+        beta = V.T @ _block_vector(theta_true, design).block(i)
+    return z, d, beta

@@ -21,8 +21,7 @@ callers that fit several variants run the stage once.
 import numpy as np
 from dataclasses import dataclass, field
 
-from .model import EstimateResult, GroupedDesign, HyperState, MarginalFactor, \
-    posterior_mean
+from .model import EstimateResult, GroupedDesign, posterior_mean
 from .hglasso import kkt_violation_hgl, solve_hgl_pqn
 from .pqn import PqnConfig
 
@@ -31,12 +30,10 @@ VARIANTS = ("hgla", "hglb", "hglc")
 
 @dataclass
 class SelectionConfig:
-    split_fraction: float = 0.5
     gamma_grid: np.ndarray = None      # default: built from kappa, see below
     grid_lo: float = 1e-2              # grid spans [grid_lo/kappa, grid_hi/kappa]
     grid_hi: float = 1e4
     grid_n: int = 30
-    kappa_bracket: tuple = None        # default [1e-8, 1e8] * (||y_tr||^2 / n_tr)
     variant: str = "hgla"
     sigma2: float = None               # override; otherwise training LS estimate
     # projected Newton polish of hglb/hglc (solve_hgl_pqn; memory unused)
@@ -44,8 +41,6 @@ class SelectionConfig:
                                                              max_iter=1000))
 
     def __post_init__(self):
-        if not 0 < self.split_fraction < 1:
-            raise ValueError("split_fraction must lie in (0,1)")
         if self.variant not in VARIANTS:
             raise ValueError("variant must be one of %s" % (VARIANTS,))
         if not (0 < self.grid_lo <= self.grid_hi and self.grid_n >= 1):
@@ -90,11 +85,12 @@ def estimate_sigma2_ls(y, G):
     return float(r @ r) / (n - m)
 
 
-def estimate_kappa(y_tr, design_tr, sigma2, bracket=None):
+def estimate_kappa(y_tr, design_tr, sigma2):
     """Common scale: minimize the unpenalized marginal objective over
     lambda = kappa * ones.
 
-    Golden-section search on log kappa over the bracket, then a few Newton
+    Golden-section search on log kappa over [1e-8, 1e8] ||y_tr||^2 / n_tr,
+    then a few Newton
     polish steps on the exact 1-D derivative.  The whole profile reduces to
     the eigenvalues of G G^T, so evaluations are scalar sums.
     """
@@ -102,7 +98,7 @@ def estimate_kappa(y_tr, design_tr, sigma2, bracket=None):
     if not np.any(y):
         return 0.0
     scale = float(y @ y) / design_tr.n
-    lo, hi = bracket if bracket is not None else (1e-8 * scale, 1e8 * scale)
+    lo, hi = 1e-8 * scale, 1e8 * scale
     # Sigma_y(kappa) = kappa G G^T + sigma2 I: diagonalize once
     w, Q = np.linalg.eigh(design_tr.G @ design_tr.G.T)
     w = np.maximum(w, 0.0)
@@ -154,16 +150,6 @@ def estimate_kappa(y_tr, design_tr, sigma2, bracket=None):
     if f(0.0) <= f(k):
         return 0.0
     return k
-
-
-def _log_posterior(y, design, sigma2, kappa, gamma, subset):
-    """L(I) = -0.5 logdet Sigma_y(lam_I) - 0.5 y^T Sigma_y^{-1} y
-    - gamma kappa |I| with lam_I = kappa on I, zero elsewhere."""
-    lam = np.zeros(design.p)
-    lam[list(subset)] = kappa
-    fac = MarginalFactor(design, lam, sigma2)
-    return (-0.5 * fac.logdet() - 0.5 * fac.quad(y)
-            - gamma * kappa * len(subset))
 
 
 def _greedy_path(y_tr, design_tr, sigma2, kappa, floor):
@@ -244,10 +230,12 @@ def forward_select(y_tr, design_tr, sigma2, kappa, gamma):
     return sorted(order), [g - floor for g in gains]
 
 
-def _split(y, design, frac):
-    n_tr = int(np.ceil(frac * design.n))
-    if n_tr < 1 or n_tr >= design.n:
+def _split(y, design):
+    """(y_tr, y_val, design_tr, design_val): the first ceil(n / 2) rows
+    train, the rest validate."""
+    if design.n < 2:
         raise ValueError("degenerate split")
+    n_tr = (design.n + 1) // 2
     d_tr = GroupedDesign(design.G[:n_tr], design.group_sizes)
     d_val = GroupedDesign(design.G[n_tr:], design.group_sizes)
     return y[:n_tr], y[n_tr:], d_tr, d_val
@@ -263,12 +251,12 @@ def select_hglasso(y, design, config=None):
     """
     cfg = config or SelectionConfig()
     y = np.asarray(y, dtype=float)
-    y_tr, y_val, d_tr, d_val = _split(y, design, cfg.split_fraction)
+    y_tr, y_val, d_tr, d_val = _split(y, design)
     sigma2 = cfg.sigma2 if cfg.sigma2 is not None \
         else estimate_sigma2_ls(y_tr, d_tr.G)
     if sigma2 <= 0:
         sigma2 = max(sigma2, 1e-12)
-    kappa = estimate_kappa(y_tr, d_tr, sigma2, cfg.kappa_bracket)
+    kappa = estimate_kappa(y_tr, d_tr, sigma2)
     if cfg.gamma_grid is not None:
         gammas = cfg.gamma_grid
     else:
@@ -288,8 +276,8 @@ def select_hglasso(y, design, config=None):
         if t not in err_of_cut:
             lam = np.zeros(design.p)
             lam[order[:t]] = kappa
-            th = posterior_mean(d_tr, HyperState(lam, 0.0, sigma2), y_tr)
-            err_of_cut[t] = float(np.linalg.norm(y_val - d_val.G @ th.theta))
+            th = posterior_mean(d_tr, lam, sigma2, y_tr)
+            err_of_cut[t] = float(np.linalg.norm(y_val - d_val.G @ th))
         sets.append(sorted(order[:t]))
         gains_per_gamma.append([g - floor for g in path_gains[:t]])
         val_errors.append(err_of_cut[t])
@@ -338,10 +326,9 @@ def polish_hglasso(y, design, trace, config=None):
         kkt = kkt_violation_hgl(res.lam, 2.0 * res.grad)
     else:
         kkt = None if cfg.variant == "hgla" else 0.0
-    bv = posterior_mean(design, HyperState(lam_hat, 0.0, sigma2), y)
     sel = [i for i in range(design.p) if lam_hat[i] > 0]
     return EstimateResult(
-        theta=bv.theta, lam=lam_hat, selected=sel, gamma=trace.chosen_gamma,
+        theta=posterior_mean(design, lam_hat, sigma2, y), lam=lam_hat, selected=sel, gamma=trace.chosen_gamma,
         converged=res is None or res.converged,
         iterations=0 if res is None else res.iterations,
         objective=np.nan if res is None else res.objective,

@@ -35,6 +35,24 @@ def mkl_pqn(y, des, s2, gam, config=None):
                         config or PqnConfig(grad_tol=1e-10, max_iter=2000))
 
 
+def assemble_sigma_y(des, lam, s2):
+    """Dense output covariance s2 I + sum_i lam_i G^(i) G^(i)^T, the
+    reference for MarginalFactor's two routes."""
+    S = (des.G * des.expand(lam)) @ des.G.T
+    S[np.diag_indices_from(S)] += s2
+    return 0.5 * (S + S.T)
+
+
+def mkl_recover_theta(lam, y, des, s2):
+    """Coefficients from kernel scales (an array or a result with .lam):
+    theta^(i) = lam_i G^(i)T c with c = (K(lam) + s2 I)^{-1} y, which is
+    the posterior mean; returns an EstimateResult."""
+    from groupsparse import EstimateResult, posterior_mean
+    lam = np.asarray(getattr(lam, "lam", lam), dtype=float)
+    return EstimateResult(theta=posterior_mean(des, lam, s2, y), lam=lam,
+                          selected=[i for i in range(des.p) if lam[i] > 0])
+
+
 def orthogonal_design(rng, sizes, n):
     """Design with G^T G = n I built from a random orthonormal basis."""
     from groupsparse import GroupedDesign

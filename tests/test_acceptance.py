@@ -11,17 +11,17 @@ import numpy as np
 import pytest
 
 from groupsparse import (
-    ConvexFitConfig, GroupedDesign, HyperState, McConfig, SelectionConfig,
-    ZeroProbQuery, build_arx, closed_form_lambda_mkl_orth,
+    ConvexFitConfig, GroupedDesign, MarginalFactor, McConfig,
+    SelectionConfig, ZeroProbQuery, build_arx, closed_form_lambda_mkl_orth,
     closed_form_lambda_orth, cod_k, fit_hglasso, gen_arx_series,
-    kkt_residual_hgl, kkt_residual_mkl, lambda_opt, mkl_recover_theta,
-    mse_of_lambda, neg_log_marginal, neg_log_marginal_grad, posterior_mean,
+    kkt_residual_hgl, kkt_residual_mkl, lambda_opt, mse_of_lambda,
+    posterior_mean,
     prob_lambda_zero, solve_glasso, solve_hgl_pqn, solve_mkl_lambda,
     two_group_thresholds,
 )
 from groupsparse import experiments as ex
 
-from conftest import mkl_pqn, orthogonal_design
+from conftest import mkl_pqn, mkl_recover_theta, orthogonal_design
 
 THREADS = min(8, os.cpu_count() or 1)
 
@@ -80,17 +80,18 @@ def test_marginal_gradient_matches_central_differences():
     for _ in range(100):
         des, y, s2, gam = _random_instance(rng)
         lam = rng.uniform(0.1, 2.0, des.p)
-        hs = HyperState(lam, gam, s2)
-        g = neg_log_marginal_grad(des, hs, y)
+
+        def f_grad(lam):
+            return MarginalFactor(des, lam, s2).neg_log_marginal(y, gam)
+
+        g = f_grad(lam)[1]
         fd = np.empty(des.p)
         for i in range(des.p):
             h = 1e-5 * (1.0 + lam[i])
             lp, lmn = lam.copy(), lam.copy()
             lp[i] += h
             lmn[i] -= h
-            fd[i] = (neg_log_marginal(des, HyperState(lp, gam, s2), y)
-                     - neg_log_marginal(des, HyperState(lmn, gam, s2), y)) \
-                / (2.0 * h)
+            fd[i] = (f_grad(lp)[0] - f_grad(lmn)[0]) / (2.0 * h)
         worst = max(worst, float(np.max(np.abs(g - fd)
                                         / (1.0 + np.abs(fd)))))
     ok = worst <= 1e-5
@@ -267,24 +268,23 @@ def test_mse_formula_and_optimal_scale():
     des = GroupedDesign(rng.standard_normal((30, 5)), sizes)
     theta = np.array([1.0, -0.5, 0.0, 0.0, 0.0])
     s2 = 0.5
-    hs = HyperState(np.array([0.8, 0.3]), 0.0, s2)
-    analytic = mse_of_lambda(des, hs, theta)
+    lam = np.array([0.8, 0.3])
+    analytic = mse_of_lambda(des, lam, s2, theta)
     draws = 10_000
     sq = np.empty(draws)
     mean_signal = des.G @ theta
     for j in range(draws):
         y = mean_signal + np.sqrt(s2) * rng.standard_normal(30)
-        sq[j] = np.sum((posterior_mean(des, hs, y).theta - theta) ** 2)
+        sq[j] = np.sum((posterior_mean(des, lam, s2, y) - theta) ** 2)
     se = sq.std(ddof=1) / np.sqrt(draws)
     mc_ok = abs(sq.mean() - analytic) <= 3.0 * se
     # the ||theta||^2/k scale beats a 20-point grid under an orthogonal design
     odes = orthogonal_design(rng, [3], 60)
     oth = np.array([1.2, -0.7, 0.4])
     opt = lambda_opt(oth, 3)
-    f_opt = mse_of_lambda(odes, HyperState(np.array([opt]), 0.0, s2), oth)
+    f_opt = mse_of_lambda(odes, np.array([opt]), s2, oth)
     grid_ok = all(
-        f_opt <= mse_of_lambda(odes, HyperState(np.array([lv]), 0.0, s2),
-                               oth) + 1e-12
+        f_opt <= mse_of_lambda(odes, np.array([lv]), s2, oth) + 1e-12
         for lv in np.logspace(-3, 2, 20))
     ok = mc_ok and grid_ok
     _line("analytic mse and optimal scale", ok,

@@ -1,5 +1,6 @@
-"""The names benchmarks/tracing.py binds to exist in the package, so a
-rename fails here instead of breaking the traced benchmark run."""
+"""The names benchmarks/tracing.py and benchmarks/run.py bind to exist in
+the package and behave as they read them, so a rename or deletion fails
+here instead of breaking a benchmark run."""
 
 import importlib
 import importlib.util
@@ -62,3 +63,44 @@ def test_tracing_hooks_read_real_solver_results():
     assert tracer.counts["convex.lasso.capped"] == 0
     assert tracer.counts["convex.glasso.sweeps"] == glasso.iterations
     assert not hasattr(cv.solve_lasso, "__wrapped__")  # uninstalled
+
+
+def test_run_py_reads_of_the_package(tmp_path, capsys):
+    """What benchmarks/run.py reads from the package, used the way it uses
+    it: gen_problem's (design, theta, y, sigma2) with theta's .theta,
+    .block(i) and .group_sizes; estimate_sigma2_ls and the registry fit
+    sharing a ctx; write_csv_matrix and `fit` through cli.main, whose JSON
+    becomes EstimateResult(theta=, lam=, selected=) with converged True by
+    default; percentage_error, zero_pattern and sparsity_index."""
+    import json
+    import numpy as np
+    from groupsparse import cli, experiments as ex
+    from groupsparse.model import EstimateResult
+    cfg = ex.McConfig(experiment="exp1", runs=1, master_seed=0,
+                      estimators=["hgla"], p=10, k=4, n=100)
+    design, theta_true, y, sigma2 = ex.gen_problem(cfg, 0)
+    assert len(theta_true.group_sizes) == design.p
+    for i in range(design.p):
+        assert np.array_equal(theta_true.block(i),
+                              theta_true.theta[design.slices[i]])
+    true_zeros = [float(theta_true.block(i) @ theta_true.block(i)) == 0.0
+                  for i in range(len(theta_true.group_sizes))]
+    lib = ex.ESTIMATORS["hgla"](y, design, ex.estimate_sigma2_ls(y, design.G),
+                                {"theta_true": theta_true})
+    g_path, y_path = tmp_path / "G.csv", tmp_path / "y.csv"
+    cli.write_csv_matrix(g_path, design.G)
+    cli.write_csv_matrix(y_path, y.reshape(-1, 1))
+    capsys.readouterr()
+    assert cli.main(["fit", "--method", "hgla", "--data-g", str(g_path),
+                     "--data-y", str(y_path), "--groups", str(cfg.k),
+                     "--sigma2", repr(sigma2)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    res = EstimateResult(theta=np.array(doc["theta"]),
+                         lam=np.array(doc["lambda"]),
+                         selected=doc["selected"])
+    assert res.converged is True
+    for fit in (lib, res):
+        assert np.isfinite(ex.percentage_error(fit.theta, theta_true))
+        pattern = ex.zero_pattern(fit, design)
+        assert len(pattern) == design.p
+        assert 0.0 <= ex.sparsity_index([(pattern, true_zeros)]) <= 100.0

@@ -570,8 +570,39 @@ def test_config_file_supplies_defaults_flags_win(fixture_dir, tmp_path):
     assert json.loads(out.read_text())["gamma"] == 1.5
 
 
+def test_config_values_take_their_flags_type(fixture_dir, tmp_path,
+                                             capsys):
+    """A config value is converted by its flag's type, as if typed on the
+    command line: {"sigma2": "1"} fits like --sigma2 1, and a value that
+    does not convert ({"gamma": "abc"}, a fractional --grid-n) exits 2
+    with the key named.  Keys that are no option of the command, such as
+    the parser's own "func", are ignored."""
+    data = ["--data-y", str(fixture_dir / "y.csv"),
+            "--data-g", str(fixture_dir / "G.csv"), "--groups", "4"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sigma2": "1"}))
+    out, ref = tmp_path / "fit.json", tmp_path / "ref.json"
+    assert main(["--config", str(cfg), "fit", "--method", "lasso",
+                 "--out", str(out)] + data) == 0
+    assert main(["fit", "--method", "lasso", "--sigma2", "1",
+                 "--out", str(ref)] + data) == 0
+    assert json.loads(out.read_text()) == json.loads(ref.read_text())
+    # a key that is no option of the command is ignored, as before
+    cfg.write_text(json.dumps({"func": 1, "command": "x", "seed": 3}))
+    assert main(["--config", str(cfg), "fit", "--method", "lasso",
+                 "--sigma2", "1", "--out", str(out)] + data) == 0
+    assert json.loads(out.read_text()) == json.loads(ref.read_text())
+    for bad in ({"gamma": "abc"}, {"grid_n": 2.5}, {"sigma2": [1]}):
+        cfg.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "fit", "--method", "lasso"]
+                    + data) == 2
+        assert repr(next(iter(bad))) in capsys.readouterr().err
+
+
 def test_bad_config_file_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text("{not json")
-    assert main(["--config", str(cfg), "benchmark", "--runs", "1",
-                 "--estimators", "oracle"]) == 2
+    for text in ("{not json", "[1]"):     # malformed, not an object
+        cfg.write_text(text)
+        assert main(["--config", str(cfg), "benchmark", "--runs", "1",
+                     "--estimators", "oracle"]) == 2

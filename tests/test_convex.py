@@ -5,7 +5,7 @@ import pytest
 
 from groupsparse import (
     ConvexFitConfig, GroupedDesign, McConfig, estimate_sigma2_ls,
-    gen_problem, kkt_residual_mkl, mkl_recover_theta, solve_adalasso,
+    gen_problem, kkt_residual_mkl, solve_adalasso,
     solve_glasso, solve_lasso, solve_mkl_lambda,
 )
 from groupsparse.convex import ADALASSO_WEIGHT_CAP, _adalasso_weights, \
@@ -13,8 +13,8 @@ from groupsparse.convex import ADALASSO_WEIGHT_CAP, _adalasso_weights, \
 from groupsparse.experiments import _lasso_grid, build_arx, gen_arx_series
 from groupsparse.selection import _split
 
-from conftest import cold_cd_glasso, mkl_pqn, orthogonal_design, \
-    random_grouped
+from conftest import cold_cd_glasso, mkl_pqn, mkl_recover_theta, \
+    orthogonal_design, random_grouped
 
 
 def test_config_validation():
@@ -112,7 +112,7 @@ def test_warm_path_satisfies_kkt_at_every_grid_point(experiment, shape,
     for run in range(3):
         design, _, y, _ = gen_problem(cfg, run)
         s2 = estimate_sigma2_ls(y, design.G)
-        y_tr, _, d_tr, _ = _split(y, design, 0.5)
+        y_tr, _, d_tr, _ = _split(y, design)
         grid = _lasso_grid(y_tr, d_tr.G, s2)
         fits = lasso_path(y_tr, d_tr.G, grid, s2)
         for gamma, fit in zip(grid, fits):

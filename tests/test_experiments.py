@@ -355,7 +355,7 @@ def _cold_est_lasso(y, design, sigma2):
     (gamma, theta)."""
     from groupsparse.experiments import _lasso_grid
     from groupsparse.selection import _split
-    y_tr, y_val, d_tr, d_val = _split(y, design, 0.5)
+    y_tr, y_val, d_tr, d_val = _split(y, design)
     best = None
     for gamma in _lasso_grid(y_tr, d_tr.G, sigma2):
         th = _cold_cd_lasso(y_tr, d_tr.G, gamma, sigma2)
@@ -390,11 +390,11 @@ def _cold_est_mkl(y, design, sigma2, ctx):
     the posterior mean at its scales; returns (gamma, theta of the
     full-data solve)."""
     import groupsparse.experiments as ex
-    from groupsparse.convex import mkl_recover_theta
+    from conftest import mkl_recover_theta
     gamma_ref = ex._hgla_stage(y, design, sigma2, ctx)[1].chosen_gamma
     grid = np.logspace(np.log10(1e-2 * gamma_ref),
                        np.log10(1e4 * gamma_ref), 30)
-    y_tr, y_val, d_tr, d_val = ex._split(y, design, 0.5)
+    y_tr, y_val, d_tr, d_val = ex._split(y, design)
     best = None
     for gamma in grid:
         lam = ex.solve_mkl_lambda(y_tr, d_tr, sigma2, gamma).lam

@@ -6,9 +6,9 @@ import pytest
 from scipy import stats
 
 from groupsparse import (
-    GroupedDesign, HyperState, PqnConfig, ZeroProbQuery,
+    GroupedDesign, MarginalFactor, PqnConfig, ZeroProbQuery,
     closed_form_lambda_mkl_orth, closed_form_lambda_orth, diagonalize_block,
-    kkt_residual_hgl, lambda_opt, mse_of_lambda, neg_log_marginal,
+    kkt_residual_hgl, lambda_opt, mse_of_lambda,
     prob_lambda_zero, solve_hgl_pqn, solve_mkl_lambda,
     two_group_thresholds, weighted_mse_profile,
 )
@@ -75,7 +75,7 @@ def test_hgl_objective_not_worse_than_start(rng):
     y = rng.standard_normal(des.n)
     s2, gam = 0.8, 0.5
     res = solve_hgl_pqn(y, des, s2, gam)
-    f0 = neg_log_marginal(des, HyperState(np.zeros(des.p), gam, s2), y)
+    f0 = MarginalFactor(des, np.zeros(des.p), s2).neg_log_marginal(y, gam)[0]
     assert res.objective <= f0 + 1e-12 * (1 + abs(f0))
 
 
@@ -142,10 +142,10 @@ def test_hgl_iterates_stay_feasible_and_descend(rng, monkeypatch):
     cfg = PqnConfig(grad_tol=1e-10, active_set=list(range(1, des.p)))
     res = solve_hgl_pqn(y, des, s2, gam, lam0=np.full(des.p, 2.0), config=cfg)
     assert res.converged and len(seen) > 1
-    f0 = neg_log_marginal(des, HyperState(seen[0], gam, s2), y)
+    f0 = MarginalFactor(des, seen[0], s2).neg_log_marginal(y, gam)[0]
     assert res.objective <= f0
-    assert res.objective == neg_log_marginal(des, HyperState(res.lam, gam,
-                                                             s2), y)
+    assert res.objective == \
+        MarginalFactor(des, res.lam, s2).neg_log_marginal(y, gam)[0]
 
 
 def test_hgl_converged_is_false_when_max_iter_runs_out(rng):
@@ -217,9 +217,9 @@ def test_lambda_opt_beats_grid(rng):
     tb = np.array([0.5, -0.2, 0.9])
     s2 = 0.4
     lo = lambda_opt(tb, 3)
-    best = mse_of_lambda(des, HyperState(np.array([lo]), 0.0, s2), tb)
+    best = mse_of_lambda(des, np.array([lo]), s2, tb)
     for lam in np.logspace(-3, 3, 20):
-        alt = mse_of_lambda(des, HyperState(np.array([lam]), 0.0, s2), tb)
+        alt = mse_of_lambda(des, np.array([lam]), s2, tb)
         assert best <= alt + 1e-12
 
 
@@ -372,12 +372,12 @@ def test_two_group_gamma_min_consistent_with_margins():
 def test_weighted_profile_alpha4_limit_is_lambda_opt(rng):
     des = random_grouped(rng, n_extra=14)
     s2 = 0.6
-    hs = HyperState(rng.uniform(0.2, 2.0, des.p), 0.0, s2)
+    lam = rng.uniform(0.2, 2.0, des.p)
     theta = rng.standard_normal(des.m)
     y = des.G @ theta + np.sqrt(s2) * rng.standard_normal(des.n)
     i = int(rng.integers(0, des.p))
-    db = diagonalize_block(des, hs, i, y, theta_true=theta)
-    prof = weighted_mse_profile(db, alpha=4.0, n=des.n)
+    _, d, beta = diagonalize_block(des, lam, s2, i, y, theta_true=theta)
+    prof = weighted_mse_profile(d, beta, alpha=4.0, n=des.n)
     k = des.group_sizes[i]
     tb = theta[des.slices[i]]
     assert abs(prof.breve_lambda_limit - lambda_opt(tb, k)) <= 1e-10
@@ -386,11 +386,11 @@ def test_weighted_profile_alpha4_limit_is_lambda_opt(rng):
 def test_weighted_profile_grid_minimizer_near_limit_large_n(rng):
     des = random_grouped(rng, n_extra=14)
     s2 = 0.6
-    hs = HyperState(rng.uniform(0.2, 2.0, des.p), 0.0, s2)
+    lam = rng.uniform(0.2, 2.0, des.p)
     theta = rng.standard_normal(des.m)
     y = des.G @ theta + np.sqrt(s2) * rng.standard_normal(des.n)
-    db = diagonalize_block(des, hs, 0, y, theta_true=theta)
-    prof = weighted_mse_profile(db, alpha=0.0, n=10 ** 6)
+    _, d, beta = diagonalize_block(des, lam, s2, 0, y, theta_true=theta)
+    prof = weighted_mse_profile(d, beta, alpha=0.0, n=10 ** 6)
     lams = prof.lambdas
     idx = int(np.argmin(np.abs(lams - prof.minimizer)))
     ref = int(np.argmin(np.abs(lams - prof.breve_lambda_limit)))
@@ -399,7 +399,7 @@ def test_weighted_profile_grid_minimizer_near_limit_large_n(rng):
 
 def test_weighted_profile_requires_beta(rng):
     des = random_grouped(rng)
-    hs = HyperState(np.ones(des.p), 0.0, 1.0)
-    db = diagonalize_block(des, hs, 0, rng.standard_normal(des.n))
+    _, d, beta = diagonalize_block(des, np.ones(des.p), 1.0, 0,
+                                   rng.standard_normal(des.n))
     with pytest.raises(ValueError):
-        weighted_mse_profile(db, alpha=1.0, n=100)
+        weighted_mse_profile(d, beta, alpha=1.0, n=100)

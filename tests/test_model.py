@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupsparse import (
-    BlockVector, GroupedDesign, HyperState, MarginalFactor, assemble_sigma_y,
-    diagonalize_block, mse_of_lambda, neg_log_marginal, neg_log_marginal_grad,
-    posterior_mean,
+    BlockVector, GroupedDesign, MarginalFactor, diagonalize_block,
+    mse_of_lambda, posterior_mean,
 )
 
-from conftest import random_grouped
+from conftest import assemble_sigma_y, random_grouped
+
+
+def neg_log_marginal(des, lam, s2, gam, y):
+    """(f, grad) of the penalized negative log marginal at lam."""
+    return MarginalFactor(des, lam, s2).neg_log_marginal(y, gam)
 
 
 # ------------------------------------------------------------
@@ -48,13 +52,26 @@ def test_design_expand_and_subdesign():
     assert sub.group_sizes == [3] and sub.m == 3
 
 
-def test_hyperstate_validation():
-    with pytest.raises(ValueError):
-        HyperState(np.array([-1.0]), 0.0, 1.0)
-    with pytest.raises(ValueError):
-        HyperState(np.array([1.0]), -0.1, 1.0)
-    with pytest.raises(ValueError):
-        HyperState(np.array([1.0]), 0.0, 0.0)
+def test_inputs_are_checked_where_they_arrive(rng):
+    """MarginalFactor rejects lambda < 0 (ValueError) and sigma2 <= 0
+    (LinAlgError) on both routes, also where G Lam G^T alone is positive
+    definite (dense, n = 6 < m = 12); neg_log_marginal rejects gamma < 0
+    and mse_of_lambda rejects lambda < 0."""
+    dense = GroupedDesign(rng.standard_normal((6, 12)), [4, 4, 4])
+    lowrank = GroupedDesign(rng.standard_normal((30, 12)), [4, 4, 4])
+    lam = np.array([1.0, 0.5, 2.0])
+    assert np.min(np.linalg.eigvalsh(assemble_sigma_y(dense, lam, 0.0))) > 0
+    for des in (dense, lowrank):
+        with pytest.raises(ValueError):
+            MarginalFactor(des, np.array([1.0, -1e-12, 2.0]), 1.0)
+        for s2 in (-1e-3, 0.0, np.nan):
+            with pytest.raises(np.linalg.LinAlgError):
+                MarginalFactor(des, lam, s2)
+        fac = MarginalFactor(des, lam, 1.0)
+        with pytest.raises(ValueError):
+            fac.neg_log_marginal(rng.standard_normal(des.n), -0.1)
+        with pytest.raises(ValueError):
+            mse_of_lambda(des, np.array([1.0, -1.0, 2.0]), 1.0, np.zeros(12))
 
 
 def test_block_vector_partition():
@@ -74,7 +91,7 @@ def test_sigma_y_symmetric_and_bounded_below(rng):
         des = random_grouped(rng)
         lam = rng.uniform(0.0, 3.0, des.p)
         s2 = float(rng.uniform(0.1, 2.0))
-        S = assemble_sigma_y(des, HyperState(lam, 0.0, s2))
+        S = assemble_sigma_y(des, lam, s2)
         assert np.max(np.abs(S - S.T)) <= 1e-12
         assert np.min(np.linalg.eigvalsh(S)) >= s2 - 1e-10
 
@@ -96,7 +113,7 @@ def test_marginal_factor_routes_agree(rng):
         y = rng.standard_normal(des.n)
         fac = MarginalFactor(des, lam, s2)
         routes.add(fac.lowrank)
-        S = assemble_sigma_y(des, HyperState(lam, 0.0, s2))
+        S = assemble_sigma_y(des, lam, s2)
         sign, logdet = np.linalg.slogdet(S)
         assert sign > 0
         assert abs(fac.logdet() - logdet) <= 1e-8 * (1 + abs(logdet))
@@ -159,7 +176,7 @@ def test_posterior_mean_two_forms_agree(rng):
         lam = rng.uniform(1e-8, 3.0, des.p)
         s2 = float(rng.uniform(0.2, 2.0))
         y = rng.standard_normal(des.n)
-        th = posterior_mean(des, HyperState(lam, 0.0, s2), y).theta
+        th = posterior_mean(des, lam, s2, y)
         lam_full = des.expand(lam)
         M = s2 * np.diag(1.0 / lam_full) + des.gram()
         ref = np.linalg.solve(M, des.G.T @ y)
@@ -171,8 +188,8 @@ def test_posterior_mean_zero_lambda_blocks_are_exact_zero(rng):
     lam = rng.uniform(0.5, 2.0, des.p)
     lam[0] = 0.0
     y = rng.standard_normal(des.n)
-    bv = posterior_mean(des, HyperState(lam, 0.0, 1.0), y)
-    assert np.all(bv.block(0) == 0.0)
+    th = posterior_mean(des, lam, 1.0, y)
+    assert np.all(th[des.slices[0]] == 0.0)
 
 
 # ------------------------------------------------------------
@@ -184,10 +201,10 @@ def test_neg_log_marginal_matches_direct_formula(rng):
     lam = rng.uniform(0.0, 2.0, des.p)
     s2, gam = 0.7, 0.3
     y = rng.standard_normal(des.n)
-    S = assemble_sigma_y(des, HyperState(lam, 0.0, s2))
+    S = assemble_sigma_y(des, lam, s2)
     ref = (0.5 * np.linalg.slogdet(S)[1]
            + 0.5 * y @ np.linalg.solve(S, y) + gam * lam.sum())
-    val = neg_log_marginal(des, HyperState(lam, gam, s2), y)
+    val = neg_log_marginal(des, lam, s2, gam, y)[0]
     assert abs(val - ref) <= 1e-9 * (1 + abs(ref))
 
 
@@ -199,16 +216,15 @@ def test_gradient_matches_central_differences(rng):
         s2 = float(rng.uniform(0.2, 2.0))
         gam = float(rng.uniform(0.0, 1.0))
         y = rng.standard_normal(des.n)
-        hs = HyperState(lam, gam, s2)
-        g = neg_log_marginal_grad(des, hs, y)
+        g = neg_log_marginal(des, lam, s2, gam, y)[1]
         fd = np.empty(des.p)
         for i in range(des.p):
             h = 1e-6 * max(1.0, lam[i])
             lp, lm = lam.copy(), lam.copy()
             lp[i] += h
             lm[i] -= h
-            fd[i] = (neg_log_marginal(des, HyperState(lp, gam, s2), y)
-                     - neg_log_marginal(des, HyperState(lm, gam, s2), y)) / (2 * h)
+            fd[i] = (neg_log_marginal(des, lp, s2, gam, y)[0]
+                     - neg_log_marginal(des, lm, s2, gam, y)[0]) / (2 * h)
         rel = np.max(np.abs(g - fd)) / (1 + np.max(np.abs(fd)))
         worst = max(worst, rel)
     assert worst <= 1e-5
@@ -217,7 +233,7 @@ def test_gradient_matches_central_differences(rng):
 @pytest.mark.parametrize("lowrank", [True, False])
 def test_block_hessian_matches_differences_of_gradient(rng, lowrank):
     """block_hessian is symmetric and matches second-order differences of
-    neg_log_marginal_grad on both factor routes, at lambdas with zero
+    the gradient of neg_log_marginal on both factor routes, at lambdas with zero
     blocks (central differences, one-sided where lambda_j - h < 0)."""
     worst = 0.0
     for trial in range(20):
@@ -236,7 +252,7 @@ def test_block_hessian_matches_differences_of_gradient(rng, lowrank):
         assert np.array_equal(H, H.T)
 
         def grad(l):
-            return neg_log_marginal_grad(des, HyperState(l, 0.3, s2), y)
+            return neg_log_marginal(des, l, s2, 0.3, y)[1]
 
         fd = np.empty((des.p, des.p))
         for j in range(des.p):
@@ -257,7 +273,7 @@ def test_second_moment_of_y_matches_sigma_y(rng):
     des = GroupedDesign(rng.standard_normal((6, 5)), [2, 3])
     lam = np.array([0.8, 1.7])
     s2 = 0.5
-    S = assemble_sigma_y(des, HyperState(lam, 0.0, s2))
+    S = assemble_sigma_y(des, lam, s2)
     L = np.linalg.cholesky(S)
     draws = 100_000
     Y = (L @ rng.standard_normal((6, draws)))
@@ -271,13 +287,13 @@ def test_second_moment_of_y_matches_sigma_y(rng):
 # MSE formula
 # ------------------------------------------------------------
 
-def _mc_mse(des, hs, theta_true, rng, draws=10_000):
+def _mc_mse(des, lam, s2, theta_true, rng, draws=10_000):
     errs = np.empty(draws)
     noiseless = des.G @ theta_true
-    root = np.sqrt(hs.sigma2)
+    root = np.sqrt(s2)
     for b in range(draws):
         y = noiseless + root * rng.standard_normal(des.n)
-        th = posterior_mean(des, hs, y).theta
+        th = posterior_mean(des, lam, s2, y)
         errs[b] = np.sum((th - theta_true) ** 2)
     return errs
 
@@ -285,26 +301,27 @@ def _mc_mse(des, hs, theta_true, rng, draws=10_000):
 def test_mse_formula_matches_monte_carlo(rng):
     des = GroupedDesign(rng.standard_normal((25, 5)), [2, 3])
     theta = np.array([0.5, -0.3, 0.1, 0.8, 0.2])
-    hs = HyperState(np.array([0.7, 1.3]), 0.0, 0.4)
-    errs = _mc_mse(des, hs, theta, rng)
+    lam = np.array([0.7, 1.3])
+    errs = _mc_mse(des, lam, 0.4, theta, rng)
     se = errs.std(ddof=1) / np.sqrt(errs.size)
-    assert abs(mse_of_lambda(des, hs, theta) - errs.mean()) <= 3 * se
+    assert abs(mse_of_lambda(des, lam, 0.4, theta) - errs.mean()) <= 3 * se
 
 
 def test_mse_formula_zero_block_convention(rng):
     """A lambda_i = 0 block contributes ||theta_true block||^2."""
     des = GroupedDesign(rng.standard_normal((25, 5)), [2, 3])
     theta = np.array([0.5, -0.3, 0.1, 0.8, 0.2])
-    hs0 = HyperState(np.array([0.0, 1.3]), 0.0, 0.4)
-    hs_act = HyperState(np.array([1.3]), 0.0, 0.4)
+    lam0 = np.array([0.0, 1.3])
     sub = des.subdesign([1])
-    expected = (0.5 ** 2 + 0.3 ** 2) + mse_of_lambda(sub, hs_act, theta[2:])
-    assert abs(mse_of_lambda(des, hs0, theta) - expected) <= 1e-12
+    expected = (0.5 ** 2 + 0.3 ** 2) + mse_of_lambda(sub, lam0[1:], 0.4,
+                                                     theta[2:])
+    assert abs(mse_of_lambda(des, lam0, 0.4, theta) - expected) <= 1e-12
     # and matches Monte Carlo when the silent block is truly null
     theta_null = np.array([0.0, 0.0, 0.1, 0.8, 0.2])
-    errs = _mc_mse(des, hs0, theta_null, rng)
+    errs = _mc_mse(des, lam0, 0.4, theta_null, rng)
     se = errs.std(ddof=1) / np.sqrt(errs.size)
-    assert abs(mse_of_lambda(des, hs0, theta_null) - errs.mean()) <= 3 * se
+    assert abs(mse_of_lambda(des, lam0, 0.4, theta_null) - errs.mean()) \
+        <= 3 * se
 
 
 def test_mse_orthogonal_closed_forms(rng):
@@ -316,11 +333,11 @@ def test_mse_orthogonal_closed_forms(rng):
     s2 = 0.8
     theta0 = np.zeros(m)
     for lam in (0.3, 1.0, 5.0):
-        hs = HyperState(np.array([lam, lam]), 0.0, s2)
         ref = s2 * m * n / (n + s2 / lam) ** 2
-        assert abs(mse_of_lambda(des, hs, theta0) - ref) <= 1e-9 * (1 + ref)
-    hs_big = HyperState(np.array([1e12, 1e12]), 0.0, s2)
-    assert abs(mse_of_lambda(des, hs_big, theta0) - m * s2 / n) <= 1e-6
+        assert abs(mse_of_lambda(des, np.array([lam, lam]), s2, theta0)
+                   - ref) <= 1e-9 * (1 + ref)
+    big = np.array([1e12, 1e12])
+    assert abs(mse_of_lambda(des, big, s2, theta0) - m * s2 / n) <= 1e-6
 
 
 # ------------------------------------------------------------
@@ -328,17 +345,59 @@ def test_mse_orthogonal_closed_forms(rng):
 # ------------------------------------------------------------
 
 def test_diagonalize_block_reconstruction_and_norms(rng):
+    """z is linear in y with z(G^(i) theta^(i)) = D beta, so z - D beta is
+    z of the rest of y; V is orthonormal, so ||beta|| = ||theta^(i)||."""
     for _ in range(10):
         des = random_grouped(rng, n_extra=12)
         lam = rng.uniform(0.1, 2.0, des.p)
         s2 = float(rng.uniform(0.2, 1.5))
-        hs = HyperState(lam, 0.0, s2)
         theta = rng.standard_normal(des.m)
         y = des.G @ theta + np.sqrt(s2) * rng.standard_normal(des.n)
         i = int(rng.integers(0, des.p))
-        db = diagonalize_block(des, hs, i, y, theta_true=theta)
-        # defining identity z = D beta + eps
-        assert np.linalg.norm(db.z - db.d * db.beta - db.eps) <= 1e-12
-        # V orthonormal: ||beta|| = ||theta block||
         tb = BlockVector(theta, des.group_sizes).block(i)
-        assert abs(np.linalg.norm(db.beta) - np.linalg.norm(tb)) <= 1e-10
+        z, d, beta = diagonalize_block(des, lam, s2, i, y, theta_true=theta)
+        z_rest = diagonalize_block(des, lam, s2, i, y - des.block(i) @ tb)[0]
+        assert np.linalg.norm(z - d * beta - z_rest) <= \
+            1e-10 * (1 + np.linalg.norm(z))
+        assert abs(np.linalg.norm(beta) - np.linalg.norm(tb)) <= 1e-10
+
+
+def _diagonalize_by_root(des, lam, s2, i, y, theta):
+    """The symmetric-root formula: with Sigma_v^{-1/2} from the eigenpairs
+    of the assembled Sigma_v and the thin SVD Sigma_v^{-1/2} G^(i) /
+    sqrt(n) = U D V^T, (z, d, beta) = (U^T Sigma_v^{-1/2} y / sqrt(n), D,
+    V^T theta^(i))."""
+    lam_v = lam.copy()
+    lam_v[i] = 0.0
+    w, Q = np.linalg.eigh(assemble_sigma_y(des, lam_v, s2))
+    isq = Q @ ((1.0 / np.sqrt(w))[:, None] * Q.T)
+    rootn = np.sqrt(des.n)
+    U, d, Vt = np.linalg.svd(isq @ des.block(i) / rootn, full_matrices=False)
+    return U.T @ (isq @ y) / rootn, d, Vt @ theta[des.slices[i]]
+
+
+def test_diagonalize_block_matches_symmetric_root_formula(rng):
+    """The same z, d and beta as the assembled-Sigma_v reference, up to the
+    sign of each column of V, on both factor routes and on blocks wider
+    than n."""
+    wide = 0
+    for trial in range(40):
+        des = random_grouped(rng, k_max=6, n_extra=6)
+        if trial % 4 == 0:                  # fewer rows than block 0 has
+            des = GroupedDesign(des.G[:max(1, des.group_sizes[0] - 2)],
+                                des.group_sizes)
+        lam = rng.uniform(0.1, 2.0, des.p)
+        s2 = float(rng.uniform(0.2, 1.5))
+        theta = rng.standard_normal(des.m)
+        y = rng.standard_normal(des.n)
+        i = 0 if trial % 4 == 0 else int(rng.integers(0, des.p))
+        wide += des.n < des.group_sizes[i]
+        z, d, beta = diagonalize_block(des, lam, s2, i, y, theta_true=theta)
+        z_ref, d_ref, beta_ref = _diagonalize_by_root(des, lam, s2, i, y,
+                                                      theta)
+        sign = np.sign(beta * beta_ref)
+        np.testing.assert_allclose(d, d_ref, rtol=1e-10)
+        np.testing.assert_allclose(beta, sign * beta_ref, atol=1e-10)
+        np.testing.assert_allclose(z, sign * z_ref,
+                                   atol=1e-10 * (1 + np.abs(z_ref).max()))
+    assert wide >= 5

@@ -10,8 +10,8 @@ from groupsparse import (
     GroupedDesign, SelectionConfig, closed_form_lambda_orth, estimate_kappa,
     estimate_sigma2_ls, fit_hglasso, forward_select,
 )
-from groupsparse.model import HyperState, MarginalFactor, posterior_mean
-from groupsparse.selection import _greedy_path, _log_posterior
+from groupsparse.model import MarginalFactor, posterior_mean
+from groupsparse.selection import _greedy_path
 
 from conftest import orthogonal_design
 
@@ -74,14 +74,14 @@ def test_kappa_identity_design_closed_form(rng):
 
 
 def test_kappa_is_a_minimizer(rng):
-    from groupsparse import HyperState, neg_log_marginal
     des = GroupedDesign(rng.standard_normal((15, 6)), [3, 3])
     y = rng.standard_normal(15) * 2
     s2 = 0.7
     k = estimate_kappa(y, des, s2)
 
     def f(kv):
-        return neg_log_marginal(des, HyperState(np.full(2, kv), 0.0, s2), y)
+        return MarginalFactor(des, np.full(2, kv), s2).neg_log_marginal(
+            y, 0.0)[0]
 
     fk = f(k)
     for mult in (0.5, 0.9, 1.1, 2.0):
@@ -91,6 +91,14 @@ def test_kappa_is_a_minimizer(rng):
 # ------------------------------------------------------------
 # forward selection
 # ------------------------------------------------------------
+
+def _log_posterior(y, des, s2, kap, gam, subset):
+    """L(I): minus the penalized negative log marginal at lambda = kap on
+    the blocks of I, zero elsewhere."""
+    lam = np.zeros(des.p)
+    lam[list(subset)] = kap
+    return -MarginalFactor(des, lam, s2).neg_log_marginal(y, gam)[0]
+
 
 def test_forward_select_huge_gamma_selects_nothing(rng):
     des = GroupedDesign(rng.standard_normal((30, 8)), [2, 2, 2, 2])
@@ -264,8 +272,7 @@ def test_fit_selection_matches_per_gamma_greedy(rng):
                 ref_set = sorted(ref_order)
                 lam = np.zeros(des.p)
                 lam[ref_set] = trace.kappa
-                th = posterior_mean(d_tr, HyperState(lam, 0.0, trace.sigma2),
-                                    y[:n_tr]).theta
+                th = posterior_mean(d_tr, lam, trace.sigma2, y[:n_tr])
                 assert sel == ref_set
                 assert err == float(np.linalg.norm(y[n_tr:] - d_val.G @ th))
                 np.testing.assert_allclose(gains, ref_gains, rtol=1e-9,
@@ -307,8 +314,6 @@ def _sparse_problem(rng, n=120):
 
 
 def test_fit_config_validation():
-    with pytest.raises(ValueError):
-        SelectionConfig(split_fraction=0.0)
     with pytest.raises(ValueError):
         SelectionConfig(variant="bogus")
     with pytest.raises(ValueError):
