@@ -332,10 +332,18 @@ def main(argv=None):
         tokens = list(argv if argv is not None else sys.argv[1:])
         sub = next(a for a in ap._actions
                    if isinstance(a, argparse._SubParsersAction))
-        types = {a.dest: a.type for a in sub.choices[args.command]._actions
-                 if hasattr(args, a.dest)}    # the command's options
+        # each command's options; a key of another command is ignored, so
+        # one file can serve several commands, and a key of none is an error
+        options = {name: {a.dest: a.type for a in p._actions
+                          if not isinstance(a, argparse._HelpAction)}
+                   for name, p in sub.choices.items()}
+        types = options[args.command]
         for key, val in file_cfg.items():
             attr = key.replace("-", "_")
+            if not any(attr in opts for opts in options.values()):
+                print("error: config key %r is an option of no command"
+                      % key, file=sys.stderr)
+                return 2
             flag = "--" + attr.replace("_", "-")
             supplied = any(t == flag or t.startswith(flag + "=")
                            for t in tokens)

@@ -7,9 +7,10 @@ parametrization: with theta the Group Lasso solution at regularization
 sqrt(2 gamma), lambda_i = ||theta^(i)|| / sqrt(2 gamma) is its minimizer and
 theta is the posterior mean at those scales (Bach, JMLR 2008).  So one
 Group Lasso solver serves both: glasso_path walks a penalty grid by an
-active-set Newton corrector from each warm start, retreating to the last
-certified point with a halved penalty step where the corrector fails,
-and solve_glasso is that path at one penalty.  The Lasso and the
+active-set Newton corrector from each warm start (a violating block joins
+at its proximal-gradient step and Newton finishes it), retreating to the
+last certified point with a halved penalty step where the corrector
+fails, and solve_glasso is that path at one penalty.  The Lasso and the
 adaptive Lasso are solved exactly, by one homotopy pass over the penalty
 (lasso_path).
 """
@@ -194,12 +195,13 @@ def lasso_path(y, G, gammas, sigma2=1.0):
     c_j = b_j - H_j theta reaches +-mu (a join) or an active coefficient
     reaches 0 (a drop).  Events within _TIE mu of each other are taken
     together, and the slope below a breakpoint comes from _path_slope,
-    which also keeps the active set within rank G when m > n.  Events
-    below _TIE mu_max are rounding: the last segment runs on to mu = 0,
-    where it ends at least squares when n > m.  Each grid point is read
-    off its segment and finished by _support_certificate (_lasso_point),
-    so converged is true only where that certificate holds; iterations
-    counts the breakpoints walked to reach the point.
+    which also keeps the active set within rank G when m > n.  While a
+    grid point at mu = 0 remains, events below _TIE mu_max are rounding:
+    the last segment runs on to mu = 0, where it ends at least squares
+    when n > m.  Each grid point is read off its segment and finished by
+    _support_certificate (_lasso_point), so converged is true only where
+    that certificate holds; iterations counts the breakpoints walked to
+    reach the point.
     """
     y = np.asarray(y, dtype=float)
     G = np.atleast_2d(np.asarray(G, dtype=float))
@@ -257,8 +259,10 @@ def lasso_path(y, G, gammas, sigma2=1.0):
         to_join = np.minimum(up, down)
         to_join[A] = np.inf
         delta = min(np.min(to_drop, initial=np.inf), np.min(to_join))
-        if mu - delta <= _TIE * mu_max:
-            delta = np.inf  # events this close to mu = 0 are rounding
+        # while a grid point at mu = 0 remains, events this close to it
+        # are rounding
+        if mu - delta <= _TIE * mu_max and mus[todo[0]] <= 0:
+            delta = np.inf
         read_off(mu - delta, A, dA)
         if not todo:
             break
@@ -272,45 +276,6 @@ def lasso_path(y, G, gammas, sigma2=1.0):
         mu -= delta
         breaks += 1
     return fits
-
-
-def _glasso_block_update(eigvals, Qtb, bnorm, a):
-    """Exact proximal update magnitude for one block.
-
-    Solves sum_k c_k^2 / (s_k t + a)^2 = 1 for t = ||theta_block|| by Newton
-    (the left side is convex decreasing so iterates climb monotonically to
-    the root), where s = eigenvalues of G^(i)T G^(i), c = Q^T b with b the
-    block's correlation with the partial residual, and a = sigma2 gamma.
-    """
-    c2 = Qtb * Qtb
-    t = max(0.0, (bnorm - a) / max(np.max(eigvals), 1e-300))
-    for _ in range(50):
-        den = eigvals * t + a
-        phi = np.sum(c2 / (den * den)) - 1.0
-        dphi = -2.0 * np.sum(c2 * eigvals / (den * den * den))
-        step = phi / dphi
-        t_new = t - step
-        if t_new < 0:
-            t_new = 0.5 * t
-        if abs(t_new - t) <= 1e-12 * max(1.0, t):
-            t = t_new
-            break
-        t = t_new
-    return t
-
-
-def _block_step(eig, q, a):
-    """The block's exact minimizer with the other blocks fixed, from its
-    correlation q with their residual and eig = (s, Q), the
-    eigendecomposition of G^(i)T G^(i): zero when ||q|| <= a (a > 0),
-    otherwise Q (Q^T q) / (s + a / t) with t from _glasso_block_update."""
-    s, Q = eig
-    qn = np.linalg.norm(q)
-    if qn <= a:
-        return np.zeros_like(q)
-    Qtq = Q.T @ q
-    t = _glasso_block_update(s, Qtq, qn, a)
-    return Q @ (Qtq / (s + a / t)) if t > 0 else np.zeros_like(q)
 
 
 def _newton(H_AA, b_A, x, blk, a):
@@ -351,17 +316,12 @@ def _newton(H_AA, b_A, x, blk, a):
 
 class _GlassoProblem:
     """What glasso_path computes once per design and data: H = G^T G
-    (design.gram()), b = G^T y, each block's eigendecomposition and the
-    block that owns each column."""
+    (design.gram()), b = G^T y and the block that owns each column."""
 
     def __init__(self, y, design, sigma2):
         self.y, self.design, self.sigma2 = y, design, sigma2
         self.H = design.gram()
         self.b = design.G.T @ y
-        self.eigs = []
-        for sl in design.slices:
-            s, Q = np.linalg.eigh(self.H[sl, sl])
-            self.eigs.append((np.maximum(s, 0.0), Q))
         self.owner = np.repeat(np.arange(design.p), design.group_sizes)
 
     def block_norms(self, v):
@@ -372,9 +332,11 @@ class _GlassoProblem:
         """Active-set corrector from x at a = sigma2 reg > 0: Newton
         (_newton) on x's nonzero blocks; a block that turns around is set
         to zero and the rest solved again; every inactive block with
-        ||b_i - H_iA x_A|| > a (1 + 1e-9) (with one, only the most
-        violating of them) is then added through its exact block step
-        (_block_step, all from the same point) and the set solved again.
+        ||b_i - H_iA x_A|| = ||q_i|| > a (1 + 1e-9) (with one, only the
+        most violating of them) then joins at its proximal-gradient step
+        (1 - a / ||q_i||) q_i / L_i, L_i the largest eigenvalue of
+        G^(i)T G^(i) (the exact block minimizer for a singleton or
+        orthogonal block), and the set is solved again.
         Returns (x, newton steps, blocks added), x None unless a solve
         left no violator within _CORRECTOR_SOLVES solves: then x
         satisfies the Group Lasso optimality conditions (the
@@ -405,7 +367,8 @@ class _GlassoProblem:
                 viol = viol[[np.argmax(qn[viol])]]
             for i in viol:
                 sl = self.design.slices[i]
-                x[sl] = _block_step(self.eigs[i], q[sl], a)
+                top = np.linalg.eigvalsh(H[sl, sl])[-1]
+                x[sl] = (1.0 - a / qn[i]) / top * q[sl]
             added += viol.size
         return None, steps, added
 
@@ -453,18 +416,19 @@ def glasso_path(y, design, sigma2, regs, theta0=None):
     given.
 
     Minimizes (y - G theta)^T (y - G theta) / (2 sigma2)
-    + reg sum_i ||theta^(i)||.  H = G^T G, b = G^T y and the per-block
-    eigendecompositions are computed once; the walk goes from the largest
-    reg down, each point starting from the previous solution (the first
-    from theta0, default zero), and is solved by an active-set corrector
-    (Roth & Fischer, ICML 2008): Newton on the warm active set's
-    stationarity equations, blocks that turn around dropped, violating
-    blocks added by their exact block update.  Where that fails the point
-    is reached from the last certified one (at first reg_max =
-    max_i ||b_i|| / sigma2, where theta = 0) by penalty steps halved on
-    failure, one block added at a time (_glasso_point).  converged is true
-    only where the point passed the certificate (the optimality
-    conditions of every block, inactive ones up to 1e-9 of sigma2 reg).
+    + reg sum_i ||theta^(i)||.  H = G^T G and b = G^T y are computed
+    once; the walk goes from the largest reg down, each point starting
+    from the previous solution (the first from theta0, default zero), and
+    is solved by an active-set corrector (Roth & Fischer, ICML 2008):
+    Newton on the warm active set's stationarity equations, blocks that
+    turn around dropped, violating blocks joining at their
+    proximal-gradient step, which the next Newton solve finishes.  Where
+    that fails the point is reached from the last certified one (at first
+    reg_max = max_i ||b_i|| / sigma2, where theta = 0) by penalty steps
+    halved on failure, one block added at a time (_glasso_point).
+    converged is true only where the point passed the certificate (the
+    optimality conditions of every block, inactive ones up to 1e-9 of
+    sigma2 reg).
     """
     y = np.asarray(y, dtype=float)
     regs = np.asarray(regs, dtype=float)

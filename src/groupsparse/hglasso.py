@@ -3,9 +3,10 @@
 Hyperparameters lambda are estimated by minimizing the penalized negative
 log marginal likelihood (an exponential hyperprior with rate gamma gives the
 linear penalty), then theta is the conditional posterior mean.  This module
-has the projected Newton solve, KKT residuals, the closed forms that
-exist under orthogonal designs, exact zero probabilities, the weighted-MSE
-diagnostic, and the two-group worked example.
+has the projected Newton solve (at fixed tolerances, returning an
+EstimateResult like the other estimators), KKT residuals, the closed forms
+that exist under orthogonal designs, exact zero probabilities, the
+weighted-MSE diagnostic, and the two-group worked example.
 """
 
 import numpy as np
@@ -13,16 +14,21 @@ from dataclasses import dataclass
 from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import ncx2
 
-from .model import MarginalFactor
-from .pqn import PqnConfig, PqnResult
+from .model import EstimateResult, MarginalFactor
 
 __all__ = [
     "solve_hgl_pqn", "kkt_residual_hgl", "kkt_violation_hgl",
     "closed_form_lambda_orth", "closed_form_lambda_mkl_orth", "lambda_opt",
     "ZeroProbQuery", "prob_lambda_zero", "two_group_thresholds",
     "TwoGroupThresholds", "weighted_mse_profile", "WeightedMseProfile",
-    "PqnConfig", "PqnResult",
 ]
+
+# solve_hgl_pqn: convergence tolerance on the projected gradient (relative
+# to 1 + |f|), iteration cap, Armijo constant and backtracking factor
+_GRAD_TOL = 1e-10
+_MAX_ITER = 1000
+_ARMIJO = 1e-4
+_BACKTRACK = 0.5
 
 
 def _newton_direction(H, g):
@@ -37,7 +43,7 @@ def _newton_direction(H, g):
             mu = 1e-8 * scale if mu == 0.0 else 10.0 * mu
 
 
-def solve_hgl_pqn(y, design, sigma2, gamma, lam0=None, config=None):
+def solve_hgl_pqn(y, design, sigma2, gamma, lam0=None):
     """Minimize the penalized negative log marginal over lambda >= 0 by
     projected Newton on the exact Hessian (Bertsekas, SIAM J. Control
     Optim. 1982).
@@ -48,47 +54,42 @@ def solve_hgl_pqn(y, design, sigma2, gamma, lam0=None, config=None):
     step on their block of MarginalFactor.block_hessian, damped by mu I
     while that block is not positive definite.  The step is scaled so that
     no free coordinate moves by more than max(1, max lam), and accepted by
-    Armijo backtracking along the projection arc, so coordinates land on
-    zero exactly; a trial point that passes the convergence test is
-    accepted whatever its objective.
+    Armijo backtracking (_ARMIJO, _BACKTRACK) along the projection arc, so
+    coordinates land on zero exactly; a trial point that passes the
+    convergence test is accepted whatever its objective.
 
-    The convergence test is minimize_pqn's: ||lam - P(lam - g)||_inf <=
-    grad_tol (1 + |f|) over the free coordinates, P the projection on the
-    orthant; .converged is False when max_iter iterations did not pass it.
-    config.active_set pins the other coordinates at zero; armijo_c and
-    backtrack set the line search; config.memory applies to minimize_pqn
-    only.  The objective is nonconvex; the result is a stationary point
-    reached from lam0 (default: zeros), returned as a PqnResult whose
-    min_free_hessian_eig is the smallest eigenvalue of the Hessian on the
-    final free coordinates (positive at a strict local minimum).
+    The convergence test is ||lam - P(lam - g)||_inf <= _GRAD_TOL (1 +
+    |f|), P the projection on the orthant; converged is False when
+    _MAX_ITER iterations did not pass it.  To pin blocks at zero, solve on
+    design.subdesign of the others.  The objective is nonconvex; the
+    result is a stationary point reached from lam0 (default: zeros),
+    returned as an EstimateResult with theta the posterior mean at lam
+    (from the final factor) and extra["kkt_residual"]
+    (kkt_violation_hgl), extra["grad_norm"] (the test's left side) and
+    extra["min_free_hessian_eig"], the smallest eigenvalue of the Hessian
+    on the final free coordinates (positive at a strict local minimum;
+    None when none is free).
     """
-    cfg = config or PqnConfig(grad_tol=1e-10, max_iter=2000)
     y = np.asarray(y, dtype=float)
     lam = np.zeros(design.p) if lam0 is None else \
         np.maximum(np.asarray(lam0, dtype=float), 0.0)
-    pinned = np.zeros(design.p, dtype=bool)
-    if cfg.active_set is not None:
-        pinned[:] = True
-        pinned[list(cfg.active_set)] = False
-        lam[pinned] = 0.0
 
     def evaluate(lam):
         fac = MarginalFactor(design, lam, sigma2)
         return (fac,) + fac.neg_log_marginal(y, gamma)
 
     def pg_norm(lam, g):
-        pg = lam - np.maximum(lam - g, 0.0)
-        pg[pinned] = 0.0
-        return float(np.max(np.abs(pg), initial=0.0))
+        return float(np.max(np.abs(lam - np.maximum(lam - g, 0.0)),
+                            initial=0.0))
 
     fac, f, g = evaluate(lam)
     it = 0
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         gnorm = pg_norm(lam, g)
-        if gnorm <= cfg.grad_tol * (1.0 + abs(f)):
+        if gnorm <= _GRAD_TOL * (1.0 + abs(f)):
             break
-        free = ~pinned & ((lam > gnorm) | (g <= 0.0))
-        d = np.where(pinned, 0.0, -g)
+        free = (lam > gnorm) | (g <= 0.0)
+        d = -g
         if free.any():
             H = fac.block_hessian(y)[np.ix_(free, free)]
             d[free] = _newton_direction(H, g[free])
@@ -108,25 +109,29 @@ def solve_hgl_pqn(y, design, sigma2, gamma, lam0=None, config=None):
             fac_t, f_t, g_t = evaluate(lam_t)
             # a trial passing the convergence test is taken whatever its
             # objective; 1e-13|f| keeps rounding from rejecting decreases
-            if pg_norm(lam_t, g_t) <= cfg.grad_tol * (1.0 + abs(f_t)) or \
-                    f_t <= f + min(cfg.armijo_c * (g @ step), 0.0) \
+            if pg_norm(lam_t, g_t) <= _GRAD_TOL * (1.0 + abs(f_t)) or \
+                    f_t <= f + min(_ARMIJO * (g @ step), 0.0) \
                     + 1e-13 * abs(f):
                 accepted = True
                 break
-            t *= cfg.backtrack
+            t *= _BACKTRACK
         if not accepted:
             break  # no decrease representable; treat as terminal
         lam, fac, f, g = lam_t, fac_t, f_t, g_t
 
     gnorm = pg_norm(lam, g)
-    free = ~pinned & ((lam > gnorm) | (g <= 0.0))     # the final split
+    free = (lam > gnorm) | (g <= 0.0)     # the final split
     eig = None
     if free.any():     # from fac's cached G^T W G and W y
         eig = float(np.linalg.eigvalsh(
             fac.block_hessian(y)[np.ix_(free, free)])[0])
-    return PqnResult(lam=lam, converged=gnorm <= cfg.grad_tol * (1.0 + abs(f)),
-                     iterations=it, objective=float(f), grad_norm=gnorm,
-                     grad=g, min_free_hessian_eig=eig)
+    return EstimateResult(
+        theta=fac.lam_full * fac.gtw_y(y), lam=lam,
+        selected=list(np.flatnonzero(lam)), gamma=gamma,
+        converged=gnorm <= _GRAD_TOL * (1.0 + abs(f)), iterations=it,
+        objective=float(f),
+        extra={"kkt_residual": kkt_violation_hgl(lam, 2.0 * g),
+               "grad_norm": gnorm, "min_free_hessian_eig": eig})
 
 
 def kkt_residual_hgl(lam, y, design, sigma2, gamma):

@@ -19,11 +19,11 @@ callers that fit several variants run the stage once.
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from scipy.optimize import minimize_scalar
 
 from .model import EstimateResult, GroupedDesign, posterior_mean
-from .hglasso import kkt_violation_hgl, solve_hgl_pqn
-from .pqn import PqnConfig
+from .hglasso import solve_hgl_pqn
 
 VARIANTS = ("hgla", "hglb", "hglc")
 
@@ -36,9 +36,6 @@ class SelectionConfig:
     grid_n: int = 30
     variant: str = "hgla"
     sigma2: float = None               # override; otherwise training LS estimate
-    # projected Newton polish of hglb/hglc (solve_hgl_pqn; memory unused)
-    pqn: PqnConfig = field(default_factory=lambda: PqnConfig(grad_tol=1e-10,
-                                                             max_iter=1000))
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -89,16 +86,15 @@ def estimate_kappa(y_tr, design_tr, sigma2):
     """Common scale: minimize the unpenalized marginal objective over
     lambda = kappa * ones.
 
-    Golden-section search on log kappa over [1e-8, 1e8] ||y_tr||^2 / n_tr,
-    then a few Newton
-    polish steps on the exact 1-D derivative.  The whole profile reduces to
+    Bounded scalar minimization (scipy.optimize.minimize_scalar) on log
+    kappa over [1e-8, 1e8] ||y_tr||^2 / n_tr, then a few Newton polish
+    steps on the exact 1-D derivative.  The whole profile reduces to
     the eigenvalues of G G^T, so evaluations are scalar sums.
     """
     y = np.asarray(y_tr, dtype=float)
     if not np.any(y):
         return 0.0
     scale = float(y @ y) / design_tr.n
-    lo, hi = 1e-8 * scale, 1e8 * scale
     # Sigma_y(kappa) = kappa G G^T + sigma2 I: diagonalize once
     w, Q = np.linalg.eigh(design_tr.G @ design_tr.G.T)
     w = np.maximum(w, 0.0)
@@ -112,24 +108,9 @@ def estimate_kappa(y_tr, design_tr, sigma2):
         den = k * w + sigma2
         return 0.5 * np.sum(w / den) - 0.5 * np.sum(w * yt2 / (den * den))
 
-    # golden section on log kappa
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = np.log(lo), np.log(hi)
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    fc, fd = f(np.exp(c)), f(np.exp(d))
-    for _ in range(200):
-        if b - a < 1e-10:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = f(np.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = f(np.exp(d))
-    k = float(np.exp(0.5 * (a + b)))
+    bounds = (np.log(1e-8 * scale), np.log(1e8 * scale))
+    k = float(np.exp(minimize_scalar(lambda t: f(np.exp(t)), bounds=bounds,
+                                     method="bounded").x))
     # Newton polish on the derivative
     for _ in range(50):
         g = df(k)
@@ -315,27 +296,29 @@ def polish_hglasso(y, design, trace, config=None):
     lam_hat[i_fs] = trace.kappa
     res = None
     if cfg.variant == "hglb":
-        res = solve_hgl_pqn(y, design, sigma2, trace.chosen_gamma, lam_hat,
-                            cfg.pqn)
+        res = solve_hgl_pqn(y, design, sigma2, trace.chosen_gamma, lam_hat)
         lam_hat = res.lam
     elif cfg.variant == "hglc" and i_fs:
         res = solve_hgl_pqn(y, design.subdesign(i_fs), sigma2, 0.0,
-                            lam_hat[i_fs], cfg.pqn)
+                            lam_hat[i_fs])
         lam_hat[i_fs] = res.lam
+    # hglb's solve ran on this design and lam_hat: its theta is the mean
+    theta = res.theta if cfg.variant == "hglb" else \
+        posterior_mean(design, lam_hat, sigma2, y)
     if res is not None:
-        kkt = kkt_violation_hgl(res.lam, 2.0 * res.grad)
+        kkt = res.extra["kkt_residual"]
     else:
         kkt = None if cfg.variant == "hgla" else 0.0
     sel = [i for i in range(design.p) if lam_hat[i] > 0]
     return EstimateResult(
-        theta=posterior_mean(design, lam_hat, sigma2, y), lam=lam_hat, selected=sel, gamma=trace.chosen_gamma,
+        theta=theta, lam=lam_hat, selected=sel, gamma=trace.chosen_gamma,
         converged=res is None or res.converged,
         iterations=0 if res is None else res.iterations,
         objective=np.nan if res is None else res.objective,
         extra={"kappa": trace.kappa, "sigma2": sigma2,
                "variant": cfg.variant, "kkt_residual": kkt,
                "min_free_hessian_eig": None if res is None
-               else res.min_free_hessian_eig,
+               else res.extra["min_free_hessian_eig"],
                "greedy_order": list(trace.greedy_order),
                "greedy_gains": list(trace.greedy_gains)})
 

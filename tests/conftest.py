@@ -62,13 +62,34 @@ def orthogonal_design(rng, sizes, n):
     return GroupedDesign(Q * np.sqrt(n), list(sizes))
 
 
+def _exact_block_min(s, Q, q, a):
+    """argmin_x x^T H x / 2 - q^T x + a ||x|| for H = Q diag(s) Q^T >= 0
+    and a > 0: zero if ||q|| <= a, else x = Q (c / (s + a / t)), c = Q^T q,
+    with t = ||x|| the root of sum_k c_k^2 / (s_k t + a)^2 = 1, which is
+    decreasing in t and bracketed by (||q|| - a) / max s below."""
+    from scipy.optimize import brentq
+    qn = np.linalg.norm(q)
+    if qn <= a:
+        return np.zeros_like(q)
+    c = Q.T @ q
+
+    def phi(t):
+        return np.sum((c / (s * t + a)) ** 2) - 1.0
+
+    lo = hi = (qn - a) / np.max(s)
+    while phi(hi) > 0:
+        hi *= 2.0
+    t = brentq(phi, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps) \
+        if hi > lo else lo
+    return Q @ (c / (s + a / t))
+
+
 def cold_cd_glasso(y, des, s2, reg, tol=1e-15, max_sweeps=200000):
     """Group Lasso at penalty reg by cyclic block coordinate descent from
     theta = 0, each block set to its exact minimizer with the others held
-    fixed, until a sweep moves theta by at most tol ||theta||: a solver
-    without the path's warm starts, active sets or Newton steps, kept as
-    its reference."""
-    from groupsparse.convex import _glasso_block_update
+    fixed (_exact_block_min), until a sweep moves theta by at most
+    tol ||theta||: a solver that shares no code with the path (no warm
+    starts, active sets or Newton steps), kept as its reference."""
     y = np.asarray(y, dtype=float)
     H, b, a = des.G.T @ des.G, des.G.T @ y, s2 * reg
     eigs = [np.linalg.eigh(H[sl, sl]) for sl in des.slices]
@@ -77,11 +98,7 @@ def cold_cd_glasso(y, des, s2, reg, tol=1e-15, max_sweeps=200000):
         old = theta.copy()
         for (s, Q), sl in zip(eigs, des.slices):
             q = b[sl] - H[sl] @ theta + H[sl, sl] @ theta[sl]
-            c = Q.T @ q
-            t = _glasso_block_update(np.maximum(s, 0.0), c,
-                                     np.linalg.norm(q), a) \
-                if np.linalg.norm(q) > a else 0.0
-            theta[sl] = Q @ (c / (s + a / t)) if t > 0 else 0.0
+            theta[sl] = _exact_block_min(np.maximum(s, 0.0), Q, q, a)
         if np.linalg.norm(theta - old) <= tol * np.linalg.norm(theta):
             break
     return theta

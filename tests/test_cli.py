@@ -364,11 +364,8 @@ def test_fit_hglb_reports_kkt_residual_and_objective(fixture_dir, tmp_path):
 def test_fit_unconverged_polish_exits_3(tmp_path, monkeypatch):
     """converged is False when the polish runs out of iterations, and the
     fit exits 3."""
-    import functools
-    import groupsparse.cli as cli
-    from groupsparse import PqnConfig, SelectionConfig
-    monkeypatch.setattr(cli, "SelectionConfig", functools.partial(
-        SelectionConfig, pqn=PqnConfig(grad_tol=1e-10, max_iter=1)))
+    import groupsparse.hglasso as hg
+    monkeypatch.setattr(hg, "_MAX_ITER", 1)
     data = _wide_problem(tmp_path, 404, 3)
     for method in ("hglb", "hglc"):
         out = tmp_path / ("%s.json" % method)
@@ -575,8 +572,9 @@ def test_config_values_take_their_flags_type(fixture_dir, tmp_path,
     """A config value is converted by its flag's type, as if typed on the
     command line: {"sigma2": "1"} fits like --sigma2 1, and a value that
     does not convert ({"gamma": "abc"}, a fractional --grid-n) exits 2
-    with the key named.  Keys that are no option of the command, such as
-    the parser's own "func", are ignored."""
+    with the key named.  A key of another command ("seed" for fit) is
+    ignored; a key of no command (a misspelt "gama", the parser's own
+    "func" and "command") exits 2 with the key named."""
     data = ["--data-y", str(fixture_dir / "y.csv"),
             "--data-g", str(fixture_dir / "G.csv"), "--groups", "4"]
     cfg = tmp_path / "cfg.json"
@@ -587,12 +585,13 @@ def test_config_values_take_their_flags_type(fixture_dir, tmp_path,
     assert main(["fit", "--method", "lasso", "--sigma2", "1",
                  "--out", str(ref)] + data) == 0
     assert json.loads(out.read_text()) == json.loads(ref.read_text())
-    # a key that is no option of the command is ignored, as before
-    cfg.write_text(json.dumps({"func": 1, "command": "x", "seed": 3}))
+    # a key of another command is ignored
+    cfg.write_text(json.dumps({"seed": 3}))
     assert main(["--config", str(cfg), "fit", "--method", "lasso",
                  "--sigma2", "1", "--out", str(out)] + data) == 0
     assert json.loads(out.read_text()) == json.loads(ref.read_text())
-    for bad in ({"gamma": "abc"}, {"grid_n": 2.5}, {"sigma2": [1]}):
+    for bad in ({"gamma": "abc"}, {"grid_n": 2.5}, {"sigma2": [1]},
+                {"gama": 0.5}, {"func": 1}, {"command": "x"}):
         cfg.write_text(json.dumps(bad))
         capsys.readouterr()
         assert main(["--config", str(cfg), "fit", "--method", "lasso"]

@@ -53,9 +53,10 @@ def test_hgl_min_free_hessian_eig_is_positive_on_orthogonal_designs(rng):
             y = des.G @ th + 0.5 * rng.standard_normal(20)
             res = solve_hgl_pqn(y, des, 0.25, gam)
             assert res.converged
-            if res.min_free_hessian_eig is not None:
+            eig = res.extra["min_free_hessian_eig"]
+            if eig is not None:
                 seen += 1
-                assert res.min_free_hessian_eig > 0
+                assert eig > 0
     assert seen >= 20
 
 
@@ -98,38 +99,15 @@ def test_hgl_boundary_zeros_are_exact(rng):
     assert zeros > 0
 
 
-def test_hgl_active_set_pins_the_other_blocks(rng):
-    """active_set keeps the other coordinates at exactly zero, and the
-    pinned solve is the solve on the design restricted to the set."""
-    for _ in range(10):
-        des = random_grouped(rng, p_max=6)
-        if des.p < 2:
-            continue
-        keep = sorted(rng.permutation(des.p)[:des.p // 2 + 1].tolist())
-        y = 2.0 * rng.standard_normal(des.n)
-        s2, gam = float(rng.uniform(0.3, 1.5)), float(rng.uniform(0.0, 1.0))
-        cfg = PqnConfig(grad_tol=1e-12, max_iter=2000, active_set=keep)
-        res = solve_hgl_pqn(y, des, s2, gam, lam0=np.ones(des.p), config=cfg)
-        sub = solve_hgl_pqn(y, des.subdesign(keep), s2, gam,
-                            lam0=np.ones(len(keep)),
-                            config=PqnConfig(grad_tol=1e-12, max_iter=2000))
-        off = np.setdiff1d(np.arange(des.p), keep)
-        assert res.converged and np.all(res.lam[off] == 0.0)
-        assert np.all(res.lam >= 0.0)
-        assert np.allclose(res.lam[keep], sub.lam, rtol=1e-6, atol=1e-8)
-        assert kkt_residual_hgl(res.lam[keep], y, des.subdesign(keep), s2,
-                                gam) <= 1e-8 * (1 + des.n)
-
-
 def test_hgl_iterates_stay_feasible_and_descend(rng, monkeypatch):
-    """Every lambda the solve evaluates is >= 0 and off-set blocks are 0;
-    the returned objective is the lowest value accepted."""
+    """Every lambda the solve evaluates is >= 0; the returned objective is
+    the lowest value accepted."""
     import groupsparse.hglasso as hg
     seen = []
     factor = hg.MarginalFactor
 
     def recording(design, lam, sigma2):
-        assert np.all(lam >= 0.0) and lam[0] == 0.0
+        assert np.all(lam >= 0.0)
         seen.append(lam.copy())
         return factor(design, lam, sigma2)
 
@@ -139,8 +117,7 @@ def test_hgl_iterates_stay_feasible_and_descend(rng, monkeypatch):
         des = random_grouped(rng, p_max=5)
     y = 3.0 * rng.standard_normal(des.n)
     s2, gam = 0.5, 0.2
-    cfg = PqnConfig(grad_tol=1e-10, active_set=list(range(1, des.p)))
-    res = solve_hgl_pqn(y, des, s2, gam, lam0=np.full(des.p, 2.0), config=cfg)
+    res = solve_hgl_pqn(y, des, s2, gam, lam0=np.full(des.p, 2.0))
     assert res.converged and len(seen) > 1
     f0 = MarginalFactor(des, seen[0], s2).neg_log_marginal(y, gam)[0]
     assert res.objective <= f0
@@ -148,13 +125,35 @@ def test_hgl_iterates_stay_feasible_and_descend(rng, monkeypatch):
         MarginalFactor(des, res.lam, s2).neg_log_marginal(y, gam)[0]
 
 
-def test_hgl_converged_is_false_when_max_iter_runs_out(rng):
+def test_hgl_converged_is_false_when_max_iter_runs_out(rng, monkeypatch):
+    import groupsparse.hglasso as hg
+    monkeypatch.setattr(hg, "_MAX_ITER", 1)
     des = random_grouped(rng, p_max=5)
     y = 3.0 * rng.standard_normal(des.n)
-    res = solve_hgl_pqn(y, des, 0.5, 0.1, lam0=np.full(des.p, 50.0),
-                        config=PqnConfig(grad_tol=1e-10, max_iter=1))
+    res = solve_hgl_pqn(y, des, 0.5, 0.1, lam0=np.full(des.p, 50.0))
     assert res.iterations == 1 and not res.converged
-    assert res.grad_norm > 1e-10 * (1 + abs(res.objective))
+    assert res.extra["grad_norm"] > 1e-10 * (1 + abs(res.objective))
+
+
+def test_polish_modules_do_not_import_pqn():
+    """hglasso and selection set the polish's tolerances themselves:
+    neither imports groupsparse.pqn, the L-BFGS solver the tests keep as
+    a reference."""
+    import ast
+    import pathlib
+    import groupsparse.hglasso
+    import groupsparse.selection
+    for mod in (groupsparse.hglasso, groupsparse.selection):
+        tree = ast.parse(pathlib.Path(mod.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                parts = (node.module or "").split(".") \
+                    + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                parts = [p for a in node.names for p in a.name.split(".")]
+            else:
+                continue
+            assert "pqn" not in parts, mod.__name__
 
 
 def test_hgl_line_search_takes_a_converged_trial_on_the_armijo_edge():
@@ -323,21 +322,19 @@ def _tg_design():
 
 def test_two_group_lambda2_matches_generic_solver():
     """The scalar lambda2 formulas agree with the full solvers on the
-    actual 2x2 design when block 1 is pinned at zero."""
-    des = _tg_design()
+    actual 2x2 design when block 1 is pinned at zero (the solve runs on
+    the second block alone)."""
+    des = _tg_design().subdesign([1])
     y = np.array([0.0, 1.0])
     s2 = 0.1
     for gam in (0.0, 0.5, 2.0, 10.0):
         tg = two_group_thresholds(1.0, s2, 0.5, gam)
-        res = solve_hgl_pqn(y, des, s2, gam,
-                            config=PqnConfig(grad_tol=1e-12, max_iter=2000,
-                                             active_set=[1]))
-        assert abs(res.lam[1] - tg.lambda2_hgl) <= 1e-8 * (1 + tg.lambda2_hgl)
+        res = solve_hgl_pqn(y, des, s2, gam)
+        assert abs(res.lam[0] - tg.lambda2_hgl) <= 1e-8 * (1 + tg.lambda2_hgl)
         if gam > 0:
             resm = mkl_pqn(y, des, s2, gam,
-                           config=PqnConfig(grad_tol=1e-12, max_iter=2000,
-                                            active_set=[1]))
-            assert abs(resm.lam[1] - tg.lambda2_mkl) <= 1e-8 * (
+                           config=PqnConfig(grad_tol=1e-12, max_iter=2000))
+            assert abs(resm.lam[0] - tg.lambda2_mkl) <= 1e-8 * (
                 1 + tg.lambda2_mkl)
 
 
@@ -357,8 +354,7 @@ def test_two_group_gamma_min_consistent_with_margins():
     for gmin, solver in ((tg.gamma_min_hgl, "hgl"), (tg.gamma_min_mkl, "mkl")):
         probe = max(gmin, 1e-6) * 1.5
         if solver == "hgl":
-            res = solve_hgl_pqn(y, des, s2, probe,
-                                config=PqnConfig(grad_tol=1e-12, max_iter=2000))
+            res = solve_hgl_pqn(y, des, s2, probe)
         else:
             res = mkl_pqn(y, des, s2, probe,
                           config=PqnConfig(grad_tol=1e-12, max_iter=2000))
