@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 import numpy as np
 
 from .model import GroupedDesign
@@ -33,30 +34,46 @@ class CliError(Exception):
 # I/O helpers
 # ============================================================
 
-def read_csv_matrix(path):
+def _scan_csv(fh, path):
+    """The rows of a CSV file read line by line, blank lines skipped;
+    names the first malformed or ragged line."""
     rows = []
     width = None
+    for ln, line in enumerate(fh, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = [float(x) for x in line.split(",")]
+        except ValueError:
+            raise CliError("%s: malformed CSV at line %d" % (path, ln))
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise CliError("%s: ragged CSV at line %d" % (path, ln))
+        rows.append(row)
+    return np.asarray(rows)
+
+
+def read_csv_matrix(path):
+    """The matrix in a headerless CSV file of numbers, one row per nonblank
+    line, parsed by np.loadtxt.  Where loadtxt refuses the file, _scan_csv
+    reads it again, so that a malformed or ragged line is named by its line
+    number (and what loadtxt alone refuses, such as a line of spaces, is
+    read as before).  An empty file or a nan or inf entry is an error."""
     try:
         fh = open(path)
     except OSError as exc:
         raise CliError(str(exc))
-    with fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [float(x) for x in line.split(",")]
-            except ValueError:
-                raise CliError("%s: malformed CSV at line %d" % (path, ln))
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise CliError("%s: ragged CSV at line %d" % (path, ln))
-            rows.append(row)
-    if not rows:
+    with fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            A = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        except ValueError:
+            fh.seek(0)
+            A = _scan_csv(fh, path)
+    if not A.size:
         raise CliError("%s: empty CSV" % path)
-    A = np.asarray(rows)
     if not np.all(np.isfinite(A)):
         raise CliError("%s: non-finite entry (nan or inf)" % path)
     return A
@@ -65,8 +82,7 @@ def read_csv_matrix(path):
 def write_csv_matrix(path, A):
     A = np.atleast_2d(np.asarray(A, dtype=float))
     with open(path, "w") as fh:
-        for row in A:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in A.tolist())
 
 
 def parse_groups(text, m):

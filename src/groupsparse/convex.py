@@ -12,12 +12,15 @@ at its proximal-gradient step and Newton finishes it), retreating to the
 last certified point with a halved penalty step where the corrector
 fails, and solve_glasso is that path at one penalty.  The Lasso and the
 adaptive Lasso are solved exactly, by one homotopy pass over the penalty
-(lasso_path).
+(lasso_path) that keeps one Cholesky factor of the active set's Gram
+matrix per segment (_ActiveSet): a join extends it by a triangular solve,
+a drop factors it afresh, and the path's slope and the exact, certified
+solution at every grid point on the segment come from it.
 """
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .model import EstimateResult, GroupedDesign, MarginalFactor
 from .selection import _split
@@ -42,6 +45,9 @@ ADALASSO_WEIGHT_CAP = 1e8
 
 # Lasso path events less than _TIE * mu apart in mu happen together
 _TIE = 1e-12
+# a Cholesky pivot below _PIVOT of its diagonal entry marks a column in the
+# span of the others
+_PIVOT = 1e-12
 
 # the Group Lasso corrector: Newton steps per solve of an active set, and
 # solves (after each drop or add) per corrector run
@@ -57,73 +63,55 @@ def solve_lasso(y, G, config, sigma2=1.0):
 
     Minimizes (y - G theta)^T (y - G theta) / (2 sigma2) + reg ||theta||_1
     exactly: lasso_path walked from ||G^T y||_inf down to mu = sigma2 reg
-    (config.max_iter does not apply).  iterations is the
-    number of breakpoints walked and extra["kkt_residual"] the largest
-    violation of the optimality conditions, in units of reg.
+    (config.max_iter does not apply).  iterations is the number of
+    breakpoints walked, extra["factorizations"] the factorizations made
+    on the way and extra["kkt_residual"] the largest violation of the
+    optimality conditions, in units of reg.
     """
     return lasso_path(y, G, [config.reg_param], sigma2)[0]
 
 
-def _support_certificate(H, b, theta, thr):
-    """Exact Lasso solution on theta's support and signs, or None.
-
-    Solves the stationarity equations on A = supp(theta) with the signs of
-    theta held fixed; returns the solution when it keeps every sign and no
-    coordinate off A violates |q_j| <= thr for q = b - H theta, up to
-    rounding: 1e-9 of thr and 1e-14 of ||b||_inf (at thr = 0, an
-    interpolating fit when m > n, only rounding is left).
-    """
-    A = np.flatnonzero(theta)
-    s = np.sign(theta[A])
-    cand = np.zeros_like(theta)
-    if A.size:
-        try:
-            cand[A] = np.linalg.solve(H[np.ix_(A, A)], b[A] - thr * s)
-        except np.linalg.LinAlgError:
-            return None
-        if np.any(np.sign(cand[A]) != s):
-            return None
-    q = b - H @ cand
-    off = np.ones(theta.size, dtype=bool)
-    off[A] = False
-    if np.any(np.abs(q[off]) > thr * (1.0 + 1e-9)
-              + 1e-14 * np.max(np.abs(b), initial=0.0)):
-        return None
-    return cand
-
-
-def _lasso_point(y, G, H, b, theta, gamma, sigma2, breakpoints):
-    """One grid point of lasso_path: theta read off the path, finished by
-    _support_certificate.  converged is true only if the certificate held;
-    otherwise theta is the read-off point."""
-    cert = _support_certificate(H, b, theta, sigma2 * gamma)
-    if cert is not None:
-        theta = cert
-    g = (b - H @ theta) / sigma2
+def _lasso_point(y, G, theta, q, gamma, sigma2, certified, breakpoints,
+                 factorizations):
+    """One grid point of lasso_path: theta is the exact solution at
+    mu = sigma2 gamma on the active set and signs of its segment, q =
+    G^T (y - G theta) its correlations, and certified whether lasso_path's
+    checks held, which is what converged reports.  iterations is the
+    number of breakpoints walked to reach the point; extra holds the KKT
+    residual (in units of gamma) and the factorizations made so far."""
+    g = q / sigma2
     viol = np.where(theta != 0, np.abs(g - gamma * np.sign(theta)),
                     np.maximum(0.0, np.abs(g) - gamma))
     r = y - G @ theta
     return EstimateResult(theta=theta, selected=list(np.nonzero(theta)[0]),
-                          gamma=gamma, converged=cert is not None,
+                          gamma=gamma, converged=bool(certified),
                           iterations=breakpoints,
                           objective=(r @ r) / (2.0 * sigma2)
                           + gamma * np.sum(np.abs(theta)),
                           extra={"kkt_residual": float(np.max(viol,
-                                                              initial=0.0))})
+                                                              initial=0.0)),
+                                 "factorizations": factorizations})
+
+
+def _cholesky(M):
+    """Lower Cholesky factor of symmetric M, or None when M is numerically
+    singular: a pivot below _PIVOT of its diagonal entry (a column in the
+    span of the others)."""
+    # LAPACK directly: on these small systems the checks of the
+    # scipy.linalg wrappers cost more than the factorization
+    L, info = dpotrf(M, lower=1, clean=0)
+    if info != 0 or np.any(np.diag(L) ** 2 <= _PIVOT * np.diag(M)):
+        return None
+    return L
 
 
 def _spd_solve(M, r):
     """M^{-1} r for symmetric positive definite M, or None when M is
-    numerically singular (a pivot below 1e-12 of its diagonal entry: a
-    column in the span of the others)."""
+    numerically singular (_cholesky)."""
     if not r.size:
         return r
-    # LAPACK directly: on these small systems the checks of the
-    # scipy.linalg wrappers cost more than the factorization
-    L, info = dpotrf(M, lower=1, clean=0)
-    if info != 0 or np.any(np.diag(L) ** 2 <= 1e-12 * np.diag(M)):
-        return None
-    return dpotrs(L, r, lower=1)[0]
+    L = _cholesky(M)
+    return None if L is None else dpotrs(L, r, lower=1)[0]
 
 
 def _path_slope(HE, s, zero, held):
@@ -182,6 +170,125 @@ def _path_slope(HE, s, zero, held):
         freed = j
 
 
+class _ActiveSet:
+    """The Lasso path's active set A, its signs s_A and coefficients
+    theta_A, in the order of the lower Cholesky factor L of H_AA, with the
+    rows H[A, :], in buffers sized for every column.  factorizations
+    counts each dpotrf and each column appended."""
+
+    def __init__(self, H):
+        m = H.shape[0]
+        self.H, self.factorizations = H, 0
+        self.idx = np.zeros(m, dtype=np.intp)
+        self.s, self.th = np.zeros(m), np.zeros(m)
+        self.rows, self.L = np.zeros((m, m)), np.zeros((m, m))
+        self._resize(0)
+
+    def _resize(self, k):
+        self.k = k
+        self.A, self.sA, self.thA = self.idx[:k], self.s[:k], self.th[:k]
+        self.HA = self.rows[:k]
+
+    def _solve(self, r):
+        """H_AA^{-1} r from the factor."""
+        return dpotrs(self.L[:self.k, :self.k], r, lower=1)[0] \
+            if self.k else r
+
+    def _factor(self):
+        """L from one dpotrf of H_AA; False when H_AA is numerically
+        singular (_cholesky)."""
+        if not self.k:
+            return True
+        self.factorizations += 1
+        L = _cholesky(self.HA[:, self.A])
+        if L is None:
+            return False
+        self.L[:self.k, :self.k] = L
+        return True
+
+    def reset(self, A, s, th):
+        """Make A (with signs s and coefficients th) the active set and
+        factor it afresh."""
+        self._resize(A.size)
+        self.A[:], self.sA[:], self.thA[:] = A, s, th
+        self.HA[:] = self.H[A]
+        return self._factor()
+
+    def append(self, j, s_j):
+        """Join j at zero with sign s_j: L gains a row by one triangular
+        solve.  False, and A unchanged, when the new pivot is below _PIVOT
+        of H_jj, as in _cholesky (column j in the span of A's)."""
+        k, h = self.k, self.H[j]
+        self.factorizations += 1
+        pivot = h[j]
+        if k:
+            w = dtrtrs(self.L[:k, :k], h[self.A], lower=1)[0]
+            pivot -= w @ w
+            self.L[k, :k] = w
+        if not pivot > _PIVOT * h[j]:
+            return False
+        self.L[k, k] = np.sqrt(pivot)
+        self.idx[k], self.s[k], self.th[k] = j, s_j, 0.0
+        self.rows[k] = h
+        self._resize(k + 1)
+        return True
+
+    def pop(self):
+        """Undo the last append (the leading rows of L stay as they were)."""
+        self._resize(self.k - 1)
+
+    def remove(self, p):
+        """Drop the p-th coordinate of A and factor the rest afresh."""
+        k = self.k
+        for buf in (self.idx, self.s, self.th, self.rows):
+            buf[p:k - 1] = buf[p + 1:k]
+        self._resize(k - 1)
+        return self._factor()
+
+    def slope(self):
+        """d = H_AA^{-1} s_A: theta_A moves by delta d as mu falls by
+        delta."""
+        return self._solve(self.sA)
+
+    def points(self, b, mus, slack):
+        """The exact solutions theta_A = H_AA^{-1} (b_A - mu s_A) at each
+        mu of mus (one dpotrs for all), as rows of theta, with their
+        correlations q = b - H[:, A] theta_A and whether each is
+        certified: it keeps every sign of s_A and |q_j| <= mu (1 + 1e-9)
+        + slack off A (at mu = 0, an interpolating fit when m > n, only
+        the rounding slack is left)."""
+        thA = self._solve(b[self.A, None] - self.sA[:, None] * mus).T
+        theta = np.zeros((mus.size, b.size))
+        theta[:, self.A] = thA
+        q = b - thA @ self.HA
+        off = np.abs(q) > (mus * (1.0 + 1e-9) + slack)[:, None]
+        off[:, self.A] = False
+        return theta, q, ~off.any(axis=1) & np.all(
+            np.sign(thA) == self.sA, axis=1)
+
+
+def _settle(act, c, E, theta, dropped):
+    """The slope below a breakpoint that one join or drop does not settle:
+    several events within _TIE, a joiner in the span of A or not leaving
+    zero, a dropped coordinate whose correlation does not leave the bound.
+    _path_slope on E, the coordinates at the bound (theta their
+    coefficients at the breakpoint, dropped those that just reached zero),
+    then act is reset to the coordinates that move, factored afresh.
+    Returns (held, s_held), the coordinates of E held at zero and their
+    signs, or None when the nonzero coordinates alone are singular."""
+    zero = theta[E] == 0
+    s = np.sign(np.where(zero, c[E], theta[E]))
+    d = _path_slope(act.H[np.ix_(E, E)], s, zero, np.isin(E, dropped))
+    if d is None:
+        return None
+    # a zero coordinate moves only if it leaves zero faster than rounding:
+    # a tie settled at d_j = 0 comes out as d_j ~ 1e-17
+    moving = ~zero | (s * d > _TIE * np.max(np.abs(d), initial=0.0))
+    if not act.reset(E[moving], s[moving], theta[E[moving]]):
+        return None
+    return E[~moving], s[~moving]
+
+
 def lasso_path(y, G, gammas, sigma2=1.0):
     """Exact Lasso solutions at every penalty in gammas, fits in the order
     given, by one homotopy pass (Osborne, Presnell & Turlach, IMA J.
@@ -193,15 +300,23 @@ def lasso_path(y, G, gammas, sigma2=1.0):
     theta_A(mu) = H_AA^{-1} (b_A - mu s); the next breakpoint is the
     largest mu below the current one at which an inactive correlation
     c_j = b_j - H_j theta reaches +-mu (a join) or an active coefficient
-    reaches 0 (a drop).  Events within _TIE mu of each other are taken
-    together, and the slope below a breakpoint comes from _path_slope,
-    which also keeps the active set within rank G when m > n.  While a
-    grid point at mu = 0 remains, events below _TIE mu_max are rounding:
-    the last segment runs on to mu = 0, where it ends at least squares
-    when n > m.  Each grid point is read off its segment and finished by
-    _support_certificate (_lasso_point), so converged is true only where
-    that certificate holds; iterations counts the breakpoints walked to
-    reach the point.
+    reaches 0 (a drop).  Each segment works from one lower Cholesky
+    factor of H_AA (_ActiveSet): a join extends it by one triangular
+    solve, a drop factors H_AA afresh, and the slope d = H_AA^{-1} s and
+    every grid point on the segment come from it.  A breakpoint that one
+    join or drop does not settle (events within _TIE mu of each other, a
+    joiner in the span of A, as when m > n or columns repeat, or one that
+    does not leave zero, a dropped coordinate that stays at the bound)
+    takes its slope from _path_slope (_settle), and the coordinates that
+    move are factored afresh.  While a grid point at mu = 0 remains,
+    events below _TIE mu_max are rounding: the last segment runs on to
+    mu = 0, where it ends at least squares when n > m.  Each grid point
+    is the exact solution on its segment's A and s, read from the factor
+    and certified there (_ActiveSet.points): converged is true only where
+    every sign is kept and no correlation off A exceeds mu, up to 1e-9 of
+    mu and 1e-14 of ||b||_inf.  iterations counts the breakpoints walked
+    to reach the point and extra["factorizations"] the factorizations
+    (_lasso_point).
     """
     y = np.asarray(y, dtype=float)
     G = np.atleast_2d(np.asarray(G, dtype=float))
@@ -212,70 +327,110 @@ def lasso_path(y, G, gammas, sigma2=1.0):
     mus = sigma2 * gammas
     todo = list(np.argsort(mus, kind="stable"))  # next grid point last
     fits = [None] * gammas.size
-    theta = np.zeros(m)
     mu = mu_max = np.max(np.abs(b), initial=0.0)
-    at_bound = np.zeros(m, dtype=bool)
-    dropped = np.zeros(m, dtype=bool)
+    act = _ActiveSet(H)
     breaks = 0
+    inf = np.full(m, np.inf)
 
-    def read_off(stop, A, dA):
+    def read_off(stop):
+        take = []
         while todo and mus[todo[-1]] >= stop:
-            i = todo.pop()
-            th = theta.copy()
-            th[A] += (mu - mus[i]) * dA
-            fits[i] = _lasso_point(y, G, H, b, th, gammas[i], sigma2, breaks)
+            take.append(todo.pop())
+        if take:
+            for i, th, q, ok in zip(take, *act.points(b, mus[take],
+                                                      1e-14 * mu_max)):
+                fits[i] = _lasso_point(y, G, th, q, gammas[i], sigma2, ok,
+                                       breaks, act.factorizations)
 
-    no_move = np.zeros(0, dtype=int)
-    read_off(mu, no_move, 0.0)  # above mu_max theta = 0
+    read_off(mu)  # above mu_max theta = 0
+    c = b
+    joins = np.zeros(m, dtype=bool)  # inactive coordinates at the bound
+    drops = np.zeros(0, dtype=np.intp)  # positions in A of those at zero
     while todo:
-        c = b - H @ theta
         # every correlation at the bound, so that ties are settled together
-        at_bound |= np.abs(c) >= mu * (1.0 - _TIE)
-        E = np.flatnonzero(at_bound)
-        zero = theta[E] == 0
-        s = np.sign(np.where(zero, c[E], theta[E]))
-        d = _path_slope(H[E][:, E], s, zero, dropped[E])
-        if d is None:  # no slope: certify the rest at this breakpoint
-            read_off(-np.inf, no_move, 0.0)
-            break
-        # a zero coordinate moves only if it leaves zero faster than
-        # rounding: a tie settled at d_j = 0 comes out as d_j ~ 1e-17
-        moving = ~zero | (s * d > _TIE * np.max(np.abs(d), initial=0.0))
-        A, dA = E[moving], d[moving]
+        joins |= np.abs(c) >= mu * (1.0 - _TIE)
+        joins[act.A] = False
+        J = joins.nonzero()[0]
+        d = e = None
+        held = s_held = np.zeros(0, dtype=np.intp)
+        A, thA, dropped = act.A, act.thA, act.A[drops]
+        # one join or one drop: update the factor and take the slope from
+        # it, unless a check _path_slope would also make fails (in exact
+        # arithmetic a lone event passes them; rounding near a tie may not)
+        if J.size == 1 and not drops.size:
+            if act.append(J[0], np.sign(c[J[0]])):
+                d = act.slope()
+                if act.sA[-1] * d[-1] <= _TIE * np.abs(d).max():
+                    act.pop()  # the joiner does not leave zero
+                    d = None
+        elif drops.size == 1 and not J.size:
+            A, thA = A.copy(), thA.copy()  # for _settle, should it fail
+            if act.remove(drops[0]):
+                d = act.slope()
+                e = d @ act.HA
+                # the dropped correlation must leave the bound inwards
+                held, s_held = dropped, np.sign(c[dropped])
+                if s_held[0] * e[held[0]] < 1.0 - 1e-10:
+                    d = None
+        if d is None:
+            theta = np.zeros(m)
+            theta[A] = thA
+            E = np.union1d(A, J)
+            settled = _settle(act, c, E, theta, dropped)
+            if settled is None:  # no slope: the rest stay at this point
+                q = b - H @ theta
+                for i in todo:
+                    fits[i] = _lasso_point(y, G, theta, q, gammas[i], sigma2,
+                                           False, breaks, act.factorizations)
+                break
+            held, s_held = settled
+            d, e = act.slope(), None
+        if e is None:
+            e = d @ act.HA
+        A, thA = act.A, act.thA
         # drops: active coefficients heading for zero
-        to_drop = np.divide(-theta[A], dA, out=np.full(A.size, np.inf),
-                            where=theta[A] * dA < 0)
+        to_drop = np.divide(-thA, d, out=inf[:A.size].copy(),
+                            where=thA * d < 0)
         # joins: c_j falls by delta e_j while the bound falls by delta
-        e = H[:, A] @ dA
-        up = np.divide(np.maximum(mu - c, 0.0), 1.0 - e,
-                       out=np.full(m, np.inf), where=e < 1.0)
-        down = np.divide(np.maximum(mu + c, 0.0), 1.0 + e,
-                         out=np.full(m, np.inf), where=e > -1.0)
+        up = np.divide(np.maximum(mu - c, 0.0), 1.0 - e, out=inf.copy(),
+                       where=e < 1.0)
+        down = np.divide(np.maximum(mu + c, 0.0), 1.0 + e, out=inf.copy(),
+                         where=e > -1.0)
         # coordinates held at the bound leave it inwards (_path_slope) but
         # may still cross to the opposite bound
-        held, s_held = E[~moving], s[~moving]
-        up[held[s_held > 0]] = np.inf
-        down[held[s_held < 0]] = np.inf
+        if held.size:
+            up[held[s_held > 0]] = np.inf
+            down[held[s_held < 0]] = np.inf
         to_join = np.minimum(up, down)
         to_join[A] = np.inf
-        delta = min(np.min(to_drop, initial=np.inf), np.min(to_join))
+        delta = min(to_drop.min(initial=np.inf), to_join.min())
         # while a grid point at mu = 0 remains, events this close to it
         # are rounding
         if mu - delta <= _TIE * mu_max and mus[todo[0]] <= 0:
             delta = np.inf
-        read_off(mu - delta, A, dA)
+        read_off(mu - delta)
         if not todo:
             break
-        theta[A] += delta * dA
+        thA += delta * d
         window = delta + _TIE * mu
-        dropped[:] = False
-        dropped[A[to_drop <= window]] = True
-        theta[dropped] = 0.0
-        at_bound = to_join <= window
-        at_bound[A] = True
+        drops = (to_drop <= window).nonzero()[0]
+        thA[drops] = 0.0
+        joins = to_join <= window
         mu -= delta
         breaks += 1
+        c = b - thA @ act.HA
     return fits
+
+
+def _path_work(*paths):
+    """Breakpoints walked and factorizations made, totalled over lasso_path
+    calls, each given by the fits it returned: a call's work is that of
+    its last point, which reports the most."""
+    return {"breakpoints": sum(max((fit.iterations for fit in fits), default=0)
+                               for fits in paths),
+            "factorizations": sum(max((fit.extra["factorizations"]
+                                       for fit in fits), default=0)
+                                  for fits in paths)}
 
 
 def _newton(H_AA, b_A, x, blk, a):
@@ -507,7 +662,8 @@ def solve_adalasso(y, G, sigma2, grids):
     shrinks its column, which then joins the path last, if at all.
     converged is true only if every grid point and the refit passed the
     KKT certificate, and extra["unconverged_solves"] counts those that did
-    not.
+    not; extra["breakpoints"] and ["factorizations"] total the work of
+    every path (_path_work).
     """
     y = np.asarray(y, dtype=float)
     G = np.atleast_2d(np.asarray(G, dtype=float))
@@ -515,27 +671,26 @@ def solve_adalasso(y, G, sigma2, grids):
     etas = np.asarray(grids.get("eta", np.arange(0.5, 4.01, 0.5)), dtype=float)
     y_tr, y_val, d_tr, d_val = _split(y, GroupedDesign(G, [1] * G.shape[1]))
 
+    paths = []
+
     def weighted_fits(Gd, yd, gammas, eta):
         # substitute u = w * theta: plain lasso on rescaled columns
         w = _adalasso_weights(Gd, yd, eta)
-        fits = lasso_path(yd, Gd / w[None, :], gammas, sigma2)
-        return [fit.theta / w for fit in fits], \
-            sum(not fit.converged for fit in fits)
+        paths.append(lasso_path(yd, Gd / w[None, :], gammas, sigma2))
+        return [fit.theta / w for fit in paths[-1]]
 
     best = None
-    unconverged = 0
     for eta in etas:
-        thetas, bad = weighted_fits(d_tr.G, y_tr, gammas, eta)
-        unconverged += bad
+        thetas = weighted_fits(d_tr.G, y_tr, gammas, eta)
         for gamma, th in zip(gammas, thetas):
             err = np.linalg.norm(y_val - d_val.G @ th)
             key = (err, gamma, eta)
             if best is None or key < best[0]:
                 best = (key, gamma, eta)
     _, gamma, eta = best
-    (theta,), bad = weighted_fits(G, y, [gamma], eta)
-    unconverged += bad
+    theta, = weighted_fits(G, y, [gamma], eta)
+    unconverged = sum(not fit.converged for fits in paths for fit in fits)
     return EstimateResult(theta=theta, selected=list(np.nonzero(theta)[0]),
                           gamma=gamma, converged=unconverged == 0,
-                          extra={"eta": eta,
-                                 "unconverged_solves": unconverged})
+                          extra={"eta": eta, "unconverged_solves": unconverged,
+                                 **_path_work(*paths)})

@@ -22,8 +22,9 @@ import numpy as np
 from dataclasses import dataclass, field, asdict, replace
 
 from .model import BlockVector, EstimateResult, GroupedDesign
-from .convex import ConvexFitConfig, glasso_path, kkt_residual_mkl, \
-    lasso_path, solve_adalasso, solve_glasso, solve_lasso, solve_mkl_lambda
+from .convex import ConvexFitConfig, _path_work, glasso_path, \
+    kkt_residual_mkl, lasso_path, solve_adalasso, solve_glasso, solve_lasso, \
+    solve_mkl_lambda
 from .selection import SelectionConfig, _split, estimate_sigma2_ls, \
     fit_hglasso, polish_hglasso
 
@@ -381,7 +382,9 @@ def est_lasso(y, design, sigma2, ctx):
     """Lasso at a fixed ctx["gamma"], or at the gamma _validate picks on
     _lasso_grid; the validation fits are exact grid points of one homotopy
     pass (lasso_path).  The full-data fit is solve_lasso (iterations
-    counts its breakpoints, extra["kkt_residual"] is its certificate)."""
+    counts its breakpoints, extra["kkt_residual"] is its certificate);
+    extra["breakpoints"] and ["factorizations"] total the work of the
+    validation path and the full-data fit (_path_work)."""
     _no_grid(ctx, "lasso")
 
     def path(y_tr, d_tr):
@@ -393,8 +396,10 @@ def est_lasso(y, design, sigma2, ctx):
         gamma, fits = _validate(y, design, path)
     elif gamma < 0:
         raise ValueError("--gamma must be nonnegative")
-    return _counted(solve_lasso(y, design.G, ConvexFitConfig(
+    res = _counted(solve_lasso(y, design.G, ConvexFitConfig(
         reg_param=gamma), sigma2=sigma2), fits)
+    res.extra.update(_path_work(fits, [res]))
+    return res
 
 
 def est_adalasso(y, design, sigma2, ctx):

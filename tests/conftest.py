@@ -35,6 +35,20 @@ def mkl_pqn(y, des, s2, gam, config=None):
                         config or PqnConfig(grad_tol=1e-10, max_iter=2000))
 
 
+def lasso_on_support(y, G, theta, s2, gamma):
+    """The exact Lasso solution with theta's support A and signs s held,
+    theta_A = (G_A^T G_A)^{-1} (G_A^T y - s2 gamma s) by np.linalg.solve
+    and zero off A: a reference for lasso_path's grid points that shares
+    no code with it."""
+    A = np.flatnonzero(theta)
+    ref = np.zeros(theta.size)
+    if A.size:
+        GA = G[:, A]
+        ref[A] = np.linalg.solve(GA.T @ GA, GA.T @ y
+                                 - s2 * gamma * np.sign(theta[A]))
+    return ref
+
+
 def assemble_sigma_y(des, lam, s2):
     """Dense output covariance s2 I + sum_i lam_i G^(i) G^(i)^T, the
     reference for MarginalFactor's two routes."""

@@ -47,6 +47,51 @@ def test_read_csv_rejects_non_finite_entries(tmp_path, entry):
         read_csv_matrix(str(p))
 
 
+@pytest.mark.parametrize("text", [
+    b"1.5,-2\n3,4e-3\n",
+    b"\n1.5,-2\n\n3,4e-3\n\n",
+    b" 1.5 , -2\n\t3,  4e-3 \n",
+    b"1.5,-2\r\n3,4e-3\r\n",
+    b"1.5,-2\n   \n3,4e-3",
+])
+def test_read_csv_blank_lines_spaces_and_crlf(tmp_path, text):
+    """Blank lines (a line of spaces too), spaces around fields, CRLF line
+    ends and a missing last newline all read as the plain file."""
+    p = tmp_path / "m.csv"
+    p.write_bytes(text)
+    A = read_csv_matrix(str(p))
+    assert A.shape == (2, 2)
+    assert np.array_equal(A, [[1.5, -2.0], [3.0, 4e-3]])
+
+
+def test_read_csv_line_numbers_count_blank_lines(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("\n1,2\n\n3,x\n")
+    with pytest.raises(CliError, match="malformed CSV at line 4"):
+        read_csv_matrix(str(p))
+    p.write_text("1,2\n  \n3,4,5\n")
+    with pytest.raises(CliError, match="ragged CSV at line 3"):
+        read_csv_matrix(str(p))
+    p.write_text(" \n\n")
+    with pytest.raises(CliError, match="empty CSV"):
+        read_csv_matrix(str(p))
+
+
+def test_write_csv_matrix_bytes_and_exact_round_trip(tmp_path):
+    """write_csv_matrix writes each entry as repr of the float, one row per
+    line, and read_csv_matrix reads every bit of it back (signed zero
+    included)."""
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-300, 300, (7, 5))
+    A[0, 0], A[1, 1] = -0.0, 0.0
+    p = tmp_path / "m.csv"
+    write_csv_matrix(str(p), A)
+    assert p.read_bytes() == "".join(
+        ",".join(repr(float(x)) for x in row) + "\n" for row in A).encode()
+    B = read_csv_matrix(str(p))
+    assert np.array_equal(B.view(np.uint64), A.view(np.uint64))
+
+
 def test_parse_groups():
     assert parse_groups("2,3", 5) == [2, 3]
     assert parse_groups("4", 12) == [4, 4, 4]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from groupsparse import (
     ConvexFitConfig, GroupedDesign, McConfig, estimate_sigma2_ls,
@@ -13,8 +15,8 @@ from groupsparse.convex import ADALASSO_WEIGHT_CAP, _adalasso_weights, \
 from groupsparse.experiments import _lasso_grid, build_arx, gen_arx_series
 from groupsparse.selection import _split
 
-from conftest import cold_cd_glasso, mkl_pqn, mkl_recover_theta, \
-    orthogonal_design, random_grouped
+from conftest import cold_cd_glasso, lasso_on_support, mkl_pqn, \
+    mkl_recover_theta, orthogonal_design, random_grouped
 
 
 def test_config_validation():
@@ -133,6 +135,22 @@ def test_warm_path_satisfies_kkt_at_every_grid_point(experiment, shape,
                 <= 1e-8 * (1 + 2 * gam)
 
 
+# seeds chosen for their ties: in the first, eight columns reach the bound
+# together at one breakpoint
+TIE_SEEDS = (218, 504)
+
+
+def _tie_design(seed):
+    """An integer 6 x 27 design and a rounded y, whose correlations tie
+    many ways along the Lasso path."""
+    tie_rng = np.random.default_rng(seed)
+    G = tie_rng.integers(-2, 3, size=(6, 27)).astype(float)
+    y = np.round(G @ np.where(tie_rng.random(27) < 0.3, 3.0
+                              * tie_rng.standard_normal(27), 0.0)
+                 + 0.5 * tie_rng.standard_normal(6))
+    return G, y
+
+
 def test_lasso_path_certifies_degenerate_designs(rng):
     """The homotopy certifies every positive grid point where ties, rank
     and scale are degenerate: duplicated and sign-flipped columns, m > n
@@ -144,16 +162,7 @@ def test_lasso_path_certifies_degenerate_designs(rng):
     dup = rng.standard_normal((30, 8))
     dup[:, 1] = dup[:, 0]
     dup[:, 5] = -dup[:, 2]
-    ints = []
-    # seeds chosen for their ties: in the first, eight columns reach the
-    # bound together at one breakpoint
-    for seed in (218, 504):
-        tie_rng = np.random.default_rng(seed)
-        G = tie_rng.integers(-2, 3, size=(6, 27)).astype(float)
-        y = np.round(G @ np.where(tie_rng.random(27) < 0.3, 3.0
-                                  * tie_rng.standard_normal(27), 0.0)
-                     + 0.5 * tie_rng.standard_normal(6))
-        ints.append((G, y, 1e-4))
+    ints = [(*_tie_design(seed), 1e-4) for seed in TIE_SEEDS]
     capped = rng.standard_normal((30, 6))
     capped[:, 3] /= ADALASSO_WEIGHT_CAP
     cases = [(dup, dup[:, :4] @ [1.0, -2.0, 0.5, 1.5]
@@ -178,6 +187,124 @@ def test_lasso_path_certifies_degenerate_designs(rng):
     ls, *_ = np.linalg.lstsq(G, y, rcond=None)
     assert fit.converged and fit.iterations >= G.shape[1] - 1
     assert np.linalg.norm(fit.theta - ls) <= 1e-10 * np.linalg.norm(ls)
+
+
+def test_lasso_path_matches_exact_solves_on_stress_designs():
+    """lasso_path on the columns of ten seeded designs of every
+    STRESS_KINDS kind, 30 penalties from 1e-4 gamma_max up to below
+    gamma_max (where theta is zero up to rounding, which no relative test
+    resolves): every point is converged, meets the KKT conditions to
+    1e-8 gamma + 1e-14 gamma_max, and is within 1e-10 (relative) of the
+    exact solution on its own support and signs by np.linalg.solve
+    (lasso_on_support)."""
+    rng = np.random.default_rng(21)
+    for kind in STRESS_KINDS:
+        for _ in range(10):
+            des, y = _stress_design(kind, rng)
+            s2 = float(rng.uniform(0.2, 2.0))
+            gmax = np.max(np.abs(des.G.T @ y)) / s2
+            grid = gmax * np.logspace(-4, 0, 31)[:-1]
+            for gamma, fit in zip(grid, lasso_path(y, des.G, grid, s2)):
+                assert fit.converged, kind
+                assert _kkt_violation(y, des.G, fit.theta, s2, gamma) \
+                    <= 1e-8 * gamma + 1e-14 * gmax, kind
+                ref = lasso_on_support(y, des.G, fit.theta, s2, gamma)
+                assert np.linalg.norm(fit.theta - ref) \
+                    <= 1e-10 * np.linalg.norm(ref), kind
+
+
+def test_lasso_certificate_rejects_wrong_signs_and_violations(rng):
+    """The checks behind converged, on an orthogonal design whose Lasso
+    solution is the soft threshold of G^T y / n: the exact solve on the
+    true support and signs is certified and equals it; the same support
+    with one sign flipped fails the sign check, and the support without
+    one of its coordinates leaves that correlation above mu."""
+    from groupsparse.convex import _ActiveSet
+    des = orthogonal_design(rng, [1] * 6, 40)
+    y = des.G @ [3.0, -2.0, 0.0, 1.0, 0.0, 0.0] \
+        + 0.3 * rng.standard_normal(40)
+    H, b = des.G.T @ des.G, des.G.T @ y
+    mu = np.sort(np.abs(b))[-4] + 1e-3  # three coordinates above it
+    A = np.flatnonzero(np.abs(b) > mu)
+    soft = np.sign(b) * np.maximum(0.0, np.abs(b) - mu) / des.n
+    slack = 1e-14 * np.max(np.abs(b))
+
+    def certified(A, s):
+        act = _ActiveSet(H)
+        assert act.reset(A, s, np.zeros(A.size))
+        theta, _, ok = act.points(b, np.array([mu]), slack)
+        return theta[0], ok[0]
+
+    theta, ok = certified(A, np.sign(b[A]))
+    assert ok and np.allclose(theta, soft, rtol=1e-12, atol=0.0)
+    flipped = np.sign(b[A])
+    flipped[0] = -flipped[0]
+    assert not certified(A, flipped)[1]
+    assert not certified(A[1:], np.sign(b[A[1:]]))[1]
+
+
+@st.composite
+def _integer_problem(draw):
+    """A design of 2-8 rows and 2-12 columns with entries in -2..2 and y in
+    -4..4: columns repeat, vanish and tie many ways."""
+    n, m = draw(st.integers(2, 8)), draw(st.integers(2, 12))
+    G = draw(arrays(np.float64, (n, m), elements=st.integers(-2, 2)))
+    y = draw(arrays(np.float64, n, elements=st.integers(-4, 4)))
+    return G, y
+
+
+@given(_integer_problem())
+@settings(max_examples=150, deadline=None)
+def test_lasso_path_certifies_integer_designs(problem):
+    """Every positive grid point of lasso_path on a small integer design is
+    converged and meets the KKT conditions to 1e-8 gamma + 1e-14
+    gamma_max."""
+    G, y = problem
+    gmax = np.max(np.abs(G.T @ y))
+    assume(gmax > 0)
+    grid = gmax * np.logspace(-4, 0, 12)
+    for gamma, fit in zip(grid, lasso_path(y, G, grid)):
+        assert fit.converged
+        assert _kkt_violation(y, G, fit.theta, 1.0, gamma) \
+            <= 1e-8 * gamma + 1e-14 * gmax
+
+
+def test_path_slope_runs_only_where_one_event_does_not_settle(monkeypatch):
+    """The Lasso path takes its slope from the factor of H_AA at nearly
+    every breakpoint: over est_lasso on five exp1 problems _path_slope
+    runs at no more than 5% of the breakpoints walked, and where it does
+    not run at all the validation path and the refit made one
+    factorization per segment.  On the integer designs with many-way ties
+    it does run."""
+    import groupsparse.convex as cv
+    from groupsparse.experiments import est_lasso
+    slope, calls = cv._path_slope, []
+
+    def counted(*args):
+        calls.append(1)
+        return slope(*args)
+
+    monkeypatch.setattr(cv, "_path_slope", counted)
+    breakpoints = 0
+    for run in range(5):
+        design, _, y, _ = gen_problem(McConfig(
+            experiment="exp1", runs=1, master_seed=77, estimators=[]), run)
+        before = len(calls)
+        fit = est_lasso(y, design, estimate_sigma2_ls(y, design.G), {})
+        assert fit.converged
+        breakpoints += fit.extra["breakpoints"]
+        if len(calls) == before:
+            # two paths, each with one segment more than its breakpoints
+            assert fit.extra["factorizations"] \
+                == fit.extra["breakpoints"] + 2
+    assert breakpoints > 0 and len(calls) <= 0.05 * breakpoints
+    calls.clear()
+    for seed in TIE_SEEDS:
+        G, y = _tie_design(seed)
+        gmax = np.max(np.abs(G.T @ y))
+        lasso_path(y, G, np.logspace(np.log10(1e-4 * gmax),
+                                     np.log10(gmax), 30))
+    assert calls
 
 
 # ------------------------------------------------------------
