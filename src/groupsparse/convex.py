@@ -58,6 +58,18 @@ _CORRECTOR_SOLVES = 8
 _HALVINGS = 40
 
 
+@dataclass
+class PenaltyPath:
+    """Solutions along a penalty grid, as lasso_path and glasso_path return
+    them: theta (points x m) has one row per penalty, in the order given,
+    converged flags the rows that passed the path's certificate, and work
+    holds the path's counts (lasso_path: breakpoints and factorizations;
+    glasso_path: newton_steps, blocks_added and retreats)."""
+    theta: np.ndarray
+    converged: np.ndarray
+    work: dict
+
+
 def solve_lasso(y, G, config, sigma2=1.0):
     """L1-penalized least squares at the single penalty config.reg_param.
 
@@ -68,29 +80,21 @@ def solve_lasso(y, G, config, sigma2=1.0):
     on the way and extra["kkt_residual"] the largest violation of the
     optimality conditions, in units of reg.
     """
-    return lasso_path(y, G, [config.reg_param], sigma2)[0]
-
-
-def _lasso_point(y, G, theta, q, gamma, sigma2, certified, breakpoints,
-                 factorizations):
-    """One grid point of lasso_path: theta is the exact solution at
-    mu = sigma2 gamma on the active set and signs of its segment, q =
-    G^T (y - G theta) its correlations, and certified whether lasso_path's
-    checks held, which is what converged reports.  iterations is the
-    number of breakpoints walked to reach the point; extra holds the KKT
-    residual (in units of gamma) and the factorizations made so far."""
-    g = q / sigma2
-    viol = np.where(theta != 0, np.abs(g - gamma * np.sign(theta)),
-                    np.maximum(0.0, np.abs(g) - gamma))
+    y = np.asarray(y, dtype=float)
+    G = np.atleast_2d(np.asarray(G, dtype=float))
+    H, b, reg = G.T @ G, G.T @ y, config.reg_param
+    path = lasso_path(H, b, [reg], sigma2)
+    theta, work = path.theta[0], path.work
+    g = (b - H @ theta) / sigma2
+    viol = np.where(theta != 0, np.abs(g - reg * np.sign(theta)),
+                    np.abs(g) - reg)
     r = y - G @ theta
-    return EstimateResult(theta=theta, selected=list(np.nonzero(theta)[0]),
-                          gamma=gamma, converged=bool(certified),
-                          iterations=breakpoints,
-                          objective=(r @ r) / (2.0 * sigma2)
-                          + gamma * np.sum(np.abs(theta)),
-                          extra={"kkt_residual": float(np.max(viol,
-                                                              initial=0.0)),
-                                 "factorizations": factorizations})
+    return EstimateResult(
+        theta=theta, selected=list(np.flatnonzero(theta)), gamma=reg,
+        converged=bool(path.converged[0]), iterations=work["breakpoints"],
+        objective=(r @ r) / (2.0 * sigma2) + reg * np.sum(np.abs(theta)),
+        extra={"kkt_residual": float(np.max(viol, initial=0.0)),
+               "factorizations": work["factorizations"]})
 
 
 def _cholesky(M):
@@ -252,19 +256,15 @@ class _ActiveSet:
 
     def points(self, b, mus, slack):
         """The exact solutions theta_A = H_AA^{-1} (b_A - mu s_A) at each
-        mu of mus (one dpotrs for all), as rows of theta, with their
-        correlations q = b - H[:, A] theta_A and whether each is
-        certified: it keeps every sign of s_A and |q_j| <= mu (1 + 1e-9)
-        + slack off A (at mu = 0, an interpolating fit when m > n, only
-        the rounding slack is left)."""
+        mu of mus (one dpotrs for all), as rows of thA, and whether each
+        is certified: it keeps every sign of s_A and its correlations
+        q = b - H[:, A] theta_A have |q_j| <= mu (1 + 1e-9) + slack off A
+        (at mu = 0, an interpolating fit when m > n, only the rounding
+        slack is left)."""
         thA = self._solve(b[self.A, None] - self.sA[:, None] * mus).T
-        theta = np.zeros((mus.size, b.size))
-        theta[:, self.A] = thA
-        q = b - thA @ self.HA
-        off = np.abs(q) > (mus * (1.0 + 1e-9) + slack)[:, None]
+        off = np.abs(b - thA @ self.HA) > (mus * (1 + 1e-9) + slack)[:, None]
         off[:, self.A] = False
-        return theta, q, ~off.any(axis=1) & np.all(
-            np.sign(thA) == self.sA, axis=1)
+        return thA, ~off.any(axis=1) & np.all(np.sign(thA) == self.sA, axis=1)
 
 
 def _settle(act, c, E, theta, dropped):
@@ -289,12 +289,12 @@ def _settle(act, c, E, theta, dropped):
     return E[~moving], s[~moving]
 
 
-def lasso_path(y, G, gammas, sigma2=1.0):
-    """Exact Lasso solutions at every penalty in gammas, fits in the order
-    given, by one homotopy pass (Osborne, Presnell & Turlach, IMA J.
-    Numer. Anal. 2000; LARS-Lasso, Efron et al. 2004).
+def lasso_path(H, b, gammas, sigma2=1.0):
+    """Exact Lasso solutions at every penalty in gammas, one PenaltyPath,
+    by one homotopy pass (Osborne, Presnell & Turlach, IMA J. Numer.
+    Anal. 2000; LARS-Lasso, Efron et al. 2004) on H = G^T G and b = G^T y.
 
-    With H = G^T G, b = G^T y and mu = sigma2 gamma the solution is
+    With mu = sigma2 gamma the solution is
     piecewise linear in mu.  The walk starts at theta = 0 at mu_max =
     ||b||_inf and keeps the active set A and signs s, so that on a segment
     theta_A(mu) = H_AA^{-1} (b_A - mu s); the next breakpoint is the
@@ -314,19 +314,15 @@ def lasso_path(y, G, gammas, sigma2=1.0):
     is the exact solution on its segment's A and s, read from the factor
     and certified there (_ActiveSet.points): converged is true only where
     every sign is kept and no correlation off A exceeds mu, up to 1e-9 of
-    mu and 1e-14 of ||b||_inf.  iterations counts the breakpoints walked
-    to reach the point and extra["factorizations"] the factorizations
-    (_lasso_point).
+    mu and 1e-14 of ||b||_inf.  work counts the breakpoints walked and
+    the factorizations made.
     """
-    y = np.asarray(y, dtype=float)
-    G = np.atleast_2d(np.asarray(G, dtype=float))
     gammas = np.asarray(gammas, dtype=float)
-    H = G.T @ G
-    b = G.T @ y
     m = b.size
     mus = sigma2 * gammas
     todo = list(np.argsort(mus, kind="stable"))  # next grid point last
-    fits = [None] * gammas.size
+    theta = np.zeros((gammas.size, m))
+    converged = np.zeros(gammas.size, dtype=bool)
     mu = mu_max = np.max(np.abs(b), initial=0.0)
     act = _ActiveSet(H)
     breaks = 0
@@ -337,10 +333,8 @@ def lasso_path(y, G, gammas, sigma2=1.0):
         while todo and mus[todo[-1]] >= stop:
             take.append(todo.pop())
         if take:
-            for i, th, q, ok in zip(take, *act.points(b, mus[take],
-                                                      1e-14 * mu_max)):
-                fits[i] = _lasso_point(y, G, th, q, gammas[i], sigma2, ok,
-                                       breaks, act.factorizations)
+            theta[np.ix_(take, act.A)], converged[take] = act.points(
+                b, mus[take], 1e-14 * mu_max)
 
     read_off(mu)  # above mu_max theta = 0
     c = b
@@ -373,15 +367,12 @@ def lasso_path(y, G, gammas, sigma2=1.0):
                 if s_held[0] * e[held[0]] < 1.0 - 1e-10:
                     d = None
         if d is None:
-            theta = np.zeros(m)
-            theta[A] = thA
+            th = np.zeros(m)
+            th[A] = thA
             E = np.union1d(A, J)
-            settled = _settle(act, c, E, theta, dropped)
+            settled = _settle(act, c, E, th, dropped)
             if settled is None:  # no slope: the rest stay at this point
-                q = b - H @ theta
-                for i in todo:
-                    fits[i] = _lasso_point(y, G, theta, q, gammas[i], sigma2,
-                                           False, breaks, act.factorizations)
+                theta[todo] = th
                 break
             held, s_held = settled
             d, e = act.slope(), None
@@ -419,18 +410,8 @@ def lasso_path(y, G, gammas, sigma2=1.0):
         mu -= delta
         breaks += 1
         c = b - thA @ act.HA
-    return fits
-
-
-def _path_work(*paths):
-    """Breakpoints walked and factorizations made, totalled over lasso_path
-    calls, each given by the fits it returned: a call's work is that of
-    its last point, which reports the most."""
-    return {"breakpoints": sum(max((fit.iterations for fit in fits), default=0)
-                               for fits in paths),
-            "factorizations": sum(max((fit.extra["factorizations"]
-                                       for fit in fits), default=0)
-                                  for fits in paths)}
+    return PenaltyPath(theta, converged, {
+        "breakpoints": breaks, "factorizations": act.factorizations})
 
 
 def _newton(H_AA, b_A, x, blk, a):
@@ -537,8 +518,8 @@ def _glasso_point(prob, warm, reg, cert):
     block per solve, first at t = reg; a failure moves t to the midpoint of
     reg_c and t, a success at t != reg advances cert to t and sends t back
     to reg, until reg is certified or _HALVINGS halvings are spent (x is
-    then x_c, unconverged).  iterations counts the retreat's
-    corrector runs and extra the Newton steps and added blocks."""
+    then x_c, unconverged).  Returns (x, converged, Newton steps, added
+    blocks, the retreat's corrector runs)."""
     G, y = prob.design.G, prob.y
     runs = steps = added = halvings = 0
     if reg == 0:
@@ -557,18 +538,11 @@ def _glasso_point(prob, warm, reg, cert):
                 reg_c, x_c, t, x = t, x, reg, None
         converged = x is not None
         x = x if converged else x_c
-    r = y - G @ x
-    return EstimateResult(
-        theta=x, selected=list(np.flatnonzero(prob.block_norms(x))),
-        gamma=reg, converged=converged, iterations=runs,
-        objective=(r @ r) / (2.0 * prob.sigma2)
-        + reg * np.sum(prob.block_norms(x)),
-        extra={"newton_steps": steps, "blocks_added": added})
+    return x, converged, steps, added, runs
 
 
 def glasso_path(y, design, sigma2, regs, theta0=None):
-    """Group Lasso solutions at every penalty in regs, fits in the order
-    given.
+    """Group Lasso solutions at every penalty in regs, as one PenaltyPath.
 
     Minimizes (y - G theta)^T (y - G theta) / (2 sigma2)
     + reg sum_i ||theta^(i)||.  H = G^T G and b = G^T y are computed
@@ -583,7 +557,8 @@ def glasso_path(y, design, sigma2, regs, theta0=None):
     halved on failure, one block added at a time (_glasso_point).
     converged is true only where the point passed the certificate (the
     optimality conditions of every block, inactive ones up to 1e-9 of
-    sigma2 reg).
+    sigma2 reg).  work totals the Newton steps, the blocks added and the
+    retreat's corrector runs over the points.
     """
     y = np.asarray(y, dtype=float)
     regs = np.asarray(regs, dtype=float)
@@ -593,19 +568,33 @@ def glasso_path(y, design, sigma2, regs, theta0=None):
     x = np.zeros(design.m) if theta0 is None else \
         np.array(theta0, dtype=float)
     cert = (np.max(prob.block_norms(prob.b)) / sigma2, np.zeros(design.m))
-    fits = [None] * regs.size
+    theta = np.zeros((regs.size, design.m))
+    converged = np.zeros(regs.size, dtype=bool)
+    work = dict.fromkeys(("newton_steps", "blocks_added", "retreats"), 0)
     for i in np.argsort(regs, kind="stable")[::-1]:
-        fits[i] = _glasso_point(prob, x, regs[i], cert)
-        x = fits[i].theta
-        if fits[i].converged:
+        x, converged[i], *counts = _glasso_point(prob, x, regs[i], cert)
+        theta[i] = x
+        for key, count in zip(work, counts):
+            work[key] += count
+        if converged[i]:
             cert = (regs[i], x)
-    return fits
+    return PenaltyPath(theta, converged, work)
 
 
 def solve_glasso(y, design, sigma2, reg, theta0=None):
     """Group Lasso at the single penalty reg: glasso_path run at that
-    penalty from theta0 (default zero)."""
-    return glasso_path(y, design, sigma2, [reg], theta0)[0]
+    penalty from theta0 (default zero).  iterations counts the retreat's
+    corrector runs and extra the Newton steps and added blocks."""
+    y = np.asarray(y, dtype=float)
+    path = glasso_path(y, design, sigma2, [reg], theta0)
+    theta, work = path.theta[0], path.work
+    norms = np.sqrt(design.block_sums(theta * theta))
+    r = y - design.G @ theta
+    return EstimateResult(
+        theta=theta, selected=list(np.flatnonzero(norms)), gamma=reg,
+        converged=bool(path.converged[0]), iterations=work["retreats"],
+        objective=(r @ r) / (2.0 * sigma2) + reg * np.sum(norms),
+        extra={k: work[k] for k in ("newton_steps", "blocks_added")})
 
 
 def solve_mkl_lambda(y, design, sigma2, gamma, theta0=None):
@@ -640,10 +629,9 @@ def kkt_residual_mkl(lam, y, design, sigma2, gamma):
     return float(np.max(res, initial=0.0))
 
 
-def _adalasso_weights(G, y, eta):
+def _adalasso_weights(ls, eta):
     """Adaptive Lasso weights |theta_ls_j|^(-eta) from the least-squares
-    fit of y on G, capped at ADALASSO_WEIGHT_CAP."""
-    ls, *_ = np.linalg.lstsq(G, y, rcond=None)
+    coefficients ls, capped at ADALASSO_WEIGHT_CAP."""
     w = np.where(ls != 0, np.abs(ls) ** (-eta), ADALASSO_WEIGHT_CAP)
     return np.minimum(w, ADALASSO_WEIGHT_CAP)
 
@@ -655,42 +643,45 @@ def solve_adalasso(y, G, sigma2, grids):
     array of weight exponents, default 0.5..4 step 0.5).  Weights are
     |theta_ls_j|^(-eta), capped when the LS coefficient vanishes.  Each pair
     is scored by prediction error on the second half of the data after
-    fitting on the first half; the winner (ties: smaller gamma, then eta)
-    is refit on the full data.  For each eta the gamma grid is read off
-    one exact homotopy pass (lasso_path) on the rescaled columns, and the
-    refit is that path run down to the chosen gamma; a capped weight only
-    shrinks its column, which then joins the path last, if at all.
+    fitting on the first half; the winner (the least error, then gamma,
+    then eta) is refit on the full data.  Each data set has one LS fit,
+    H and b; for each eta the gamma grid is read off one exact homotopy
+    pass (lasso_path) on the columns G_j / w_j, with Gram matrix
+    H / (w w^T) and correlations b / w, and the refit is that path run
+    down to the chosen gamma; a capped weight only shrinks its column,
+    which then joins the path last, if at all.
     converged is true only if every grid point and the refit passed the
     KKT certificate, and extra["unconverged_solves"] counts those that did
     not; extra["breakpoints"] and ["factorizations"] total the work of
-    every path (_path_work).
+    every path.
     """
     y = np.asarray(y, dtype=float)
     G = np.atleast_2d(np.asarray(G, dtype=float))
     gammas = np.asarray(grids["gamma"], dtype=float)
     etas = np.asarray(grids.get("eta", np.arange(0.5, 4.01, 0.5)), dtype=float)
     y_tr, y_val, d_tr, d_val = _split(y, GroupedDesign(G, [1] * G.shape[1]))
-
     paths = []
 
-    def weighted_fits(Gd, yd, gammas, eta):
-        # substitute u = w * theta: plain lasso on rescaled columns
-        w = _adalasso_weights(Gd, yd, eta)
-        paths.append(lasso_path(yd, Gd / w[None, :], gammas, sigma2))
-        return [fit.theta / w for fit in paths[-1]]
+    def weighted(Gd, yd, gammas, etas):
+        # substitute u = w * theta: the plain Lasso on rescaled columns
+        H, b = Gd.T @ Gd, Gd.T @ yd
+        ls = np.linalg.lstsq(Gd, yd, rcond=None)[0]
+        for eta in etas:
+            w = _adalasso_weights(ls, eta)
+            paths.append(lasso_path(H / np.outer(w, w), b / w, gammas,
+                                    sigma2))
+            yield from paths[-1].theta / w
 
-    best = None
-    for eta in etas:
-        thetas = weighted_fits(d_tr.G, y_tr, gammas, eta)
-        for gamma, th in zip(gammas, thetas):
-            err = np.linalg.norm(y_val - d_val.G @ th)
-            key = (err, gamma, eta)
-            if best is None or key < best[0]:
-                best = (key, gamma, eta)
-    _, gamma, eta = best
-    theta, = weighted_fits(G, y, [gamma], eta)
-    unconverged = sum(not fit.converged for fits in paths for fit in fits)
+    thetas = np.array(list(weighted(d_tr.G, y_tr, gammas, etas)))
+    errs = np.linalg.norm(y_val[:, None] - d_val.G @ thetas.T, axis=0)
+    # the rows of thetas run over gammas for each eta in turn
+    eta_of, gamma_of = np.repeat(etas, gammas.size), np.tile(gammas, etas.size)
+    best = np.lexsort((eta_of, gamma_of, errs))[0]
+    gamma, eta = gamma_of[best], eta_of[best]
+    theta, = weighted(G, y, [gamma], [eta])
+    unconverged = sum(int(np.count_nonzero(~p.converged)) for p in paths)
     return EstimateResult(theta=theta, selected=list(np.nonzero(theta)[0]),
                           gamma=gamma, converged=unconverged == 0,
                           extra={"eta": eta, "unconverged_solves": unconverged,
-                                 **_path_work(*paths)})
+                                 **{k: sum(p.work[k] for p in paths) for k in
+                                    ("breakpoints", "factorizations")}})

@@ -22,9 +22,8 @@ import numpy as np
 from dataclasses import dataclass, field, asdict, replace
 
 from .model import BlockVector, EstimateResult, GroupedDesign
-from .convex import ConvexFitConfig, _path_work, glasso_path, \
-    kkt_residual_mkl, lasso_path, solve_adalasso, solve_glasso, solve_lasso, \
-    solve_mkl_lambda
+from .convex import ConvexFitConfig, glasso_path, kkt_residual_mkl, \
+    lasso_path, solve_adalasso, solve_glasso, solve_lasso, solve_mkl_lambda
 from .selection import SelectionConfig, _split, estimate_sigma2_ls, \
     fit_hglasso, polish_hglasso
 
@@ -309,22 +308,27 @@ def _est_hgl(variant):
 
 def _validate(y, design, path):
     """The convex estimators' validation: path(y_tr, d_tr) fits the
-    training half of _split along a grid and returns (grid, fits).
-    Returns the gamma whose theta predicts the validation half best (ties:
-    the smaller, as grids increase) and the fits."""
+    training half of _split along a grid and returns (grid, its
+    PenaltyPath).  Every row of theta is scored at once on the validation
+    half; returns the gamma that predicts it best (ties: the smaller
+    gamma) and the path."""
     y_tr, y_val, d_tr, d_val = _split(y, design)
     grid, fits = path(y_tr, d_tr)
-    errs = [np.linalg.norm(y_val - d_val.G @ fit.theta) for fit in fits]
-    return grid[np.argmin(errs)], fits
+    errs = np.linalg.norm(y_val[:, None] - d_val.G @ fits.theta.T, axis=0)
+    return grid[np.lexsort((grid, errs))[0]], fits
 
 
-def _counted(res, fits):
-    """The full-data fit res after the validation fits: converged only if
-    none of them failed; the failures are counted in
-    extra["unconverged_solves"]."""
-    unconverged = sum(not fit.converged for fit in fits + [res])
+def _counted(res, fits, work):
+    """The full-data fit res after the validation path fits (None at a
+    fixed gamma): converged only if no point of either failed, the
+    failures counted in extra["unconverged_solves"], and work, the
+    full-data fit's counts, totalled with the path's into extra."""
+    unconverged = int(not res.converged)
+    if fits is not None:
+        unconverged += int(np.count_nonzero(~fits.converged))
+        work = {k: n + fits.work[k] for k, n in work.items()}
     res.converged = unconverged == 0
-    res.extra["unconverged_solves"] = unconverged
+    res.extra.update(unconverged_solves=unconverged, **work)
     return res
 
 
@@ -340,19 +344,18 @@ def est_mkl(y, design, sigma2, ctx):
     where est_glasso reads it."""
     if "mkl" in ctx:
         return ctx["mkl"]
-    gamma, fits = ctx.get("gamma"), []
+    gamma, fits = ctx.get("gamma"), None
     if gamma is None:
         ref = _hgla_stage(y, design, sigma2, ctx)[1].chosen_gamma
         grid = np.logspace(np.log10(1e-2 * ref), np.log10(1e4 * ref), 30)
         gamma, fits = _validate(y, design, lambda y_tr, d_tr: (
             grid, glasso_path(y_tr, d_tr, sigma2, np.sqrt(2.0 * grid))))
-    res = _counted(solve_mkl_lambda(y, design, sigma2, gamma), fits)
-    fits = fits + [res]
-    res.extra.update(
-        newton_steps=sum(fit.extra["newton_steps"] for fit in fits),
-        blocks_added=sum(fit.extra["blocks_added"] for fit in fits),
-        retreats=sum(fit.iterations for fit in fits),
-        kkt_residual=kkt_residual_mkl(res.lam, y, design, sigma2, gamma))
+    res = solve_mkl_lambda(y, design, sigma2, gamma)
+    res = _counted(res, fits, {"newton_steps": res.extra["newton_steps"],
+                               "blocks_added": res.extra["blocks_added"],
+                               "retreats": res.iterations})
+    res.extra["kkt_residual"] = kkt_residual_mkl(res.lam, y, design, sigma2,
+                                                 gamma)
     ctx["mkl"] = res
     return res
 
@@ -384,22 +387,22 @@ def est_lasso(y, design, sigma2, ctx):
     pass (lasso_path).  The full-data fit is solve_lasso (iterations
     counts its breakpoints, extra["kkt_residual"] is its certificate);
     extra["breakpoints"] and ["factorizations"] total the work of the
-    validation path and the full-data fit (_path_work)."""
+    validation path and the full-data fit."""
     _no_grid(ctx, "lasso")
 
     def path(y_tr, d_tr):
         grid = _lasso_grid(y_tr, d_tr.G, sigma2)
-        return grid, lasso_path(y_tr, d_tr.G, grid, sigma2)
+        return grid, lasso_path(d_tr.gram(), d_tr.G.T @ y_tr, grid, sigma2)
 
-    gamma, fits = ctx.get("gamma"), []
+    gamma, fits = ctx.get("gamma"), None
     if gamma is None:
         gamma, fits = _validate(y, design, path)
     elif gamma < 0:
         raise ValueError("--gamma must be nonnegative")
-    res = _counted(solve_lasso(y, design.G, ConvexFitConfig(
-        reg_param=gamma), sigma2=sigma2), fits)
-    res.extra.update(_path_work(fits, [res]))
-    return res
+    res = solve_lasso(y, design.G, ConvexFitConfig(reg_param=gamma),
+                      sigma2=sigma2)
+    return _counted(res, fits, {"breakpoints": res.iterations,
+                                "factorizations": res.extra["factorizations"]})
 
 
 def est_adalasso(y, design, sigma2, ctx):
@@ -452,13 +455,16 @@ class McReport:
                       sort_keys=True)
 
     def to_csv(self, path):
+        """Rows as run, seed, method, pct_error, zero pattern (0/1 digits)
+        and error; a failed run has no pattern, a good one no error."""
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             for row in self.per_run:
                 w.writerow([row["run"], row["seed"], row["method"],
                             row["pct_error"],
                             "".join("1" if z else "0"
-                                    for z in row["zero_pattern"])])
+                                    for z in row["zero_pattern"] or []),
+                            row["error"] or ""])
 
 
 def _one_run(config, run_index):
@@ -470,16 +476,16 @@ def _one_run(config, run_index):
     ctx = {"theta_true": theta_true}
     rows = []
     for name in config.estimators:
+        row = {"run": run_index, "seed": seed, "method": name,
+               "pct_error": None, "zero_pattern": None,
+               "true_zeros": true_zeros, "error": None, "error_type": None}
         try:
             res = ESTIMATORS[name](y, design, sigma2, ctx)
-            rows.append({"run": run_index, "seed": seed, "method": name,
-                         "pct_error": percentage_error(res, theta_true),
-                         "zero_pattern": zero_pattern(res, design),
-                         "true_zeros": true_zeros, "error": None})
+            row.update(pct_error=percentage_error(res, theta_true),
+                       zero_pattern=zero_pattern(res, design))
         except Exception as exc:  # recorded, not fatal
-            rows.append({"run": run_index, "seed": seed, "method": name,
-                         "pct_error": None, "zero_pattern": None,
-                         "true_zeros": true_zeros, "error": str(exc)})
+            row.update(error=str(exc), error_type=type(exc).__name__)
+        rows.append(row)
     return rows
 
 

@@ -294,17 +294,19 @@ def polish_hglasso(y, design, trace, config=None):
     i_fs, sigma2 = trace.chosen_set, trace.sigma2
     lam_hat = np.zeros(design.p)
     lam_hat[i_fs] = trace.kappa
-    res = None
+    # a solve's theta is the posterior mean at its lam: hglb's on this
+    # design, hglc's on the chosen blocks (zero on the others)
+    res, theta = None, np.zeros(design.m)
     if cfg.variant == "hglb":
         res = solve_hgl_pqn(y, design, sigma2, trace.chosen_gamma, lam_hat)
-        lam_hat = res.lam
+        lam_hat, theta = res.lam, res.theta
     elif cfg.variant == "hglc" and i_fs:
         res = solve_hgl_pqn(y, design.subdesign(i_fs), sigma2, 0.0,
                             lam_hat[i_fs])
         lam_hat[i_fs] = res.lam
-    # hglb's solve ran on this design and lam_hat: its theta is the mean
-    theta = res.theta if cfg.variant == "hglb" else \
-        posterior_mean(design, lam_hat, sigma2, y)
+        theta[design.expand(np.isin(range(design.p), i_fs)) > 0] = res.theta
+    elif cfg.variant == "hgla":
+        theta = posterior_mean(design, lam_hat, sigma2, y)
     if res is not None:
         kkt = res.extra["kkt_residual"]
     else:

@@ -83,28 +83,34 @@ def _kkt_violation(y, G, theta, sigma2, gamma):
                np.max(np.abs(g[~nz]) - gamma, initial=0.0))
 
 
+def _lasso_path(y, G, gammas, sigma2=1.0):
+    """lasso_path on the Gram matrix and correlations of (y, G)."""
+    return lasso_path(G.T @ G, G.T @ y, gammas, sigma2)
+
+
 @pytest.mark.parametrize("experiment,shape", [("exp1", {}),
                                               ("ada", {"n": 60})])
 def test_warm_path_satisfies_kkt_at_every_grid_point(experiment, shape,
                                                      monkeypatch):
-    """Each point of a warm-started validation path is a KKT point, and
-    reports its own residual; every point of est_mkl's Group Lasso path
-    and its one full-data solve pass kkt_residual_mkl at the scales
+    """Each point of a warm-started validation path is a converged KKT
+    point; every point of est_mkl's Group Lasso path and its one
+    full-data solve pass kkt_residual_mkl at the scales
     lam_i = ||theta_i|| / sqrt(2 gamma)."""
     import groupsparse.experiments as ex
-    path, solve = ex.glasso_path, ex.solve_mkl_lambda
+    glasso, solve = ex.glasso_path, ex.solve_mkl_lambda
     mkl_points, refits = [], []
 
     def recorded_path(y, des, s2, regs):
-        fits = path(y, des, s2, regs)
-        mkl_points.extend((y, des, s2, reg, fit)
-                          for reg, fit in zip(regs, fits))
-        return fits
+        path = glasso(y, des, s2, regs)
+        mkl_points.extend((y, des, s2, *point) for point in zip(
+            regs, path.theta, path.converged))
+        return path
 
     def recorded(y, des, s2, gam, theta0=None):
         res = solve(y, des, s2, gam, theta0=theta0)
         refits.append(gam)
-        mkl_points.append((y, des, s2, np.sqrt(2.0 * gam), res))
+        mkl_points.append((y, des, s2, np.sqrt(2.0 * gam), res.theta,
+                           res.converged))
         return res
 
     monkeypatch.setattr(ex, "glasso_path", recorded_path)
@@ -116,21 +122,22 @@ def test_warm_path_satisfies_kkt_at_every_grid_point(experiment, shape,
         s2 = estimate_sigma2_ls(y, design.G)
         y_tr, _, d_tr, _ = _split(y, design)
         grid = _lasso_grid(y_tr, d_tr.G, s2)
-        fits = lasso_path(y_tr, d_tr.G, grid, s2)
-        for gamma, fit in zip(grid, fits):
-            assert fit.converged and fit.gamma == gamma
-            assert _kkt_violation(y_tr, d_tr.G, fit.theta, s2, gamma) \
+        path = _lasso_path(y_tr, d_tr.G, grid, s2)
+        assert path.theta.shape == (grid.size, design.m)
+        for gamma, theta, converged in zip(grid, path.theta,
+                                           path.converged):
+            assert converged
+            assert _kkt_violation(y_tr, d_tr.G, theta, s2, gamma) \
                 <= 1e-8 * gamma
-            assert fit.extra["kkt_residual"] <= 1e-8 * gamma
         mkl_points.clear()
         refits.clear()
         ex.est_mkl(y, design, s2, {})
         assert len(refits) == 1 and len(mkl_points) == 31
-        for y_, d_, s2_, reg, fit in mkl_points:
+        for y_, d_, s2_, reg, theta, converged in mkl_points:
             gam = reg * reg / 2.0
-            lam = np.array([np.linalg.norm(fit.theta[sl])
+            lam = np.array([np.linalg.norm(theta[sl])
                             for sl in d_.slices]) / reg
-            assert fit.converged
+            assert converged
             assert kkt_residual_mkl(lam, y_, d_, s2_, gam) \
                 <= 1e-8 * (1 + 2 * gam)
 
@@ -175,12 +182,12 @@ def test_lasso_path_certifies_degenerate_designs(rng):
     for G, y, lo in cases:
         gmax = np.max(np.abs(G.T @ y)) / s2
         grid = np.logspace(np.log10(lo * gmax), np.log10(gmax), 30)
-        fits = lasso_path(y, G, grid, s2)
-        for gamma, fit in zip(grid, fits):
-            assert fit.converged and fit.gamma == gamma
-            assert _kkt_violation(y, G, fit.theta, s2, gamma) \
+        path = _lasso_path(y, G, grid, s2)
+        assert path.converged.all()
+        for gamma, theta in zip(grid, path.theta):
+            assert _kkt_violation(y, G, theta, s2, gamma) \
                 <= 1e-8 * gamma + 1e-14 * gmax
-    assert fits[0].theta[3] != 0.0
+    assert path.theta[0, 3] != 0.0
     G = rng.standard_normal((25, 6))
     y = rng.standard_normal(25)
     fit = solve_lasso(y, G, ConvexFitConfig(reg_param=0.0))
@@ -204,12 +211,13 @@ def test_lasso_path_matches_exact_solves_on_stress_designs():
             s2 = float(rng.uniform(0.2, 2.0))
             gmax = np.max(np.abs(des.G.T @ y)) / s2
             grid = gmax * np.logspace(-4, 0, 31)[:-1]
-            for gamma, fit in zip(grid, lasso_path(y, des.G, grid, s2)):
-                assert fit.converged, kind
-                assert _kkt_violation(y, des.G, fit.theta, s2, gamma) \
+            path = _lasso_path(y, des.G, grid, s2)
+            assert path.converged.all(), kind
+            for gamma, theta in zip(grid, path.theta):
+                assert _kkt_violation(y, des.G, theta, s2, gamma) \
                     <= 1e-8 * gamma + 1e-14 * gmax, kind
-                ref = lasso_on_support(y, des.G, fit.theta, s2, gamma)
-                assert np.linalg.norm(fit.theta - ref) \
+                ref = lasso_on_support(y, des.G, theta, s2, gamma)
+                assert np.linalg.norm(theta - ref) \
                     <= 1e-10 * np.linalg.norm(ref), kind
 
 
@@ -232,8 +240,10 @@ def test_lasso_certificate_rejects_wrong_signs_and_violations(rng):
     def certified(A, s):
         act = _ActiveSet(H)
         assert act.reset(A, s, np.zeros(A.size))
-        theta, _, ok = act.points(b, np.array([mu]), slack)
-        return theta[0], ok[0]
+        thA, ok = act.points(b, np.array([mu]), slack)
+        theta = np.zeros(b.size)
+        theta[A] = thA[0]
+        return theta, ok[0]
 
     theta, ok = certified(A, np.sign(b[A]))
     assert ok and np.allclose(theta, soft, rtol=1e-12, atol=0.0)
@@ -263,9 +273,10 @@ def test_lasso_path_certifies_integer_designs(problem):
     gmax = np.max(np.abs(G.T @ y))
     assume(gmax > 0)
     grid = gmax * np.logspace(-4, 0, 12)
-    for gamma, fit in zip(grid, lasso_path(y, G, grid)):
-        assert fit.converged
-        assert _kkt_violation(y, G, fit.theta, 1.0, gamma) \
+    path = _lasso_path(y, G, grid)
+    assert path.converged.all()
+    for gamma, theta in zip(grid, path.theta):
+        assert _kkt_violation(y, G, theta, 1.0, gamma) \
             <= 1e-8 * gamma + 1e-14 * gmax
 
 
@@ -302,8 +313,8 @@ def test_path_slope_runs_only_where_one_event_does_not_settle(monkeypatch):
     for seed in TIE_SEEDS:
         G, y = _tie_design(seed)
         gmax = np.max(np.abs(G.T @ y))
-        lasso_path(y, G, np.logspace(np.log10(1e-4 * gmax),
-                                     np.log10(gmax), 30))
+        _lasso_path(y, G, np.logspace(np.log10(1e-4 * gmax),
+                                      np.log10(gmax), 30))
     assert calls
 
 
@@ -391,14 +402,12 @@ def test_glasso_path_matches_cold_coordinate_descent(name, des, y, s2, lo):
     b = des.G.T @ y
     top = max(np.linalg.norm(b[sl]) for sl in des.slices) / s2
     regs = np.logspace(np.log10(lo * top), np.log10(2.0 * top), 8)
-    fits = glasso_path(y, des, s2, regs)
-    assert not np.any(fits[-1].theta)
-    for reg, fit in zip(regs, fits):
+    path = glasso_path(y, des, s2, regs)
+    assert not np.any(path.theta[-1]) and path.converged.all()
+    for reg, theta in zip(regs, path.theta):
         ref = cold_cd_glasso(y, des, s2, reg)
-        assert np.linalg.norm(fit.theta - ref) <= \
-            1e-10 * np.linalg.norm(ref)
-        assert fit.converged and fit.gamma == reg
-        assert _block_kkt_violation(y, des, fit.theta, s2, reg) <= 1e-8
+        assert np.linalg.norm(theta - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert _block_kkt_violation(y, des, theta, s2, reg) <= 1e-8
 
 
 def test_glasso_path_equals_lasso_path_for_singleton_blocks(rng):
@@ -411,13 +420,13 @@ def test_glasso_path_equals_lasso_path_for_singleton_blocks(rng):
         s2 = float(rng.uniform(0.3, 1.5))
         grid = _lasso_grid(y, G, s2)
         gl = glasso_path(y, GroupedDesign(G, [1] * m), s2, grid)
-        la = lasso_path(y, G, grid, s2)
+        la = _lasso_path(y, G, grid, s2)
+        assert gl.converged.all() and la.converged.all()
         # relative to the path's largest solution: at the top of the grid
         # both are zero up to rounding
-        scale = np.linalg.norm(la[0].theta)
-        for a, b in zip(gl, la):
-            assert a.converged and b.converged
-            assert np.linalg.norm(a.theta - b.theta) <= 1e-10 * scale
+        scale = np.linalg.norm(la.theta[0])
+        assert np.all(np.linalg.norm(gl.theta - la.theta, axis=1)
+                      <= 1e-10 * scale)
 
 
 def test_glasso_cold_solve_is_certified_through_the_retreat():
@@ -483,13 +492,16 @@ def test_glasso_certifies_every_point_of_stress_designs():
             b = des.G.T @ y
             top = max(np.linalg.norm(b[sl]) for sl in des.slices) / s2
             regs = top * np.logspace(-4, 0.1, 8)
-            fits = glasso_path(y, des, s2, regs)
-            fits += [solve_glasso(y, des, s2, reg) for reg in regs[:3]]
-            for reg, fit in zip(np.tile(regs, 2), fits):
-                assert fit.converged, kind
-                assert _block_kkt_violation(y, des, fit.theta, s2, reg) \
+            path = glasso_path(y, des, s2, regs)
+            cold = [solve_glasso(y, des, s2, reg) for reg in regs[:3]]
+            assert path.converged.all() and all(
+                fit.converged for fit in cold), kind
+            for reg, theta in zip(np.tile(regs, 2), [*path.theta, *(
+                    fit.theta for fit in cold)]):
+                assert _block_kkt_violation(y, des, theta, s2, reg) \
                     <= 1e-8, kind
-                retreats += fit.iterations > 0
+            retreats += path.work["retreats"] + sum(
+                fit.iterations for fit in cold)
             fit = solve_glasso(y, des, s2, 0.0)
             ls = np.linalg.lstsq(des.G, y, rcond=None)[0]
             assert fit.converged, kind
@@ -649,6 +661,51 @@ def test_adalasso_converges_on_exp2():
         fit = est_adalasso(y, design, s2, {})
         assert fit.converged and fit.extra["unconverged_solves"] == 0, \
             (seed, run)
-        w = _adalasso_weights(design.G, y, fit.extra["eta"])
+        w = _adalasso_weights(np.linalg.lstsq(design.G, y, rcond=None)[0],
+                              fit.extra["eta"])
         assert _kkt_violation(y, design.G / w, w * fit.theta, s2,
                               fit.gamma) <= 1e-8 * fit.gamma, (seed, run)
+
+
+def test_validation_ties_go_to_the_smaller_gamma_then_eta(monkeypatch):
+    """On pure-noise data every grid point whose theta is zero predicts the
+    validation half equally, and here they tie for the best error.
+    solve_adalasso picks the lexicographic minimum of (error, gamma, eta)
+    over its eta x gamma grid, and _validate the smallest tied gamma, also
+    for decreasing and shuffled grids; the errors are taken point by point
+    here."""
+    import groupsparse.convex as cv
+    from groupsparse.experiments import _validate
+    rng = np.random.default_rng(0)
+    G = rng.standard_normal((40, 6))
+    y = rng.standard_normal(40)
+    des = GroupedDesign(G, [1] * 6)
+    y_tr, y_val, d_tr, d_val = _split(y, des)
+    grid = np.max(np.abs(d_tr.G.T @ y_tr)) * np.logspace(-3, 1, 15)
+    etas = np.array([2.0, 0.5, 1.0])
+    ls_tr = np.linalg.lstsq(d_tr.G, y_tr, rcond=None)[0]
+    paths, path_of = [], cv.lasso_path
+
+    def recorded(*args):
+        paths.append(path_of(*args))
+        return paths[-1]
+
+    monkeypatch.setattr(cv, "lasso_path", recorded)
+    for gammas in (grid, grid[::-1], rng.permutation(grid)):
+        paths.clear()
+        fit = cv.solve_adalasso(y, G, 1.0, {"gamma": gammas, "eta": etas})
+        # the first paths are the training half's, one per eta
+        keys = [(np.linalg.norm(y_val - d_val.G @ (theta / w)), gamma, eta)
+                for path, eta in zip(paths, etas)
+                for w in [_adalasso_weights(ls_tr, eta)]
+                for gamma, theta in zip(gammas, path.theta)]
+        best = min(keys)
+        assert sum(key[0] == best[0] for key in keys) > 1
+        assert (fit.gamma, fit.extra["eta"]) == best[1:]
+
+        chosen, path = _validate(y, des, lambda y_tr, d_tr: (
+            gammas, _lasso_path(y_tr, d_tr.G, gammas)))
+        errs = np.array([np.linalg.norm(y_val - d_val.G @ theta)
+                         for theta in path.theta])
+        tied = gammas[errs == errs.min()]
+        assert tied.size > 1 and chosen == tied.min()

@@ -1,5 +1,6 @@
 """Problem generators, metrics, ARX utilities and the Monte Carlo harness."""
 
+import csv
 import json
 
 import numpy as np
@@ -225,17 +226,40 @@ def test_report_serialization(tmp_path):
     assert lines[0].split(",")[2] == "oracle"
 
 
-def test_estimator_failure_is_recorded_not_fatal(monkeypatch):
+def test_estimator_failure_is_recorded_not_fatal(monkeypatch, tmp_path):
+    """A failing estimator leaves a row with its message and exception
+    class, next to a good estimator's rows, and both the JSON and the CSV
+    report are written: the failed rows with an empty zero pattern."""
     import groupsparse.experiments as ex
 
     def boom(y, design, sigma2, ctx):
-        raise RuntimeError("synthetic failure")
+        raise RuntimeError("synthetic failure, with a comma")
 
-    monkeypatch.setitem(ex.ESTIMATORS, "oracle", boom)
+    monkeypatch.setitem(ex.ESTIMATORS, "hgla", boom)
     rep = ex.run_monte_carlo(McConfig(experiment="exp1", runs=2,
-                                      estimators=["oracle"]))
-    assert all(r["error"] == "synthetic failure" for r in rep.per_run)
-    assert rep.aggregates["oracle"]["runs_ok"] == 0
+                                      estimators=["hgla", "oracle"]))
+    failed = [r for r in rep.per_run if r["method"] == "hgla"]
+    assert len(failed) == 2
+    assert all(r["error"] == "synthetic failure, with a comma"
+               and r["error_type"] == "RuntimeError" for r in failed)
+    assert all(r["error"] is None and r["error_type"] is None
+               for r in rep.per_run if r["method"] == "oracle")
+    assert rep.aggregates["hgla"]["runs_ok"] == 0
+    assert rep.aggregates["oracle"]["runs_ok"] == 2
+    rep.to_json(tmp_path / "rep.json")
+    rep.to_csv(tmp_path / "rep.csv")
+    doc = json.loads((tmp_path / "rep.json").read_text())
+    assert [r["error_type"] for r in doc["per_run"]] == \
+        ["RuntimeError", None] * 2
+    with open(tmp_path / "rep.csv", newline="") as fh:
+        lines = list(csv.reader(fh))
+    assert [line[2] for line in lines] == ["hgla", "oracle"] * 2
+    for line, row in zip(lines, rep.per_run):
+        if row["error"] is None:
+            assert line[4:] == ["".join("1" if z else "0"
+                                        for z in row["zero_pattern"]), ""]
+        else:
+            assert line[3:] == ["", "", "synthetic failure, with a comma"]
 
 
 def test_glasso_reuses_the_mkl_fit_in_ctx(monkeypatch):
@@ -423,25 +447,32 @@ def test_mkl_warm_path_matches_cold_solves():
 
 def test_converged_is_false_when_one_inner_solve_fails(monkeypatch):
     """One unconverged inner solve (one grid point of the Lasso homotopy
-    path, or of the Group Lasso path of mkl and glasso) makes lasso,
-    adalasso, mkl and glasso report converged=False and count it."""
-    import dataclasses
+    path, failed at its certificate _ActiveSet.points, or one point of the
+    Group Lasso path of mkl and glasso, failed at _glasso_point) makes
+    lasso, adalasso, mkl and glasso report converged=False and count
+    it."""
     import groupsparse.convex as cv
     import groupsparse.experiments as ex
     design, _, y, _ = gen_problem(McConfig(experiment="exp1", runs=1,
                                            master_seed=3), 0)
     sigma2 = ex.estimate_sigma2_ls(y, design.G)
 
-    def fail_third_call(mp, module, name):
-        solve = getattr(module, name)
+    def lasso_point_fails(out):
+        thA, ok = out
+        return thA, np.r_[False, ok[1:]]
+
+    def glasso_point_fails(out):
+        return (out[0], False, *out[2:])
+
+    def fail_third_call(mp, owner, name, fails):
+        solve = getattr(owner, name)
         calls = []
 
         def wrapped(*args, **kwargs):
-            res = solve(*args, **kwargs)
+            out = solve(*args, **kwargs)
             calls.append(1)
-            return dataclasses.replace(res, converged=False) \
-                if len(calls) == 3 else res
-        mp.setattr(module, name, wrapped)
+            return fails(out) if len(calls) == 3 else out
+        mp.setattr(owner, name, wrapped)
 
     fits = {
         "lasso": lambda: ESTIMATORS["lasso"](y, design, sigma2, {}),
@@ -454,8 +485,11 @@ def test_converged_is_false_when_one_inner_solve_fails(monkeypatch):
     for name, fit in fits.items():
         assert fit().extra["unconverged_solves"] == 0
         with monkeypatch.context() as mp:
-            fail_third_call(mp, cv, "_glasso_point" if name in (
-                "mkl", "glasso") else "_lasso_point")
+            if name in ("mkl", "glasso"):
+                fail_third_call(mp, cv, "_glasso_point", glasso_point_fails)
+            else:
+                fail_third_call(mp, cv._ActiveSet, "points",
+                                lasso_point_fails)
             res = fit()
         assert res.converged is False
         assert res.extra["unconverged_solves"] == 1
