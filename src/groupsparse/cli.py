@@ -248,18 +248,15 @@ def cmd_arx(args):
         raise CliError(str(exc))
     out = args.out or "arx_report"
     write_csv_matrix(out + ".csv", np.asarray(cods))
-    norms = [float(np.linalg.norm(res.theta[s]))
-             for s in prob.design.slices]
-    selected = res.selected
+    design, selected = prob.design, res.selected
     if args.method in COLUMN_SELECTED:  # the blocks of the chosen columns
-        owner = np.repeat(np.arange(prob.design.p),
-                          prob.design.group_sizes)
-        selected = np.unique(owner[np.asarray(selected, dtype=int)])
+        selected = np.unique(design.owner[np.asarray(selected, dtype=int)])
     with open(out + ".json", "w") as fh:
         json.dump({"method": args.method, "q": args.q,
                    "cod": {str(k): c for k, c in cods},
                    "selected": [int(i) for i in selected],
-                   "block_norms": norms}, fh, indent=2, sort_keys=True)
+                   "block_norms": design.block_norms(res.theta).tolist()},
+                  fh, indent=2, sort_keys=True)
     print("\n".join("COD_%d = %.4f" % kc for kc in cods))
     return 0
 
@@ -309,8 +306,7 @@ def build_parser():
     p.add_argument("--runs", type=int, default=50)
     p.add_argument("--estimators", default="hgla,mkl",
                    help="comma list from the estimator registry")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("SPARSEGRP_THREADS", "1")))
+    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("arx", help="lagged time-series regression")
@@ -325,6 +321,9 @@ def build_parser():
                    help="largest prediction horizon k")
     p.add_argument("--sigma2", type=float)
     p.set_defaults(func=cmd_arx)
+    # flags in full only: main's --config precedence matches them so
+    for p in (ap, *sub.choices.values()):
+        p.allow_abbrev = False
     return ap
 
 
@@ -344,16 +343,17 @@ def main(argv=None):
             print("error: bad config file: %s" % exc, file=sys.stderr)
             return 2
         # flags win over the config file, which wins over defaults; a file
-        # value goes through its flag's type as if typed on the command line
+        # value goes through its flag's type and choices as if typed on the
+        # command line
         tokens = list(argv if argv is not None else sys.argv[1:])
         sub = next(a for a in ap._actions
                    if isinstance(a, argparse._SubParsersAction))
         # each command's options; a key of another command is ignored, so
         # one file can serve several commands, and a key of none is an error
-        options = {name: {a.dest: a.type for a in p._actions
+        options = {name: {a.dest: a for a in p._actions
                           if not isinstance(a, argparse._HelpAction)}
                    for name, p in sub.choices.items()}
-        types = options[args.command]
+        actions = options[args.command]
         for key, val in file_cfg.items():
             attr = key.replace("-", "_")
             if not any(attr in opts for opts in options.values()):
@@ -363,9 +363,9 @@ def main(argv=None):
             flag = "--" + attr.replace("_", "-")
             supplied = any(t == flag or t.startswith(flag + "=")
                            for t in tokens)
-            if attr not in types or supplied:
+            if attr not in actions or supplied:
                 continue
-            convert = types[attr]
+            convert, choices = actions[attr].type, actions[attr].choices
             if convert is not None and val is not None:
                 try:
                     val = convert(str(val))
@@ -373,6 +373,10 @@ def main(argv=None):
                     print("error: config key %r: %r is not a valid %s"
                           % (key, val, convert.__name__), file=sys.stderr)
                     return 2
+            if choices is not None and val not in choices:
+                print("error: config key %r: %r is not one of %s"
+                      % (key, val, list(choices)), file=sys.stderr)
+                return 2
             setattr(args, attr, val)
     try:
         return args.func(args)

@@ -29,14 +29,13 @@ from .selection import _split
 @dataclass
 class ConvexFitConfig:
     reg_param: float = 0.0
-    # the Lasso is an exact homotopy (lasso_path) and ignores max_iter; it
-    # is kept only because benchmarks/tracing.py reads it on a fit
-    max_iter: int = 20000
+    # the Lasso is an exact homotopy (lasso_path) and ignores max_iter, a
+    # constant (no field) that benchmarks/tracing.py reads on a fit
+    max_iter = 20000
 
     def __post_init__(self):
-        if self.reg_param < 0 or self.max_iter < 1:
-            raise ValueError("reg_param must be nonnegative, max_iter "
-                             "positive")
+        if self.reg_param < 0:
+            raise ValueError("reg_param must be nonnegative")
 
 
 # weight used in place of |theta_ls_j|^(-eta) when the LS coefficient is 0;
@@ -74,11 +73,10 @@ def solve_lasso(y, G, config, sigma2=1.0):
     """L1-penalized least squares at the single penalty config.reg_param.
 
     Minimizes (y - G theta)^T (y - G theta) / (2 sigma2) + reg ||theta||_1
-    exactly: lasso_path walked from ||G^T y||_inf down to mu = sigma2 reg
-    (config.max_iter does not apply).  iterations is the number of
-    breakpoints walked, extra["factorizations"] the factorizations made
-    on the way and extra["kkt_residual"] the largest violation of the
-    optimality conditions, in units of reg.
+    exactly: lasso_path walked from ||G^T y||_inf down to mu = sigma2 reg.
+    iterations is the number of breakpoints walked, extra["factorizations"]
+    the factorizations made on the way and extra["kkt_residual"] the
+    largest violation of the optimality conditions, in units of reg.
     """
     y = np.asarray(y, dtype=float)
     G = np.atleast_2d(np.asarray(G, dtype=float))
@@ -452,17 +450,12 @@ def _newton(H_AA, b_A, x, blk, a):
 
 class _GlassoProblem:
     """What glasso_path computes once per design and data: H = G^T G
-    (design.gram()), b = G^T y and the block that owns each column."""
+    (design.gram()) and b = G^T y."""
 
     def __init__(self, y, design, sigma2):
         self.y, self.design, self.sigma2 = y, design, sigma2
         self.H = design.gram()
         self.b = design.G.T @ y
-        self.owner = np.repeat(np.arange(design.p), design.group_sizes)
-
-    def block_norms(self, v):
-        return np.sqrt(np.bincount(self.owner, v * v,
-                                   minlength=self.design.p))
 
     def correct(self, x, a, one=False):
         """Active-set corrector from x at a = sigma2 reg > 0: Newton
@@ -477,11 +470,12 @@ class _GlassoProblem:
         left no violator within _CORRECTOR_SOLVES solves: then x
         satisfies the Group Lasso optimality conditions (the
         certificate)."""
-        H, b, owner = self.H, self.b, self.owner
+        H, b, design = self.H, self.b, self.design
+        owner = design.owner
         x = x.copy()
         steps = added = 0
         for _ in range(_CORRECTOR_SOLVES):
-            act = self.block_norms(x) > 0
+            act = design.block_norms(x) > 0
             idx = np.flatnonzero(act[owner])
             if idx.size:
                 blk = (np.cumsum(act) - 1)[owner[idx]]
@@ -495,14 +489,14 @@ class _GlassoProblem:
                     x[idx[turned[blk]]] = 0.0
                     continue
             q = b - H[:, idx] @ x[idx]
-            qn = self.block_norms(q)
+            qn = design.block_norms(q)
             viol = np.flatnonzero(~act & (qn > a * (1.0 + 1e-9)))
             if not viol.size:
                 return x, steps, added
             if one:
                 viol = viol[[np.argmax(qn[viol])]]
             for i in viol:
-                sl = self.design.slices[i]
+                sl = design.slices[i]
                 top = np.linalg.eigvalsh(H[sl, sl])[-1]
                 x[sl] = (1.0 - a / qn[i]) / top * q[sl]
             added += viol.size
@@ -567,7 +561,7 @@ def glasso_path(y, design, sigma2, regs, theta0=None):
     prob = _GlassoProblem(y, design, sigma2)
     x = np.zeros(design.m) if theta0 is None else \
         np.array(theta0, dtype=float)
-    cert = (np.max(prob.block_norms(prob.b)) / sigma2, np.zeros(design.m))
+    cert = (np.max(design.block_norms(prob.b)) / sigma2, np.zeros(design.m))
     theta = np.zeros((regs.size, design.m))
     converged = np.zeros(regs.size, dtype=bool)
     work = dict.fromkeys(("newton_steps", "blocks_added", "retreats"), 0)
@@ -588,7 +582,7 @@ def solve_glasso(y, design, sigma2, reg, theta0=None):
     y = np.asarray(y, dtype=float)
     path = glasso_path(y, design, sigma2, [reg], theta0)
     theta, work = path.theta[0], path.work
-    norms = np.sqrt(design.block_sums(theta * theta))
+    norms = design.block_norms(theta)
     r = y - design.G @ theta
     return EstimateResult(
         theta=theta, selected=list(np.flatnonzero(norms)), gamma=reg,
@@ -609,8 +603,7 @@ def solve_mkl_lambda(y, design, sigma2, gamma, theta0=None):
         raise ValueError("mkl requires positive gamma")
     reg = np.sqrt(2.0 * gamma)
     res = solve_glasso(y, design, sigma2, reg, theta0=theta0)
-    res.lam = np.array([np.linalg.norm(res.theta[s])
-                        for s in design.slices]) / reg
+    res.lam = design.block_norms(res.theta) / reg
     res.gamma = gamma
     return res
 

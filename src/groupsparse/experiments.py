@@ -49,8 +49,8 @@ class McConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+        if self.runs < 1 or self.threads < 1:
+            raise ValueError("runs and threads must be >= 1")
         if self.experiment not in EXPERIMENTS:
             raise ValueError("unknown experiment %r; choose from %s"
                              % (self.experiment, EXPERIMENTS))
@@ -133,8 +133,7 @@ def zero_pattern(result, design):
     if result.lam is not None:
         v = np.asarray(result.lam, dtype=float)
     else:
-        bv = BlockVector(result.theta, design.group_sizes)
-        v = bv.block_norms()
+        v = design.block_norms(np.asarray(result.theta, dtype=float))
     thr = ZERO_TOL * max(float(np.max(v, initial=0.0)), 1.0)
     return [bool(x <= thr) for x in v]
 
@@ -419,9 +418,7 @@ def est_adalasso(y, design, sigma2, ctx):
 def est_oracle(y, design, sigma2, ctx):
     """Returns the true coefficients; for harness tests only."""
     theta = ctx["theta_true"].theta
-    bv = BlockVector(theta, design.group_sizes)
-    lam = np.array([float(bv.block(i) @ bv.block(i)) > 0
-                    for i in range(design.p)], dtype=float)
+    lam = (design.block_norms(theta) > 0).astype(float)
     return EstimateResult(theta=theta.copy(), lam=lam,
                           selected=list(np.nonzero(lam)[0]))
 
@@ -471,8 +468,7 @@ def _one_run(config, run_index):
     design, theta_true, y, _ = gen_problem(config, run_index)
     _, seed = run_seed(config.master_seed, run_index)
     sigma2 = estimate_sigma2_ls(y, design.G)
-    true_zeros = [float(theta_true.block(i) @ theta_true.block(i)) == 0.0
-                  for i in range(design.p)]
+    true_zeros = (design.block_norms(theta_true.theta) == 0.0).tolist()
     ctx = {"theta_true": theta_true}
     rows = []
     for name in config.estimators:

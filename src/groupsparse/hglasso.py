@@ -12,7 +12,8 @@ weighted-MSE diagnostic, and the two-group worked example.
 import numpy as np
 from dataclasses import dataclass
 from scipy.linalg import cho_factor, cho_solve
-from scipy.stats import ncx2
+from scipy.optimize import brentq
+from scipy.special import chndtr
 
 from .model import EstimateResult, MarginalFactor
 
@@ -227,7 +228,7 @@ def prob_lambda_zero(q):
         thr = q.k + 2.0 * q.gamma * q.sigma2 / q.n
     else:
         thr = 2.0 * q.gamma * q.sigma2 / q.n
-    return float(ncx2.cdf(thr, q.k, mu))
+    return float(chndtr(thr, q.k, mu))     # the noncentral chi-square cdf
 
 
 # ============================================================
@@ -276,7 +277,7 @@ def _tg_margin(gamma, y2, sigma2, delta, estimator):
 
 def _tg_gamma_min(y2, sigma2, delta, estimator):
     """Smallest gamma from which the zero condition holds for every larger
-    gamma (log-grid scan refined by bisection)."""
+    gamma (log-grid scan refined by brentq)."""
     grid = np.concatenate([[0.0], np.logspace(-8, 8, 1601)])
     ok = np.array([_tg_margin(g, y2, sigma2, delta, estimator) >= 0
                    for g in grid])
@@ -285,14 +286,8 @@ def _tg_gamma_min(y2, sigma2, delta, estimator):
     last_bad = np.max(np.nonzero(~ok)[0])
     if last_bad + 1 >= grid.size:
         return float("inf")
-    lo, hi = grid[last_bad], grid[last_bad + 1]
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _tg_margin(mid, y2, sigma2, delta, estimator) >= 0:
-            hi = mid
-        else:
-            lo = mid
-    return float(hi)
+    return float(brentq(_tg_margin, grid[last_bad], grid[last_bad + 1],
+                        args=(y2, sigma2, delta, estimator), xtol=1e-300))
 
 
 def two_group_thresholds(y2val, sigma2, delta, gamma):
@@ -328,9 +323,9 @@ class WeightedMseProfile:
     breve_lambda_limit: float
 
 
-def weighted_mse_profile(d, beta, alpha, n, grid_points=400):
+def weighted_mse_profile(d, beta, alpha, n):
     """Weighted MSE of a diagonalized block (d and beta of
-    diagonalize_block) over a log grid of lambda.
+    diagonalize_block) over a log grid of 400 lambdas.
 
     W(lam) = sum_k d_k^alpha (beta_k^2/n + lam^2 d_k^2) / (1/n + lam d_k^2)^2.
 
@@ -345,7 +340,7 @@ def weighted_mse_profile(d, beta, alpha, n, grid_points=400):
     wk = d ** (alpha - 4.0)
     limit = float(np.sum(wk * b * b) / np.sum(wk))
     center = limit if limit > 0 else float(np.mean(b * b)) + 1e-12
-    lams = np.logspace(np.log10(center) - 4, np.log10(center) + 4, grid_points)
+    lams = np.logspace(np.log10(center) - 4, np.log10(center) + 4, 400)
     vals = np.array([
         np.sum(d ** alpha * (b * b / n + lam * lam * d * d)
                / (1.0 / n + lam * d * d) ** 2)

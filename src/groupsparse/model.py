@@ -46,6 +46,7 @@ class GroupedDesign:
         ends = np.cumsum(sizes)
         self.slices = [slice(int(e - k), int(e)) for k, e in zip(sizes, ends)]
         self.starts = ends - sizes         # first column of each block
+        self.owner = np.repeat(np.arange(len(sizes)), sizes)  # column -> block
         self._gtg = None
 
     @property
@@ -73,9 +74,11 @@ class GroupedDesign:
 
     def block_sums(self, x):
         """Per-block sums of a length-m vector, as a p-vector."""
-        if len(set(self.group_sizes)) == 1:    # equal sizes: one reduction
-            return x.reshape(self.p, -1).sum(axis=1)
-        return np.add.reduceat(x, self.starts)
+        return np.bincount(self.owner, x, minlength=self.p)
+
+    def block_norms(self, x):
+        """Euclidean norm of each block of a length-m vector, as a p-vector."""
+        return np.sqrt(self.block_sums(x * x))
 
     def gram(self):
         """G^T G, cached."""
@@ -86,10 +89,8 @@ class GroupedDesign:
     def subdesign(self, blocks):
         """Design restricted to the listed blocks (order preserved)."""
         blocks = sorted(blocks)
-        cols = np.concatenate([np.arange(s.start, s.stop) for s in
-                               (self.slices[i] for i in blocks)]) if blocks else \
-            np.array([], dtype=int)
-        return GroupedDesign(self.G[:, cols], [self.group_sizes[i] for i in blocks])
+        return GroupedDesign(self.G[:, np.isin(self.owner, blocks)],
+                             [self.group_sizes[i] for i in blocks])
 
 
 @dataclass
@@ -109,10 +110,6 @@ class BlockVector:
 
     def block(self, i):
         return self.theta[self.slices[i]]
-
-    def block_norms(self):
-        return np.array([np.linalg.norm(self.block(i))
-                         for i in range(len(self.group_sizes))])
 
 
 @dataclass
@@ -293,11 +290,9 @@ def posterior_mean(design, lam, sigma2, y):
     return fac.lam_full * fac.gtw_y(np.asarray(y, dtype=float))
 
 
-def _block_vector(theta, design):
-    """theta (an m-vector or a BlockVector) as a BlockVector of design."""
-    if isinstance(theta, BlockVector):
-        return theta
-    return BlockVector(np.asarray(theta, dtype=float), design.group_sizes)
+def _coefficients(theta):
+    """theta, an m-vector or a BlockVector, as an m-vector."""
+    return np.asarray(getattr(theta, "theta", theta), dtype=float)
 
 
 def mse_of_lambda(design, lam, sigma2, theta_true):
@@ -316,17 +311,16 @@ def mse_of_lambda(design, lam, sigma2, theta_true):
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0):
         raise ValueError("lambda must be nonnegative")
-    tb = _block_vector(theta_true, design)
-    active = [i for i in range(design.p) if lam[i] > 0]
-    dead = [i for i in range(design.p) if lam[i] == 0]
-    total = sum(float(tb.block(i) @ tb.block(i)) for i in dead)
-    if not active:
+    tb = _coefficients(theta_true)
+    lam_full = design.expand(lam)
+    on = lam_full > 0                          # the columns of active blocks
+    total = float(tb[~on] @ tb[~on])
+    if not on.any():
         return total
-    sub = design.subdesign(active)
-    lam_full = sub.expand(lam[active])
-    tb_act = np.concatenate([tb.block(i) for i in active])
+    sub = design.subdesign(np.flatnonzero(lam))
+    lam_full = lam_full[on]
     M = sub.gram() + sigma2 * np.diag(1.0 / lam_full)
-    u = tb_act / lam_full
+    u = tb[on] / lam_full
     inner = sub.gram() + sigma2 * np.outer(u, u)
     Minv = np.linalg.inv(M)
     total += sigma2 * np.trace(Minv @ inner @ Minv)
@@ -357,5 +351,5 @@ def diagonalize_block(design, lam, sigma2, i, y, theta_true=None):
     z = V.T @ fac.gtw_y(np.asarray(y, dtype=float))[sl] / (n * d)
     beta = None
     if theta_true is not None:
-        beta = V.T @ _block_vector(theta_true, design).block(i)
+        beta = V.T @ _coefficients(theta_true)[sl]
     return z, d, beta

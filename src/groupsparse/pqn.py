@@ -2,30 +2,26 @@
 
 Minimizes f(x) subject to x >= 0 using L-BFGS directions with backtracking
 along the projection arc (Armijo sufficient decrease).  The projection is a
-componentwise max with 0, so coordinates land on the boundary exactly.  An
-optional active set pins the complement coordinates at 0 for the whole run.
+componentwise max with 0, so coordinates land on the boundary exactly.
 """
 
 import numpy as np
 from dataclasses import dataclass
 
+# curvature pairs kept, Armijo constant and backtracking factor
+_MEMORY = 10
+_ARMIJO = 1e-4
+_BACKTRACK = 0.5
+
 
 @dataclass
 class PqnConfig:
-    memory: int = 10
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
     grad_tol: float = 1e-6
     max_iter: int = 500
-    active_set: list = None
 
     def __post_init__(self):
-        if not 0 < self.armijo_c < 1:
-            raise ValueError("armijo_c must lie in (0,1)")
-        if not 0 < self.backtrack < 1:
-            raise ValueError("backtrack must lie in (0,1)")
-        if self.grad_tol <= 0 or self.max_iter < 1 or self.memory < 1:
-            raise ValueError("grad_tol, max_iter and memory must be positive")
+        if self.grad_tol <= 0 or self.max_iter < 1:
+            raise ValueError("grad_tol and max_iter must be positive")
 
 
 @dataclass
@@ -58,17 +54,10 @@ def _two_loop(g, S, Y):
 def minimize_pqn(fun_grad, x0, config=None):
     """Minimize fun_grad (returning (f, grad)) over x >= 0.
 
-    Convergence test: ||x - proj(x - g)||_inf <= grad_tol * (1 + |f|),
-    restricted to the free coordinates.
+    Convergence test: ||x - proj(x - g)||_inf <= grad_tol * (1 + |f|).
     """
     cfg = config or PqnConfig()
     x = np.maximum(np.asarray(x0, dtype=float).copy(), 0.0)
-    free = np.zeros(x.size, dtype=bool)
-    if cfg.active_set is None:
-        free[:] = True
-    else:
-        free[list(cfg.active_set)] = True
-        x[~free] = 0.0
 
     f, g = fun_grad(x)
     S, Y = [], []
@@ -76,7 +65,6 @@ def minimize_pqn(fun_grad, x0, config=None):
     converged = False
     for it in range(1, cfg.max_iter + 1):
         pg = x - np.maximum(x - g, 0.0)
-        pg[~free] = 0.0
         if np.max(np.abs(pg), initial=0.0) <= cfg.grad_tol * (1.0 + abs(f)):
             converged = True
             break
@@ -86,7 +74,7 @@ def minimize_pqn(fun_grad, x0, config=None):
         # down; the projection would clip any motion there, and leaving
         # them in the quasi-Newton direction can turn the clipped step
         # into an ascent step, so drop them from the direction entirely
-        binding = (~free) | ((x <= 0.0) & (g > 0.0))
+        binding = (x <= 0.0) & (g > 0.0)
         gm = g.copy()
         gm[binding] = 0.0
         for attempt in (0, 1):
@@ -104,18 +92,17 @@ def minimize_pqn(fun_grad, x0, config=None):
             first_trial = True
             while t > 1e-20:
                 xt = np.maximum(x + t * d, 0.0)
-                xt[~free] = 0.0
                 step = xt - x
                 if not np.any(step):
                     break
                 ft, gt = fun_grad(xt)
                 # the 1e-13|f| term keeps rounding noise from rejecting
                 # honest decreases once |ft - f| nears machine precision
-                if ft <= f + min(cfg.armijo_c * (g @ step), 0.0) + 1e-13 * abs(f):
+                if ft <= f + min(_ARMIJO * (g @ step), 0.0) + 1e-13 * abs(f):
                     accepted = True
                     break
                 first_trial = False
-                t *= cfg.backtrack
+                t *= _BACKTRACK
             if accepted and first_trial:
                 # the unit step succeeded outright, which can mean the
                 # direction magnitude has collapsed; expand while the 1-D
@@ -123,12 +110,11 @@ def minimize_pqn(fun_grad, x0, config=None):
                 for _ in range(60):
                     t2 = 2.0 * t
                     x2 = np.maximum(x + t2 * d, 0.0)
-                    x2[~free] = 0.0
                     step2 = x2 - x
                     if not np.any(x2 != xt):
                         break
                     f2, g2 = fun_grad(x2)
-                    if f2 < ft and f2 <= f + cfg.armijo_c * (g @ step2):
+                    if f2 < ft and f2 <= f + _ARMIJO * (g @ step2):
                         t, xt, ft, gt = t2, x2, f2, g2
                     else:
                         break
@@ -143,7 +129,7 @@ def minimize_pqn(fun_grad, x0, config=None):
         if s @ yv > 1e-12 * np.linalg.norm(s) * np.linalg.norm(yv):
             S.append(s)
             Y.append(yv)
-            if len(S) > cfg.memory:
+            if len(S) > _MEMORY:
                 S.pop(0)
                 Y.pop(0)
         else:
@@ -153,7 +139,6 @@ def minimize_pqn(fun_grad, x0, config=None):
         x, f, g = xt, ft, gt
 
     pg = x - np.maximum(x - g, 0.0)
-    pg[~free] = 0.0
     gnorm = float(np.max(np.abs(pg), initial=0.0))
     if gnorm <= cfg.grad_tol * (1.0 + abs(f)):
         converged = True

@@ -304,7 +304,7 @@ def polish_hglasso(y, design, trace, config=None):
         res = solve_hgl_pqn(y, design.subdesign(i_fs), sigma2, 0.0,
                             lam_hat[i_fs])
         lam_hat[i_fs] = res.lam
-        theta[design.expand(np.isin(range(design.p), i_fs)) > 0] = res.theta
+        theta[np.isin(design.owner, i_fs)] = res.theta
     elif cfg.variant == "hgla":
         theta = posterior_mean(design, lam_hat, sigma2, y)
     if res is not None:

@@ -22,7 +22,7 @@ def mkl_pqn(y, des, s2, gam, config=None):
     """Kernel scales by projected quasi-Newton on the convex objective
     y^T (K(lam) + s2 I)^{-1} y / 2 + gam sum(lam), from zero: an MKL
     solver independent of Group Lasso, kept as the reference.  Returns a
-    PqnResult (.lam); config may pin blocks with active_set."""
+    PqnResult (.lam)."""
     from groupsparse import MarginalFactor, PqnConfig, minimize_pqn
     y = np.asarray(y, dtype=float)
 

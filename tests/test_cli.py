@@ -469,6 +469,16 @@ def test_benchmark_unknown_estimator_exits_2(capsys):
     assert "registry" in capsys.readouterr().err
 
 
+def test_benchmark_threads_come_from_the_flag_alone(monkeypatch, capsys):
+    """--threads below 1 exits 2 instead of running serially, and its
+    default is 1 whatever the environment holds."""
+    assert main(["benchmark", "--runs", "1", "--estimators", "oracle",
+                 "--threads", "0"]) == 2
+    assert "threads" in capsys.readouterr().err
+    monkeypatch.setenv("SPARSEGRP_THREADS", "x")
+    assert main(["benchmark", "--runs", "1", "--estimators", "oracle"]) == 0
+
+
 # ------------------------------------------------------------
 # arx
 # ------------------------------------------------------------
@@ -642,6 +652,38 @@ def test_config_values_take_their_flags_type(fixture_dir, tmp_path,
         assert main(["--config", str(cfg), "fit", "--method", "lasso"]
                     + data) == 2
         assert repr(next(iter(bad))) in capsys.readouterr().err
+
+
+def test_config_values_respect_choices(tmp_path, capsys):
+    """A config value outside its flag's choices exits 2 with the key
+    named, as the same value typed on the command line does."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "bogus"}))
+    assert main(["--config", str(cfg), "simulate",
+                 "--out", str(tmp_path / "sim")]) == 2
+    assert "'experiment'" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
+def test_abbreviated_flags_are_rejected(fixture_dir, tmp_path, capsys):
+    """A flag is spelled in full or rejected with exit 2, so an explicit
+    flag always wins over --config: {"sigma2": 5.0} with --sigma2 0.5
+    fits at 0.5, and --sigma (a prefix of --sigma2) is an error with or
+    without the file."""
+    data = ["--method", "lasso", "--data-y", str(fixture_dir / "y.csv"),
+            "--data-g", str(fixture_dir / "G.csv"), "--groups", "4"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sigma2": 5.0}))
+    out, ref = tmp_path / "fit.json", tmp_path / "ref.json"
+    assert main(["--config", str(cfg), "fit", "--sigma2", "0.5",
+                 "--out", str(out)] + data) == 0
+    assert main(["fit", "--sigma2", "0.5", "--out", str(ref)] + data) == 0
+    assert json.loads(out.read_text()) == json.loads(ref.read_text())
+    for config in (["--config", str(cfg)], []):
+        capsys.readouterr()
+        assert main(config + ["fit", "--sigma", "0.5"] + data) == 2
+        assert "--sigma" in capsys.readouterr().err
+    assert main(["--conf", str(cfg), "fit", "--sigma2", "0.5"] + data) == 2
 
 
 def test_bad_config_file_exits_2(tmp_path, capsys):

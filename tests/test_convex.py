@@ -22,7 +22,7 @@ from conftest import cold_cd_glasso, lasso_on_support, mkl_pqn, \
 def test_config_validation():
     with pytest.raises(ValueError):
         ConvexFitConfig(reg_param=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):      # a constant, not a field
         ConvexFitConfig(max_iter=0)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from groupsparse import (
-    ArxModel, BlockVector, GroupedDesign, McConfig, build_arx, cod_k,
+    ArxModel, GroupedDesign, McConfig, build_arx, cod_k,
     gen_arx_series, percentage_error, run_monte_carlo, sparsity_index,
     zero_pattern,
 )
@@ -48,7 +48,7 @@ def test_gen_problem_block_structure():
         des, theta, y, s2 = gen_problem(cfg, run)
         assert des.n == 100 and des.p == 10 and des.group_sizes == [4] * 10
         assert y.shape == (100,) and s2 > 0
-        norms = theta.block_norms()
+        norms = des.block_norms(theta.theta)
         assert np.all(norms[:5] == 0.0)        # first five blocks silent
         always_active &= norms[5] > 0          # sixth always active
     assert always_active
@@ -176,7 +176,7 @@ def test_gen_arx_series_shape_and_sparsity():
     q = 4
     prob = build_arx(s, q)
     ls, *_ = np.linalg.lstsq(prob.design.G, prob.y, rcond=None)
-    norms = BlockVector(ls, prob.design.group_sizes).block_norms()
+    norms = prob.design.block_norms(ls)
     assert norms[0] > 5 * max(norms[2], norms[3])
     assert norms[1] > 5 * max(norms[2], norms[3])
 

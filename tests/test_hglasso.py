@@ -1,6 +1,10 @@
 """Empirical-Bayes machinery: PQN solve, KKT residuals, orthogonal closed
 forms, zero probabilities, two-group example, weighted MSE diagnostic."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -239,6 +243,18 @@ def test_prob_zero_central_case():
     """theta=0, gamma=0, hgl: central chi2_k CDF at k (k=1 -> 0.6827)."""
     p = prob_lambda_zero(ZeroProbQuery(0.0, 1, 10, 1.0, 0.0, "hgl"))
     assert abs(p - (stats.norm.cdf(1) - stats.norm.cdf(-1))) <= 1e-12
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """prob_lambda_zero takes the noncentral chi-square cdf from
+    scipy.special, so importing the package does not load scipy.stats
+    (about half a second of start-up)."""
+    code = "import sys, groupsparse; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                             sys.path)}).stdout
+    assert out.strip() == "False"
 
 
 def test_prob_zero_mkl_vanishes_as_gamma_to_zero():

@@ -77,7 +77,9 @@ def test_inputs_are_checked_where_they_arrive(rng):
 def test_block_vector_partition():
     bv = BlockVector(np.array([1.0, 2.0, 2.0]), [1, 2])
     assert np.array_equal(bv.block(1), [2.0, 2.0])
-    assert np.allclose(bv.block_norms(), [1.0, np.sqrt(8.0)])
+    des = GroupedDesign(np.zeros((2, 3)), bv.group_sizes)
+    assert np.allclose(des.block_norms(bv.theta), [1.0, np.sqrt(8.0)])
+    assert np.array_equal(des.owner, [0, 1, 1])
     with pytest.raises(ValueError):
         BlockVector(np.zeros(2), [1, 2])
 

@@ -15,10 +15,6 @@ def quad_problem(A, b):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        PqnConfig(armijo_c=0.0)
-    with pytest.raises(ValueError):
-        PqnConfig(backtrack=1.0)
-    with pytest.raises(ValueError):
         PqnConfig(grad_tol=0.0)
     with pytest.raises(ValueError):
         PqnConfig(max_iter=0)
@@ -49,15 +45,6 @@ def test_active_bounds_are_exact_zeros():
     # orthogonal columns: constrained optimum is the positive part
     assert np.allclose(res.lam, np.maximum(x_unc, 0.0), atol=1e-8)
     assert res.lam[1] == 0.0 and res.lam[3] == 0.0
-
-
-def test_active_set_pins_coordinates():
-    rng = np.random.default_rng(2)
-    A = np.eye(4)
-    b = np.array([1.0, 2.0, 3.0, 4.0])
-    res = minimize_pqn(quad_problem(A, b), np.zeros(4),
-                       PqnConfig(active_set=[0, 2], grad_tol=1e-12))
-    assert np.allclose(res.lam, [1.0, 0.0, 3.0, 0.0], atol=1e-10)
 
 
 def test_ill_conditioned_quadratic_converges():
