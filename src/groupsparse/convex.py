@@ -20,7 +20,7 @@ solution at every grid point on the segment come from it.
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from scipy.linalg.lapack import dposv, dpotrf, dpotrs, dtrtrs
 
 from .model import EstimateResult, GroupedDesign, MarginalFactor
 from .selection import _split
@@ -415,47 +415,52 @@ def lasso_path(H, b, gammas, sigma2=1.0):
 def _newton(H_AA, b_A, x, blk, a):
     """Newton's method on the stationarity equations of a set of blocks,
     H_AA x - b_A + a x_i / ||x_i|| = 0, from x (nonzero on every block);
-    blk numbers each coordinate's block 0, 1, ...  The block terms
-    a (I - u_i u_i^T) / ||x_i|| of the Jacobian are filled in at once
-    through a same-block mask, whatever the block sizes.  Returns
-    (x, steps, turned): on convergence (a step below 1e-10 of max |x|:
-    convergence is quadratic, so what is left is rounding) turned is None;
-    when a step would turn some block around (x_new_i . x_i <= 0)
+    blk numbers each coordinate's block 0, 1, ...  The Jacobian H_AA +
+    c_i (I - u_i u_i^T), c_i = a / ||x_i|| on same-block entries, is built
+    in one buffer and solved by one Cholesky solve (dposv): H_AA plus a
+    semidefinite term is singular exactly when not positive definite.
+    Returns (x, steps, turned): on convergence (a step below 1e-10 of
+    max |x|: convergence is quadratic, so what is left is rounding) turned
+    is None; when a step would turn some block around (x_new_i . x_i <= 0)
     x is the iterate before it and turned flags those blocks; x is None
     when the Jacobian is singular or _NEWTON_STEPS run out.
     """
     nb = blk[-1] + 1
-    same = blk[:, None] == blk[None, :]
-    eye = np.eye(x.size)
+    other = blk[:, None] != blk[None, :]
+    J = np.empty((x.size, x.size))
+    diag = J.reshape(-1)[::x.size + 1]
     for it in range(1, _NEWTON_STEPS + 1):
         nrm = np.sqrt(np.bincount(blk, x * x, minlength=nb))
-        if np.any(nrm == 0.0):
+        if not nrm.all():
             return None, it, None
-        u = x / nrm[blk]
+        u, c = x / nrm[blk], a / nrm[blk]
         F = H_AA @ x - b_A + a * u
-        J = H_AA + same * ((a / nrm[blk])[:, None] * (eye - np.outer(u, u)))
-        try:
-            step = np.linalg.solve(J, F)
-        except np.linalg.LinAlgError:
+        np.multiply.outer(-c * u, u, out=J)
+        J[other] = 0.0
+        diag += c
+        J += H_AA
+        step, info = dposv(J, F, lower=1)[1:]
+        if info != 0:
             return None, it, None
         x_new = x - step
         turned = np.bincount(blk, x_new * x, minlength=nb) <= 0.0
         if turned.any():
             return x, it, turned
         x = x_new
-        if np.max(np.abs(step)) <= 1e-10 * np.max(np.abs(x)):
+        if np.abs(step).max() <= 1e-10 * np.abs(x).max():
             return x, it, None
     return None, _NEWTON_STEPS, None
 
 
 class _GlassoProblem:
     """What glasso_path computes once per design and data: H = G^T G
-    (design.gram()) and b = G^T y."""
+    (design.gram()), b = G^T y and, in tops, each joining block's L_i."""
 
     def __init__(self, y, design, sigma2):
         self.y, self.design, self.sigma2 = y, design, sigma2
         self.H = design.gram()
         self.b = design.G.T @ y
+        self.tops = {}
 
     def correct(self, x, a, one=False):
         """Active-set corrector from x at a = sigma2 reg > 0: Newton
@@ -465,7 +470,8 @@ class _GlassoProblem:
         most violating of them) then joins at its proximal-gradient step
         (1 - a / ||q_i||) q_i / L_i, L_i the largest eigenvalue of
         G^(i)T G^(i) (the exact block minimizer for a singleton or
-        orthogonal block), and the set is solved again.
+        orthogonal block; computed when i first joins and kept), and the
+        set is solved again.
         Returns (x, newton steps, blocks added), x None unless a solve
         left no violator within _CORRECTOR_SOLVES solves: then x
         satisfies the Group Lasso optimality conditions (the
@@ -497,8 +503,9 @@ class _GlassoProblem:
                 viol = viol[[np.argmax(qn[viol])]]
             for i in viol:
                 sl = design.slices[i]
-                top = np.linalg.eigvalsh(H[sl, sl])[-1]
-                x[sl] = (1.0 - a / qn[i]) / top * q[sl]
+                if i not in self.tops:
+                    self.tops[i] = np.linalg.eigvalsh(H[sl, sl])[-1]
+                x[sl] = (1.0 - a / qn[i]) / self.tops[i] * q[sl]
             added += viol.size
         return None, steps, added
 
@@ -594,9 +601,10 @@ def solve_glasso(y, design, sigma2, reg, theta0=None):
 def solve_mkl_lambda(y, design, sigma2, gamma, theta0=None):
     """Global minimizer of the convex kernel-scale objective.
 
-    Solves Group Lasso at reg = sqrt(2 gamma) from theta0 (default zero)
-    and returns that EstimateResult with lam_i = ||theta^(i)|| / sqrt(2
-    gamma), the nonnegative p-vector of scales, and gamma set to gamma.
+    Solves Group Lasso at reg = sqrt(2 gamma) from theta0 (default zero;
+    est_mkl passes its validation path's point at gamma) and returns that
+    EstimateResult with lam_i = ||theta^(i)|| / sqrt(2 gamma), the
+    nonnegative p-vector of scales, and gamma set to gamma.
     The quality of the solve is certified by kkt_residual_mkl.
     """
     if gamma <= 0:

@@ -336,20 +336,22 @@ def est_mkl(y, design, sigma2, ctx):
     whose lam holds the scales, at a fixed ctx["gamma"] or at the gamma
     _validate picks on a grid spanning [1e-2, 1e4] times the hgla stage's.
     The 30 validation fits are one Group Lasso path (glasso_path) at
-    penalties sqrt(2 gamma), and the full-data solve starts from zero.
+    penalties sqrt(2 gamma), and the full-data solve starts from the
+    path's point at the chosen gamma (from zero at a fixed gamma).
     extra["kkt_residual"] is kkt_residual_mkl, and extra["newton_steps"],
     ["blocks_added"] and ["retreats"] (glasso_path's retreat runs) total
     the work of the path and the full-data solve.  Cached in ctx["mkl"],
     where est_glasso reads it."""
     if "mkl" in ctx:
         return ctx["mkl"]
-    gamma, fits = ctx.get("gamma"), None
+    gamma, fits, theta0 = ctx.get("gamma"), None, None
     if gamma is None:
         ref = _hgla_stage(y, design, sigma2, ctx)[1].chosen_gamma
         grid = np.logspace(np.log10(1e-2 * ref), np.log10(1e4 * ref), 30)
         gamma, fits = _validate(y, design, lambda y_tr, d_tr: (
             grid, glasso_path(y_tr, d_tr, sigma2, np.sqrt(2.0 * grid))))
-    res = solve_mkl_lambda(y, design, sigma2, gamma)
+        theta0 = fits.theta[grid == gamma][0]
+    res = solve_mkl_lambda(y, design, sigma2, gamma, theta0=theta0)
     res = _counted(res, fits, {"newton_steps": res.extra["newton_steps"],
                                "blocks_added": res.extra["blocks_added"],
                                "retreats": res.iterations})

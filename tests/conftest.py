@@ -116,3 +116,34 @@ def cold_cd_glasso(y, des, s2, reg, tol=1e-15, max_sweeps=200000):
         if np.linalg.norm(theta - old) <= tol * np.linalg.norm(theta):
             break
     return theta
+
+
+def newton_reference(H_AA, b_A, x, blk, a):
+    """Newton's method on H_AA x - b_A + a x_i / ||x_i|| = 0 as
+    convex._newton takes it, with the Jacobian H_AA + a (I - u_i u_i^T) /
+    ||x_i|| assembled from np.eye and np.outer on a same-block mask and
+    solved by LU (np.linalg.solve): the reference for the Cholesky step.
+    Same returns (x, steps, turned) and the same stopping rules."""
+    from groupsparse.convex import _NEWTON_STEPS
+    nb = blk[-1] + 1
+    same = blk[:, None] == blk[None, :]
+    eye = np.eye(x.size)
+    for it in range(1, _NEWTON_STEPS + 1):
+        nrm = np.sqrt(np.bincount(blk, x * x, minlength=nb))
+        if np.any(nrm == 0.0):
+            return None, it, None
+        u = x / nrm[blk]
+        F = H_AA @ x - b_A + a * u
+        J = H_AA + same * ((a / nrm[blk])[:, None] * (eye - np.outer(u, u)))
+        try:
+            step = np.linalg.solve(J, F)
+        except np.linalg.LinAlgError:
+            return None, it, None
+        x_new = x - step
+        turned = np.bincount(blk, x_new * x, minlength=nb) <= 0.0
+        if turned.any():
+            return x, it, turned
+        x = x_new
+        if np.max(np.abs(step)) <= 1e-10 * np.max(np.abs(x)):
+            return x, it, None
+    return None, _NEWTON_STEPS, None

@@ -236,6 +236,20 @@ def test_fit_lasso_on_wide_designs_is_certified(tmp_path):
             assert np.count_nonzero(doc["theta"]) == design.n
 
 
+def test_fit_mkl_on_wide_designs_is_certified(tmp_path):
+    """fit --method mkl --sigma2 on the m > n generator (exp1 with p=40,
+    master seed 0, problems 0-3): the validation path and the full-data
+    refit run with m > n, the fit exits 0 and its scales pass
+    kkt_residual_mkl at 1e-8 of 2 gamma."""
+    for run in range(4):
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--method", "mkl", "--out", str(out)]
+                    + _wide_problem(tmp_path, 0, run)) == 0
+        doc = json.loads(out.read_text())
+        assert doc["diagnostics"]["converged"] is True
+        assert doc["diagnostics"]["kkt_residual"] <= 1e-8 * 2.0 * doc["gamma"]
+
+
 @pytest.mark.parametrize("method,flags", [(m, []) for m in FIT_METHODS]
                          + [("mkl", ["--grid-n", "5"])])
 def test_fit_is_the_registry_estimator(fixture_dir, tmp_path, method, flags):

@@ -11,12 +11,12 @@ from groupsparse import (
     solve_glasso, solve_lasso, solve_mkl_lambda,
 )
 from groupsparse.convex import ADALASSO_WEIGHT_CAP, _adalasso_weights, \
-    glasso_path, lasso_path
+    _newton, glasso_path, lasso_path
 from groupsparse.experiments import _lasso_grid, build_arx, gen_arx_series
 from groupsparse.selection import _split
 
 from conftest import cold_cd_glasso, lasso_on_support, mkl_pqn, \
-    mkl_recover_theta, orthogonal_design, random_grouped
+    mkl_recover_theta, newton_reference, orthogonal_design, random_grouped
 
 
 def test_config_validation():
@@ -520,6 +520,70 @@ def test_glasso_at_zero_penalty_is_min_norm_least_squares():
     ls = np.linalg.lstsq(des.G, y, rcond=None)[0]
     assert fit.converged and fit.gamma == 0.0
     assert np.linalg.norm(fit.theta - ls) <= 1e-10 * np.linalg.norm(ls)
+
+
+def test_newton_step_matches_the_lu_reference():
+    """_newton's Cholesky step against newton_reference (the Jacobian
+    from np.eye and np.outer, solved by LU) from the same start, on 300
+    seeded nonsingular active sets (n > m, blocks of 1 to 5 columns,
+    three penalties, starts near the solution): the same step count and
+    turned flags, and x within 1e-12 relative.  Exactly singular
+    Jacobians are left out: LU and Cholesky detect a zero pivot
+    differently there, and the certificate settles those cases (the
+    duplicated stress designs)."""
+    rng = np.random.default_rng(2024)
+    outcomes = set()
+    for _ in range(300):
+        sizes = rng.integers(1, 6, size=int(rng.integers(2, 7)))
+        blk = np.repeat(np.arange(sizes.size), sizes)
+        G = rng.standard_normal((blk.size + int(rng.integers(2, 20)),
+                                 blk.size))
+        H = G.T @ G
+        a = float(rng.choice([0.1, 1.0, 10.0])) * np.sqrt(np.mean(np.diag(H)))
+        # b makes x_star an exact solution; start near it
+        x_star = rng.standard_normal(blk.size)
+        nrm = np.sqrt(np.bincount(blk, x_star * x_star))[blk]
+        b = H @ x_star + a * x_star / nrm
+        x0 = x_star + float(rng.choice([1e-3, 1e-1, 0.5])) \
+            * rng.standard_normal(blk.size)
+        x_ref, k_ref, turned_ref = newton_reference(H, b, x0, blk, a)
+        x, k, turned = _newton(H, b, x0, blk, a)
+        assert k == k_ref
+        if turned_ref is None:
+            assert turned is None
+        else:
+            assert np.array_equal(turned, turned_ref)
+        assert x is not None and x_ref is not None
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+        outcomes.add(turned_ref is None)
+    assert outcomes == {True, False}  # converged and turned cases both
+
+
+def test_glasso_certifies_near_duplicate_columns():
+    """The Group Lasso's counterpart of the Lasso on near-duplicate
+    columns: 20 seeded 30 x 8 designs in 4 blocks of 2, with column 2 =
+    column 0 + eps noise (across blocks) and column 1 = column 0 + eps
+    noise (within a block), eps from 1e-4 down to exact copies.  Every
+    point of a path over 30 penalties from 1e-4 to 1 of the one that
+    zeroes every block is converged and passes the block-KKT check at
+    1e-8."""
+    for eps in (1e-4, 1e-6, 1e-8, 1e-10, 0.0):
+        rng = np.random.default_rng(35)
+        for _ in range(20):
+            G = rng.standard_normal((30, 8))
+            G[:, 2] = G[:, 0] + eps * rng.standard_normal(30)
+            G[:, 1] = G[:, 0] + eps * rng.standard_normal(30)
+            des = GroupedDesign(G, [2] * 4)
+            y = G @ (rng.standard_normal(8) * (rng.random(8) < 0.5)) \
+                + 0.5 * rng.standard_normal(30)
+            s2 = 0.5
+            top = np.max(des.block_norms(G.T @ y)) / s2
+            regs = top * np.logspace(-4, 0, 30)
+            path = glasso_path(y, des, s2, regs)
+            assert path.converged.all(), eps
+            for reg, theta in zip(regs, path.theta):
+                assert _block_kkt_violation(y, des, theta, s2, reg) \
+                    <= 1e-8, eps
 
 
 def test_glasso_rejects_a_negative_penalty(rng):

@@ -411,8 +411,8 @@ def test_lasso_path_matches_cold_coordinate_descent(experiment, shape, runs):
 
 def _cold_est_mkl(y, design, sigma2, ctx):
     """est_mkl with every validation solve started from zero and scored by
-    the posterior mean at its scales; returns (gamma, theta of the
-    full-data solve)."""
+    the posterior mean at its scales; returns (gamma, the full-data solve
+    from zero)."""
     import groupsparse.experiments as ex
     from conftest import mkl_recover_theta
     gamma_ref = ex._hgla_stage(y, design, sigma2, ctx)[1].chosen_gamma
@@ -426,23 +426,45 @@ def _cold_est_mkl(y, design, sigma2, ctx):
         err = np.linalg.norm(y_val - d_val.G @ th)
         if best is None or err < best[0]:
             best = (err, gamma)
-    return best[1], ex.solve_mkl_lambda(y, design, sigma2, best[1]).theta
+    return best[1], ex.solve_mkl_lambda(y, design, sigma2, best[1])
 
 
-def test_mkl_warm_path_matches_cold_solves():
-    """Warm-started validation picks the cold path's gamma, and the
-    full-data refit from zero returns a bit-identical estimate."""
+def test_mkl_warm_path_matches_cold_solves(monkeypatch):
+    """Warm-started validation picks the cold path's gamma; the full-data
+    refit starts from the validation path's point at that gamma and
+    returns the cold refit's blocks and theta to 1e-12 relative."""
     import groupsparse.experiments as ex
+    glasso, solve = ex.glasso_path, ex.solve_mkl_lambda
+    paths, starts = [], []
+
+    def recorded_path(y, des, s2, regs):
+        paths.append((regs, glasso(y, des, s2, regs)))
+        return paths[-1][1]
+
+    def recorded(y, des, s2, gam, theta0=None):
+        starts.append(theta0)
+        return solve(y, des, s2, gam, theta0=theta0)
+
     cfg = McConfig(experiment="exp1", runs=1, master_seed=77, estimators=[])
     for run in range(3):
         design, _, y, _ = gen_problem(cfg, run)
         sigma2 = ex.estimate_sigma2_ls(y, design.G)
         ctx = {}
-        gamma, theta = _cold_est_mkl(y, design, sigma2, ctx)
-        res = ESTIMATORS["mkl"](y, design, sigma2, ctx)
+        gamma, cold = _cold_est_mkl(y, design, sigma2, ctx)
+        paths.clear()
+        starts.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(ex, "glasso_path", recorded_path)
+            mp.setattr(ex, "solve_mkl_lambda", recorded)
+            res = ESTIMATORS["mkl"](y, design, sigma2, ctx)
         assert res.gamma == gamma
-        assert np.array_equal(res.theta, theta)
+        assert res.selected == cold.selected
+        assert np.linalg.norm(res.theta - cold.theta) <= \
+            1e-12 * np.linalg.norm(cold.theta)
         assert res.converged and res.extra["unconverged_solves"] == 0
+        (regs, path), = paths
+        row, = np.flatnonzero(regs == np.sqrt(2.0 * gamma))
+        assert len(starts) == 1 and np.array_equal(starts[0], path.theta[row])
 
 
 def test_converged_is_false_when_one_inner_solve_fails(monkeypatch):
