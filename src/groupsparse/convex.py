@@ -426,7 +426,7 @@ def _newton(H_AA, b_A, x, blk, a):
     when the Jacobian is singular or _NEWTON_STEPS run out.
     """
     nb = blk[-1] + 1
-    other = blk[:, None] != blk[None, :]
+    same = (blk[:, None] == blk[None, :]).astype(float)
     J = np.empty((x.size, x.size))
     diag = J.reshape(-1)[::x.size + 1]
     for it in range(1, _NEWTON_STEPS + 1):
@@ -436,7 +436,7 @@ def _newton(H_AA, b_A, x, blk, a):
         u, c = x / nrm[blk], a / nrm[blk]
         F = H_AA @ x - b_A + a * u
         np.multiply.outer(-c * u, u, out=J)
-        J[other] = 0.0
+        J *= same                  # zero across blocks
         diag += c
         J += H_AA
         step, info = dposv(J, F, lower=1)[1:]

@@ -11,7 +11,7 @@ weighted-MSE diagnostic, and the two-group worked example.
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dposv
 from scipy.optimize import brentq
 from scipy.special import chndtr
 
@@ -34,14 +34,22 @@ _BACKTRACK = 0.5
 
 def _newton_direction(H, g):
     """-(H + mu I)^{-1} g, with mu = 0 when H is positive definite and
-    otherwise the first of 1e-8 max|diag H| x 10^j that makes it so."""
+    otherwise the first of 1e-8 max|diag H| x 10^j that makes it so.
+
+    One LAPACK dposv on the upper triangle per mu (the bits of
+    scipy.linalg.cho_factor + cho_solve, without their checks).  dposv
+    reports success with a NaN solution for a NaN in H or g, so a
+    non-finite H or g raises ValueError here, as cho_factor's check did."""
+    if not (np.isfinite(H).all() and np.isfinite(g).all()):
+        raise ValueError("the Hessian or gradient is not finite")
     mu = 0.0
-    scale = max(float(np.max(np.abs(np.diag(H)))), np.finfo(float).tiny)
+    scale = max(float(np.abs(H.diagonal()).max()), np.finfo(float).tiny)
     while True:
-        try:
-            return -cho_solve(cho_factor(H + mu * np.eye(g.size)), g)
-        except np.linalg.LinAlgError:
-            mu = 1e-8 * scale if mu == 0.0 else 10.0 * mu
+        x, info = dposv(H + mu * np.eye(g.size) if mu else H, g,
+                        lower=0)[1:]
+        if info == 0:
+            return -x
+        mu = 1e-8 * scale if mu == 0.0 else 10.0 * mu
 
 
 def solve_hgl_pqn(y, design, sigma2, gamma, lam0=None):
@@ -66,22 +74,26 @@ def solve_hgl_pqn(y, design, sigma2, gamma, lam0=None):
     result is a stationary point reached from lam0 (default: zeros),
     returned as an EstimateResult with theta the posterior mean at lam
     (from the final factor) and extra["kkt_residual"]
-    (kkt_violation_hgl), extra["grad_norm"] (the test's left side) and
+    (kkt_violation_hgl), extra["grad_norm"] (the test's left side),
     extra["min_free_hessian_eig"], the smallest eigenvalue of the Hessian
     on the final free coordinates (positive at a strict local minimum;
-    None when none is free).
+    None when none is free), and extra["factorizations"], the
+    MarginalFactor builds made (one per objective evaluation).
     """
     y = np.asarray(y, dtype=float)
     lam = np.zeros(design.p) if lam0 is None else \
         np.maximum(np.asarray(lam0, dtype=float), 0.0)
 
+    builds = 0
+
     def evaluate(lam):
+        nonlocal builds
+        builds += 1
         fac = MarginalFactor(design, lam, sigma2)
         return (fac,) + fac.neg_log_marginal(y, gamma)
 
     def pg_norm(lam, g):
-        return float(np.max(np.abs(lam - np.maximum(lam - g, 0.0)),
-                            initial=0.0))
+        return float(np.abs(lam - np.maximum(lam - g, 0.0)).max(initial=0.0))
 
     fac, f, g = evaluate(lam)
     it = 0
@@ -92,20 +104,20 @@ def solve_hgl_pqn(y, design, sigma2, gamma, lam0=None):
         free = (lam > gnorm) | (g <= 0.0)
         d = -g
         if free.any():
-            H = fac.block_hessian(y)[np.ix_(free, free)]
+            H = fac.block_hessian(y)[free][:, free]
             d[free] = _newton_direction(H, g[free])
         # no free coordinate moves by more than the largest scale (or 1)
         # in one step, so a far-reaching step cannot jump across the
         # landscape (the projection already stops the binding ones)
-        limit = max(1.0, np.max(lam, initial=0.0))
-        dmax = np.max(np.abs(d[free]), initial=0.0)
+        limit = max(1.0, lam.max(initial=0.0))
+        dmax = np.abs(d[free]).max(initial=0.0)
         if dmax > limit:
             d *= limit / dmax
         t, accepted = 1.0, False
         while t > 1e-20:
             lam_t = np.maximum(lam + t * d, 0.0)
             step = lam_t - lam
-            if not np.any(step):
+            if not step.any():
                 break
             fac_t, f_t, g_t = evaluate(lam_t)
             # a trial passing the convergence test is taken whatever its
@@ -125,14 +137,15 @@ def solve_hgl_pqn(y, design, sigma2, gamma, lam0=None):
     eig = None
     if free.any():     # from fac's cached G^T W G and W y
         eig = float(np.linalg.eigvalsh(
-            fac.block_hessian(y)[np.ix_(free, free)])[0])
+            fac.block_hessian(y)[free][:, free])[0])
     return EstimateResult(
         theta=fac.lam_full * fac.gtw_y(y), lam=lam,
         selected=list(np.flatnonzero(lam)), gamma=gamma,
         converged=gnorm <= _GRAD_TOL * (1.0 + abs(f)), iterations=it,
         objective=float(f),
         extra={"kkt_residual": kkt_violation_hgl(lam, 2.0 * g),
-               "grad_norm": gnorm, "min_free_hessian_eig": eig})
+               "grad_norm": gnorm, "min_free_hessian_eig": eig,
+               "factorizations": builds})
 
 
 def kkt_residual_hgl(lam, y, design, sigma2, gamma):

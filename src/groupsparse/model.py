@@ -149,6 +149,12 @@ class MarginalFactor:
     not positive definite, raises np.linalg.LinAlgError.  The solve against
     y is kept for the last y queried, so quad, gtw_y, block_scores,
     neg_log_marginal and block_hessian of one y share it.
+
+    BLAS and LAPACK are called directly (dsyrk, dpotrf, dpotrs, dtrtrs):
+    on these sizes the checks of the scipy.linalg wrappers cost more than
+    the arithmetic.  On the dense route S = Gt Gt^T comes back from dsyrk
+    in Fortran order, so sigma2 is added to its diagonal through a view of
+    its own memory (_add_to_diagonal); a C-order reshape would be a copy.
     """
 
     def __init__(self, design, lam, sigma2):
@@ -156,7 +162,7 @@ class MarginalFactor:
         if lam.shape != (design.p,):
             raise ValueError("lambda length %d does not match p=%d"
                              % (lam.size, design.p))
-        if np.any(lam < 0):
+        if (lam < 0).any():
             raise ValueError("lambda must be nonnegative")
         if not sigma2 > 0:
             raise np.linalg.LinAlgError(
@@ -164,24 +170,24 @@ class MarginalFactor:
         self.design = design
         self.lam = lam
         self.sigma2 = float(sigma2)
-        self.lam_full = design.expand(lam)
+        self.lam_full = lam[design.owner]
         n, m = design.n, design.m
         self.lowrank = n > m
         self._d = d = np.sqrt(self.lam_full)
         if self.lowrank:
             gram = design.gram()
             M = d[:, None] * gram * d[None, :]
-            M[np.diag_indices_from(M)] += self.sigma2
+            _add_to_diagonal(M, self.sigma2)
             self._L = _cholesky(M)
             self._A = gram * d[None, :]          # G^T Gt
             self._logdet = ((n - m) * np.log(self.sigma2)
-                            + 2.0 * np.sum(np.log(np.diag(self._L))))
+                            + 2.0 * np.log(self._L.diagonal()).sum())
         else:
             # lower triangle of Gt Gt^T (Gt.T is Fortran-ordered: no copy)
             S = dsyrk(1.0, (design.G * d).T, trans=1, lower=1)
-            S[np.diag_indices_from(S)] += self.sigma2
+            _add_to_diagonal(S, self.sigma2)
             self._L = _cholesky(S)
-            self._logdet = 2.0 * np.sum(np.log(np.diag(self._L)))
+            self._logdet = 2.0 * np.log(self._L.diagonal()).sum()
         self._gtwg = None
         self._y = self._y_terms = None
 
@@ -235,7 +241,7 @@ class MarginalFactor:
 
     def block_traces(self):
         """tr(G^(i)^T W G^(i)) for every block, as a p-vector."""
-        return self.design.block_sums(np.diag(self.gtwg()))
+        return self.design.block_sums(self.gtwg().diagonal())
 
     def block_scores(self, y):
         """||G^(i)^T W y||^2 for every block, as a p-vector."""
@@ -265,8 +271,15 @@ class MarginalFactor:
         q = self.gtw_y(y)
         starts = self.design.starts
         H = np.add.reduceat(np.add.reduceat(
-            M * (np.outer(q, q) - 0.5 * M), starts, axis=0), starts, axis=1)
+            M * (np.multiply.outer(q, q) - 0.5 * M), starts, axis=0),
+            starts, axis=1)
         return 0.5 * (H + H.T)
+
+
+def _add_to_diagonal(S, s):
+    """S[i, i] += s in place, for a C- or Fortran-contiguous square S (the
+    diagonal has stride n + 1 in memory order either way)."""
+    S.ravel(order="K")[::S.shape[0] + 1] += s
 
 
 def _cholesky(S):

@@ -286,8 +286,10 @@ def polish_hglasso(y, design, trace, config=None):
     extra["kkt_residual"] its kkt_violation_hgl (None for hgla) and
     extra["min_free_hessian_eig"] the smallest eigenvalue of its Hessian
     on the final free blocks (None without a solve or a free block); a
-    positive value marks a strict local minimum.  extra["greedy_order"]
-    and extra["greedy_gains"] are trace's unpenalized greedy path.
+    positive value marks a strict local minimum.  extra["factorizations"]
+    counts the solve's MarginalFactor builds (None for hgla, 0 for hglc
+    without a chosen block).  extra["greedy_order"] and
+    extra["greedy_gains"] are trace's unpenalized greedy path.
     """
     cfg = config or SelectionConfig()
     y = np.asarray(y, dtype=float)
@@ -308,9 +310,9 @@ def polish_hglasso(y, design, trace, config=None):
     elif cfg.variant == "hgla":
         theta = posterior_mean(design, lam_hat, sigma2, y)
     if res is not None:
-        kkt = res.extra["kkt_residual"]
+        kkt, builds = res.extra["kkt_residual"], res.extra["factorizations"]
     else:
-        kkt = None if cfg.variant == "hgla" else 0.0
+        kkt, builds = (None, None) if cfg.variant == "hgla" else (0.0, 0)
     sel = [i for i in range(design.p) if lam_hat[i] > 0]
     return EstimateResult(
         theta=theta, lam=lam_hat, selected=sel, gamma=trace.chosen_gamma,
@@ -319,6 +321,7 @@ def polish_hglasso(y, design, trace, config=None):
         objective=np.nan if res is None else res.objective,
         extra={"kappa": trace.kappa, "sigma2": sigma2,
                "variant": cfg.variant, "kkt_residual": kkt,
+               "factorizations": builds,
                "min_free_hessian_eig": None if res is None
                else res.extra["min_free_hessian_eig"],
                "greedy_order": list(trace.greedy_order),

@@ -33,6 +33,37 @@ def test_tracing_factor_queries_are_marginal_factor_methods():
         assert callable(vars(MarginalFactor).get(meth)), meth
 
 
+def test_tracing_reads_of_a_marginal_factor():
+    """What the tracer's factor hooks read, on both routes: fac.lowrank
+    (n > m), fac.design (its n and m) and fac._gtwg, None until gtwg() is
+    called and the returned matrix after; then a traced build and two
+    gtwg calls per route count one factor of each kind and no flops for
+    the cached call."""
+    import numpy as np
+    from groupsparse.model import GroupedDesign, MarginalFactor
+    rng = np.random.default_rng(1)
+    designs = [GroupedDesign(rng.standard_normal((n, 6)), [2, 4])
+               for n in (12, 4)]
+    for des in designs:
+        fac = MarginalFactor(des, np.array([0.5, 2.0]), 0.3)
+        assert fac.lowrank is (des.n > des.m)
+        assert fac.design is des
+        assert fac._gtwg is None
+        M = fac.gtwg()
+        assert fac._gtwg is M and M.shape == (des.m, des.m)
+    tracing = _tracing()
+    with tracing.Tracer() as tracer:
+        for des in designs:
+            fac = MarginalFactor(des, np.array([0.5, 2.0]), 0.3)
+            fac.gtwg()
+            before = tracer.counts["model.factor.flop"]
+            fac.gtwg()
+            assert tracer.counts["model.factor.flop"] == before
+    assert tracer.counts["model.factor.lowrank.count"] == 1
+    assert tracer.counts["model.factor.dense.count"] == 1
+    assert tracer.counts["model.factor.flop"] > 0
+
+
 def test_tracing_hooks_read_real_solver_results():
     """The traced run's hooks applied to real solver calls: solve_lasso,
     converged and not (two nearly equal columns at a penalty of 1e-12 of

@@ -139,6 +139,80 @@ def test_hgl_converged_is_false_when_max_iter_runs_out(rng, monkeypatch):
     assert res.extra["grad_norm"] > 1e-10 * (1 + abs(res.objective))
 
 
+def test_newton_direction_matches_cho_solve_bit_for_bit(rng):
+    """The polish's LAPACK dposv call gives the bits of scipy's
+    cho_factor + cho_solve on H + mu I, mu = 0 when H is positive definite
+    and otherwise the first of 1e-8 max|diag H| x 10^j that makes it so."""
+    from scipy.linalg import cho_factor, cho_solve
+    import groupsparse.hglasso as hg
+
+    def reference(H, g):
+        mu = 0.0
+        while True:
+            try:
+                return -cho_solve(cho_factor(H + mu * np.eye(g.size)), g)
+            except np.linalg.LinAlgError:
+                mu = 1e-8 * np.max(np.abs(np.diag(H))) if mu == 0.0 \
+                    else 10.0 * mu
+
+    indefinite = 0
+    for _ in range(40):
+        p = int(rng.integers(1, 8))
+        A = rng.standard_normal((p, p))
+        g = rng.standard_normal(p)
+        for H in (A @ A.T + 0.1 * np.eye(p), A + A.T):
+            indefinite += np.linalg.eigvalsh(H)[0] <= 0
+            assert np.array_equal(hg._newton_direction(H, g),
+                                  reference(H, g))
+    assert indefinite >= 20
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_newton_direction_rejects_a_non_finite_hessian_or_gradient(bad):
+    """cho_factor and cho_solve raised ValueError on a NaN or inf; dposv
+    returns info 0 and a NaN solution instead (for an infinite H, once the
+    damping loop has pushed mu to overflow), so the direction checks its
+    input itself."""
+    import groupsparse.hglasso as hg
+    H, g = np.eye(3), np.ones(3)
+    g_bad = g.copy()
+    g_bad[0] = bad
+    with pytest.raises(ValueError):
+        hg._newton_direction(H, g_bad)
+    H_bad = H.copy()
+    H_bad[1, 2] = H_bad[2, 1] = bad
+    with pytest.raises(ValueError):
+        hg._newton_direction(H_bad, g)
+
+
+def test_hgl_factorizations_count_the_marginal_factor_builds(monkeypatch):
+    """extra["factorizations"] of solve_hgl_pqn, and of the hglb/hglc
+    polish that reports it, equals the MarginalFactor builds the solve
+    makes; hgla, which runs no solve, reports None."""
+    import groupsparse.hglasso as hg
+    from groupsparse import McConfig, estimate_sigma2_ls, gen_problem
+    from groupsparse.experiments import ESTIMATORS
+    builds = []
+    factor = hg.MarginalFactor
+
+    def counting(design, lam, sigma2):
+        builds.append(lam)
+        return factor(design, lam, sigma2)
+
+    monkeypatch.setattr(hg, "MarginalFactor", counting)
+    des, _, y, _ = gen_problem(McConfig(experiment="exp1", runs=1,
+                                        master_seed=0, estimators=[]), 0)
+    s2 = estimate_sigma2_ls(y, des.G)
+    res = solve_hgl_pqn(y, des, s2, 1.0)
+    assert res.extra["factorizations"] == len(builds) > 1
+    ctx = {}
+    assert ESTIMATORS["hgla"](y, des, s2, ctx).extra["factorizations"] is None
+    for name in ("hglb", "hglc"):
+        builds.clear()
+        res = ESTIMATORS[name](y, des, s2, ctx)
+        assert res.extra["factorizations"] == len(builds) > 1, name
+
+
 def test_polish_modules_do_not_import_pqn():
     """hglasso and selection set the polish's tolerances themselves:
     neither imports groupsparse.pqn, the L-BFGS solver the tests keep as
