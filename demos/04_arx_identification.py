@@ -22,14 +22,13 @@ print("design: %d rows, %d channels x %d lags" % (prob.design.n,
                                                   prob.design.p, q))
 
 res, trace = fit_hglasso(prob.y, prob.design, SelectionConfig(variant="hglc"))
-names = ["output"] + ["input %d" % i for i in range(1, prob.n_inputs + 1)]
+names = ["output"] + ["input %d" % i for i in range(1, prob.design.p)]
 print("selected channels:", [names[i] for i in res.selected])
 norms = [float(np.linalg.norm(res.theta[s])) for s in prob.design.slices]
 for nm, bn in zip(names, norms):
     print("  %-8s lag-polynomial norm %.4f" % (nm, bn))
 
-model = ArxModel(theta=res.theta, q=q, n_inputs=prob.n_inputs,
-                 means=prob.means, stds=prob.stds)
+model = ArxModel(theta=res.theta, q=q, means=prob.means, stds=prob.stds)
 print("\nprediction quality on held-out data:")
 for k in (1, 2, 5, 10):
     print("  COD_%-2d = %.4f" % (k, cod_k(model, test, k)))

@@ -137,7 +137,8 @@ def _estimate(args, y, design):
     m).  The ctx holds --gamma, a SelectionConfig with --sigma2 and the
     --grid-* flags given, and the names of those flags.  Data errors of
     the fit (e.g. a split too short to estimate sigma2 or to hold a row)
-    are usage errors."""
+    are usage errors.  A non-finite estimate is a numerical failure
+    (LinAlgError, exit 3)."""
     if args.method not in FIT_METHODS:
         raise CliError("unknown method %r; choose from %s"
                        % (args.method, FIT_METHODS))
@@ -158,9 +159,13 @@ def _estimate(args, y, design):
     try:
         ctx = {"selection": SelectionConfig(sigma2=args.sigma2, **grid),
                "gamma": flags.get("gamma"), "grid_flags": sorted(grid)}
-        return ex.ESTIMATORS[args.method](y, design, sigma2, ctx)
+        res = ex.ESTIMATORS[args.method](y, design, sigma2, ctx)
     except ValueError as exc:
         raise CliError(str(exc))
+    if not np.isfinite(res.theta).all():
+        raise np.linalg.LinAlgError("the %s estimate is not finite"
+                                    % args.method)
+    return res
 
 
 def cmd_fit(args):
@@ -227,6 +232,11 @@ def cmd_benchmark(args):
 
 
 def cmd_arx(args):
+    if not 0 < args.split < 1:
+        raise CliError("--split must be in (0, 1)")
+    for flag in ("q", "horizon"):
+        if getattr(args, flag) < 1:
+            raise CliError("--%s must be >= 1" % flag)
     series = read_csv_matrix(args.data)
     if series.shape[0] < args.q + 2:
         raise CliError("series length %d shorter than q+2=%d"
@@ -238,8 +248,8 @@ def cmd_arx(args):
     except ValueError as exc:
         raise CliError(str(exc))
     res = _estimate(args, prob.y, prob.design)
-    model = ex.ArxModel(theta=res.theta, q=args.q, n_inputs=prob.n_inputs,
-                        means=prob.means, stds=prob.stds)
+    model = ex.ArxModel(theta=res.theta, q=args.q, means=prob.means,
+                        stds=prob.stds)
 
     try:
         cods = [(k, ex.cod_k(model, test, k))

@@ -313,11 +313,14 @@ def lasso_path(H, b, gammas, sigma2=1.0):
     and certified there (_ActiveSet.points): converged is true only where
     every sign is kept and no correlation off A exceeds mu, up to 1e-9 of
     mu and 1e-14 of ||b||_inf.  work counts the breakpoints walked and
-    the factorizations made.
+    the factorizations made.  A NaN or infinite sigma2 gamma raises
+    ValueError (no grid point would ever be reached).
     """
     gammas = np.asarray(gammas, dtype=float)
     m = b.size
     mus = sigma2 * gammas
+    if not np.isfinite(mus).all():
+        raise ValueError("every penalty sigma2 gamma must be finite")
     todo = list(np.argsort(mus, kind="stable"))  # next grid point last
     theta = np.zeros((gammas.size, m))
     converged = np.zeros(gammas.size, dtype=bool)
@@ -559,12 +562,13 @@ def glasso_path(y, design, sigma2, regs, theta0=None):
     converged is true only where the point passed the certificate (the
     optimality conditions of every block, inactive ones up to 1e-9 of
     sigma2 reg).  work totals the Newton steps, the blocks added and the
-    retreat's corrector runs over the points.
+    retreat's corrector runs over the points.  A negative, NaN or
+    infinite reg raises ValueError.
     """
     y = np.asarray(y, dtype=float)
     regs = np.asarray(regs, dtype=float)
-    if np.any(regs < 0):
-        raise ValueError("reg must be nonnegative")
+    if not np.all((regs >= 0) & (regs < np.inf)):
+        raise ValueError("reg must be nonnegative and finite")
     prob = _GlassoProblem(y, design, sigma2)
     x = np.zeros(design.m) if theta0 is None else \
         np.array(theta0, dtype=float)
@@ -623,8 +627,7 @@ def kkt_residual_mkl(lam, y, design, sigma2, gamma):
     need ||G^(i)T W y||^2 <= 2 gamma.
     """
     lam = np.asarray(lam, dtype=float)
-    y = np.asarray(y, dtype=float)
-    sq = MarginalFactor(design, lam, sigma2).block_scores(y)
+    sq = MarginalFactor(design, lam, sigma2, y).block_scores()
     res = np.where(lam > 0, np.abs(-sq + 2.0 * gamma),
                    np.maximum(0.0, sq - 2.0 * gamma))
     return float(np.max(res, initial=0.0))

@@ -32,6 +32,7 @@ EXPERIMENTS = ("exp1", "exp2", "exp2_noisy_a", "exp2_noisy_b", "exp2_noisy_c",
 _NOISE_DIVISOR = {"exp1": 25.0, "exp2": 25.0, "exp2_noisy_a": 5.0,
                   "exp2_noisy_b": 2.0, "exp2_noisy_c": 1.0}
 ADA_THETA = np.array([3.0, 1.5, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
+ADA_SIGMA2 = 1.0    # ada's noise variance; block experiments derive it per run
 
 ZERO_TOL = 1e-10
 
@@ -45,7 +46,6 @@ class McConfig:
     p: int = 10
     k: int = 4
     n: int = 100
-    sigma2: float = 1.0     # ada only; block experiments derive it per run
     threads: int = 1
 
     def __post_init__(self):
@@ -80,9 +80,8 @@ def gen_problem(config, run_index):
                                     method="cholesky")
         design = GroupedDesign(G, [1] * m)
         theta = BlockVector(ADA_THETA.copy(), [1] * m)
-        sigma2 = config.sigma2
-        y = G @ theta.theta + np.sqrt(sigma2) * rng.standard_normal(n)
-        return design, theta, y, sigma2
+        y = G @ theta.theta + np.sqrt(ADA_SIGMA2) * rng.standard_normal(n)
+        return design, theta, y, ADA_SIGMA2
 
     p, k, n = config.p, config.k, config.n
     m = p * k
@@ -163,7 +162,6 @@ class ArxProblem:
     design: GroupedDesign
     y: np.ndarray
     q: int
-    n_inputs: int
     means: np.ndarray   # per-channel normalization offsets (output first)
     stds: np.ndarray
 
@@ -172,7 +170,6 @@ class ArxProblem:
 class ArxModel:
     theta: np.ndarray
     q: int
-    n_inputs: int
     means: np.ndarray
     stds: np.ndarray
 
@@ -201,7 +198,7 @@ def build_arx(series, q):
     G = np.column_stack(cols)
     y = z[q:, 0]
     return ArxProblem(design=GroupedDesign(G, [q] * chans), y=y, q=q,
-                      n_inputs=chans - 1, means=means, stds=stds)
+                      means=means, stds=stds)
 
 
 def cod_k(model, test_series, k):
@@ -242,15 +239,15 @@ def cod_k(model, test_series, k):
     return float(1.0 - np.sum((truth - preds) ** 2) / denom)
 
 
-def gen_arx_series(T, seed, n_inputs=3):
+def gen_arx_series(T, seed):
     """Documented synthetic sparse ARX system used in place of real data.
 
     Three white-noise inputs; only the first input drives the output:
     y_t = 0.6 y_{t-1} - 0.2 y_{t-2} + 0.8 u1_{t-1} + 0.4 u1_{t-2} + e_t,
-    e ~ N(0, 0.1).  Returns a (T, 1 + n_inputs) array, output first.
+    e ~ N(0, 0.1).  Returns a (T, 4) array, output first.
     """
     rng = np.random.default_rng(seed)
-    u = rng.standard_normal((T, n_inputs))
+    u = rng.standard_normal((T, 3))
     y = np.zeros(T)
     e = np.sqrt(0.1) * rng.standard_normal(T)
     for t in range(2, T):

@@ -17,13 +17,6 @@ from scipy.special import chndtr
 
 from .model import EstimateResult, MarginalFactor
 
-__all__ = [
-    "solve_hgl_pqn", "kkt_residual_hgl", "kkt_violation_hgl",
-    "closed_form_lambda_orth", "closed_form_lambda_mkl_orth", "lambda_opt",
-    "ZeroProbQuery", "prob_lambda_zero", "two_group_thresholds",
-    "TwoGroupThresholds", "weighted_mse_profile", "WeightedMseProfile",
-]
-
 # solve_hgl_pqn: convergence tolerance on the projected gradient (relative
 # to 1 + |f|), iteration cap, Armijo constant and backtracking factor
 _GRAD_TOL = 1e-10
@@ -80,7 +73,6 @@ def solve_hgl_pqn(y, design, sigma2, gamma, lam0=None):
     None when none is free), and extra["factorizations"], the
     MarginalFactor builds made (one per objective evaluation).
     """
-    y = np.asarray(y, dtype=float)
     lam = np.zeros(design.p) if lam0 is None else \
         np.maximum(np.asarray(lam0, dtype=float), 0.0)
 
@@ -89,8 +81,8 @@ def solve_hgl_pqn(y, design, sigma2, gamma, lam0=None):
     def evaluate(lam):
         nonlocal builds
         builds += 1
-        fac = MarginalFactor(design, lam, sigma2)
-        return (fac,) + fac.neg_log_marginal(y, gamma)
+        fac = MarginalFactor(design, lam, sigma2, y)
+        return (fac,) + fac.neg_log_marginal(gamma)
 
     def pg_norm(lam, g):
         return float(np.abs(lam - np.maximum(lam - g, 0.0)).max(initial=0.0))
@@ -104,7 +96,7 @@ def solve_hgl_pqn(y, design, sigma2, gamma, lam0=None):
         free = (lam > gnorm) | (g <= 0.0)
         d = -g
         if free.any():
-            H = fac.block_hessian(y)[free][:, free]
+            H = fac.block_hessian()[free][:, free]
             d[free] = _newton_direction(H, g[free])
         # no free coordinate moves by more than the largest scale (or 1)
         # in one step, so a far-reaching step cannot jump across the
@@ -137,9 +129,9 @@ def solve_hgl_pqn(y, design, sigma2, gamma, lam0=None):
     eig = None
     if free.any():     # from fac's cached G^T W G and W y
         eig = float(np.linalg.eigvalsh(
-            fac.block_hessian(y)[free][:, free])[0])
+            fac.block_hessian()[free][:, free])[0])
     return EstimateResult(
-        theta=fac.lam_full * fac.gtw_y(y), lam=lam,
+        theta=fac.lam_full * fac.gtw_y(), lam=lam,
         selected=list(np.flatnonzero(lam)), gamma=gamma,
         converged=gnorm <= _GRAD_TOL * (1.0 + abs(f)), iterations=it,
         objective=float(f),
@@ -155,9 +147,8 @@ def kkt_residual_hgl(lam, y, design, sigma2, gamma):
     G^(i)) - ||G^(i)T W y||^2 + 2 gamma: active coordinates must have e_i =
     0, zero coordinates must have e_i >= 0.
     """
-    y = np.asarray(y, dtype=float)
-    fac = MarginalFactor(design, lam, sigma2)
-    return kkt_violation_hgl(fac.lam, 2.0 * fac.neg_log_marginal(y, gamma)[1])
+    fac = MarginalFactor(design, lam, sigma2, y)
+    return kkt_violation_hgl(fac.lam, 2.0 * fac.neg_log_marginal(gamma)[1])
 
 
 def kkt_violation_hgl(lam, e):

@@ -65,13 +65,6 @@ class GroupedDesign:
         """Column block G^(i), shape (n, k_i)."""
         return self.G[:, self.slices[i]]
 
-    def expand(self, per_block):
-        """Spread a per-block p-vector to a length-m vector."""
-        per_block = np.asarray(per_block, dtype=float)
-        if per_block.shape != (self.p,):
-            raise ValueError("expected a length-%d per-block vector" % self.p)
-        return np.repeat(per_block, self.group_sizes)
-
     def block_sums(self, x):
         """Per-block sums of a length-m vector, as a p-vector."""
         return np.bincount(self.owner, x, minlength=self.p)
@@ -146,9 +139,9 @@ class MarginalFactor:
       which never inverts Lam, so lambda_i = 0 is fine.
 
     A negative lambda raises ValueError; sigma2 <= 0, or a Sigma_y that is
-    not positive definite, raises np.linalg.LinAlgError.  The solve against
-    y is kept for the last y queried, so quad, gtw_y, block_scores,
-    neg_log_marginal and block_hessian of one y share it.
+    not positive definite, raises np.linalg.LinAlgError.  quad, gtw_y,
+    block_scores, neg_log_marginal and block_hessian answer for a copy of
+    y kept at the build (one solve); without y they raise ValueError.
 
     BLAS and LAPACK are called directly (dsyrk, dpotrf, dpotrs, dtrtrs):
     on these sizes the checks of the scipy.linalg wrappers cost more than
@@ -157,7 +150,7 @@ class MarginalFactor:
     its own memory (_add_to_diagonal); a C-order reshape would be a copy.
     """
 
-    def __init__(self, design, lam, sigma2):
+    def __init__(self, design, lam, sigma2, y=None):
         lam = np.asarray(lam, dtype=float)
         if lam.shape != (design.p,):
             raise ValueError("lambda length %d does not match p=%d"
@@ -170,6 +163,7 @@ class MarginalFactor:
         self.design = design
         self.lam = lam
         self.sigma2 = float(sigma2)
+        self.y = None if y is None else np.array(y, dtype=float)
         self.lam_full = lam[design.owner]
         n, m = design.n, design.m
         self.lowrank = n > m
@@ -188,8 +182,7 @@ class MarginalFactor:
             _add_to_diagonal(S, self.sigma2)
             self._L = _cholesky(S)
             self._logdet = 2.0 * np.log(self._L.diagonal()).sum()
-        self._gtwg = None
-        self._y = self._y_terms = None
+        self._gtwg = self._y_terms = None
 
     def logdet(self):
         return self._logdet
@@ -202,11 +195,12 @@ class MarginalFactor:
                 / self.sigma2
         return dpotrs(self._L, B, lower=1)[0]
 
-    def _terms(self, y):
-        """(y^T W y, G^T W y) from one solve against y, kept for the last
-        y (compared by value, so a y changed in place is solved again)."""
-        if self._y is None or not np.array_equal(self._y, y):
-            y = np.array(y, dtype=float)
+    def _terms(self):
+        """(y^T W y, G^T W y) from one solve against y, made on first use."""
+        if self._y_terms is None:
+            y = self.y
+            if y is None:
+                raise ValueError("this MarginalFactor was built without y")
             if self.lowrank:
                 gy = self.design.G.T @ y
                 ty = self._d * gy
@@ -217,16 +211,16 @@ class MarginalFactor:
                 wy = self.solve(y)
                 quad, gwy = y @ wy, self.design.G.T @ wy
             gwy.flags.writeable = False
-            self._y, self._y_terms = y, (quad, gwy)
+            self._y_terms = quad, gwy
         return self._y_terms
 
-    def quad(self, y):
+    def quad(self):
         """y^T Sigma_y^{-1} y without forming anything n x n on the low-rank route."""
-        return self._terms(y)[0]
+        return self._terms()[0]
 
-    def gtw_y(self, y):
+    def gtw_y(self):
         """G^T Sigma_y^{-1} y, an m-vector (read-only)."""
-        return self._terms(y)[1]
+        return self._terms()[1]
 
     def gtwg(self):
         """G^T Sigma_y^{-1} G, an m x m matrix (cached)."""
@@ -243,11 +237,11 @@ class MarginalFactor:
         """tr(G^(i)^T W G^(i)) for every block, as a p-vector."""
         return self.design.block_sums(self.gtwg().diagonal())
 
-    def block_scores(self, y):
+    def block_scores(self):
         """||G^(i)^T W y||^2 for every block, as a p-vector."""
-        return self.design.block_sums(self.gtw_y(y) ** 2)
+        return self.design.block_sums(self.gtw_y() ** 2)
 
-    def neg_log_marginal(self, y, gamma):
+    def neg_log_marginal(self, gamma):
         """(f, grad) of the penalized negative log marginal likelihood
 
             f = 0.5 logdet Sigma_y + 0.5 y^T W y + gamma sum_i lambda_i
@@ -257,18 +251,18 @@ class MarginalFactor:
         """
         if gamma < 0:
             raise ValueError("gamma must be nonnegative")
-        f = 0.5 * self.logdet() + 0.5 * self.quad(y) + gamma * self.lam.sum()
-        grad = 0.5 * self.block_traces() - 0.5 * self.block_scores(y) + gamma
+        f = 0.5 * self.logdet() + 0.5 * self.quad() + gamma * self.lam.sum()
+        grad = 0.5 * self.block_traces() - 0.5 * self.block_scores() + gamma
         return f, grad
 
-    def block_hessian(self, y):
+    def block_hessian(self):
         """Hessian in lambda of 0.5 logdet Sigma_y + 0.5 y^T W y, p x p.
 
         With M = G^T W G and q = G^T W y, entry (i, j) is
         -0.5 ||M_ij||_F^2 + q_i^T M_ij q_j, M_ij the (i, j) block of M.
         """
         M = self.gtwg()
-        q = self.gtw_y(y)
+        q = self.gtw_y()
         starts = self.design.starts
         H = np.add.reduceat(np.add.reduceat(
             M * (np.multiply.outer(q, q) - 0.5 * M), starts, axis=0),
@@ -299,8 +293,8 @@ def _cholesky(S):
 def posterior_mean(design, lam, sigma2, y):
     """Conditional mean E[theta | y, lambda] = Lam G^T Sigma_y^{-1} y, an
     m-vector.  Blocks with lambda_i = 0 come out exactly zero."""
-    fac = MarginalFactor(design, lam, sigma2)
-    return fac.lam_full * fac.gtw_y(np.asarray(y, dtype=float))
+    fac = MarginalFactor(design, lam, sigma2, y)
+    return fac.lam_full * fac.gtw_y()
 
 
 def _coefficients(theta):
@@ -322,10 +316,12 @@ def mse_of_lambda(design, lam, sigma2, theta_true):
     formula as lambda_i -> 0).
     """
     lam = np.asarray(lam, dtype=float)
+    if lam.shape != (design.p,):
+        raise ValueError("expected a length-%d per-block vector" % design.p)
     if np.any(lam < 0):
         raise ValueError("lambda must be nonnegative")
     tb = _coefficients(theta_true)
-    lam_full = design.expand(lam)
+    lam_full = lam[design.owner]
     on = lam_full > 0                          # the columns of active blocks
     total = float(tb[~on] @ tb[~on])
     if not on.any():
@@ -353,7 +349,7 @@ def diagonalize_block(design, lam, sigma2, i, y, theta_true=None):
     """
     lam_v = np.array(lam, dtype=float)
     lam_v[i] = 0.0
-    fac = MarginalFactor(design, lam_v, sigma2)
+    fac = MarginalFactor(design, lam_v, sigma2, y)
     sl, n = design.slices[i], design.n
     w, V = np.linalg.eigh(fac.gtwg()[sl, sl] / n)
     r = min(n, w.size)
@@ -361,7 +357,7 @@ def diagonalize_block(design, lam, sigma2, i, y, theta_true=None):
     if w[-1] <= 0:
         raise np.linalg.LinAlgError("block %d is numerically rank deficient" % i)
     d = np.sqrt(w)
-    z = V.T @ fac.gtw_y(np.asarray(y, dtype=float))[sl] / (n * d)
+    z = V.T @ fac.gtw_y()[sl] / (n * d)
     beta = None
     if theta_true is not None:
         beta = V.T @ _coefficients(theta_true)[sl]

@@ -40,14 +40,16 @@ class SelectionConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError("variant must be one of %s" % (VARIANTS,))
-        if not (0 < self.grid_lo <= self.grid_hi and self.grid_n >= 1):
-            raise ValueError("the gamma grid needs 0 < grid_lo <= grid_hi "
-                             "and grid_n >= 1")
+        if not (0 < self.grid_lo <= self.grid_hi < np.inf
+                and self.grid_n >= 1):
+            raise ValueError("the gamma grid needs 0 < grid_lo <= grid_hi, "
+                             "both finite, and grid_n >= 1")
         if self.gamma_grid is not None:
             g = np.asarray(self.gamma_grid, dtype=float)
-            if g.size == 0 or np.any(np.diff(g) <= 0) or np.any(g <= 0):
+            if g.size == 0 or not (np.all(np.diff(g) > 0) and g[0] > 0
+                                   and g[-1] < np.inf):
                 raise ValueError("gamma_grid must be nonempty, positive, "
-                                 "strictly increasing")
+                                 "finite, strictly increasing")
             self.gamma_grid = g
 
 
@@ -55,7 +57,6 @@ class SelectionConfig:
 class SelectionTrace:
     gammas: np.ndarray
     selected_sets: list          # I(gamma) per grid point
-    gains: list                  # accepted forward-selection gains per grid point
     val_errors: np.ndarray
     chosen_gamma: float
     chosen_set: list
@@ -247,7 +248,7 @@ def select_hglasso(y, design, config=None):
 
     order, path_gains = _greedy_path(y_tr, d_tr, sigma2, kappa,
                                      np.min(gammas) * kappa)
-    sets, gains_per_gamma, val_errors = [], [], []
+    sets, val_errors = [], []
     err_of_cut = {}      # validation error per distinct selected set
     for gamma in gammas:
         # gamma accepts the path up to its first gain <= gamma kappa
@@ -260,14 +261,13 @@ def select_hglasso(y, design, config=None):
             th = posterior_mean(d_tr, lam, sigma2, y_tr)
             err_of_cut[t] = float(np.linalg.norm(y_val - d_val.G @ th))
         sets.append(sorted(order[:t]))
-        gains_per_gamma.append([g - floor for g in path_gains[:t]])
         val_errors.append(err_of_cut[t])
     val_errors = np.asarray(val_errors)
     # validation error is exactly flat across gammas sharing a selected set,
     # so break ties toward the largest gamma (the most parsimonious prior)
     best = int(val_errors.size - 1 - np.argmin(val_errors[::-1]))
     return SelectionTrace(gammas=np.asarray(gammas), selected_sets=sets,
-                          gains=gains_per_gamma, val_errors=val_errors,
+                          val_errors=val_errors,
                           chosen_gamma=float(gammas[best]),
                           chosen_set=list(sets[best]), kappa=kappa,
                           sigma2=sigma2, greedy_order=order,

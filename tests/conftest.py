@@ -27,9 +27,9 @@ def mkl_pqn(y, des, s2, gam, config=None):
     y = np.asarray(y, dtype=float)
 
     def fun_grad(lam):
-        fac = MarginalFactor(des, lam, s2)
-        return (0.5 * fac.quad(y) + gam * lam.sum(),
-                -0.5 * fac.block_scores(y) + gam)
+        fac = MarginalFactor(des, lam, s2, y)
+        return (0.5 * fac.quad() + gam * lam.sum(),
+                -0.5 * fac.block_scores() + gam)
 
     return minimize_pqn(fun_grad, np.zeros(des.p),
                         config or PqnConfig(grad_tol=1e-10, max_iter=2000))
@@ -52,7 +52,7 @@ def lasso_on_support(y, G, theta, s2, gamma):
 def assemble_sigma_y(des, lam, s2):
     """Dense output covariance s2 I + sum_i lam_i G^(i) G^(i)^T, the
     reference for MarginalFactor's two routes."""
-    S = (des.G * des.expand(lam)) @ des.G.T
+    S = (des.G * lam[des.owner]) @ des.G.T
     S[np.diag_indices_from(S)] += s2
     return 0.5 * (S + S.T)
 

@@ -82,7 +82,7 @@ def test_marginal_gradient_matches_central_differences():
         lam = rng.uniform(0.1, 2.0, des.p)
 
         def f_grad(lam):
-            return MarginalFactor(des, lam, s2).neg_log_marginal(y, gam)
+            return MarginalFactor(des, lam, s2, y).neg_log_marginal(gam)
 
         g = f_grad(lam)[1]
         fd = np.empty(des.p)
@@ -215,8 +215,7 @@ def test_benchmark_scalar_experiment_ordering():
     """50-run scalar benchmark (n=60, sigma2=1): sparsity ordering
     staged > adaptive lasso > lasso."""
     cfg = McConfig(experiment="ada", runs=50, master_seed=1, n=60,
-                   sigma2=1.0, estimators=["hgla", "adalasso", "lasso"],
-                   threads=THREADS)
+                   estimators=["hgla", "adalasso", "lasso"], threads=THREADS)
     agg = ex.run_monte_carlo(cfg).aggregates
     sp = {k: agg[k]["sparsity_index"] for k in cfg.estimators}
     ok = sp["hgla"] > sp["adalasso"] > sp["lasso"]
@@ -330,8 +329,8 @@ def test_arx_pipeline_prediction_and_selection():
     res_m = ex.est_mkl(prob.y, prob.design, s2, {})
     cods = {}
     for name, res in (("hglc", res_h), ("mkl", res_m)):
-        model = ex.ArxModel(theta=res.theta, q=q, n_inputs=prob.n_inputs,
-                            means=prob.means, stds=prob.stds)
+        model = ex.ArxModel(theta=res.theta, q=q, means=prob.means,
+                            stds=prob.stds)
         cods[name] = cod_k(model, test, 1)
     sel_ok = len(res_h.selected) <= ex.ARX_TRUE_ACTIVE_CHANNELS + 1
     cod_ok = cods["hglc"] >= cods["mkl"] - 0.02

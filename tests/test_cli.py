@@ -168,12 +168,15 @@ def test_fit_mkl_rejects_nonpositive_gamma(fixture_dir, capsys):
     ("hglb", ["--sigma2", "nan"], "--sigma2 must be finite"),
     ("hgla", ["--nan-y"], "non-finite entry"),
     ("mkl", ["--nan-g"], "non-finite entry"),
+    ("hgla", ["--grid-hi", "inf"], "grid_hi, both finite"),
+    ("lasso", ["--sigma2", "1e-320"], "penalty sigma2 gamma must be finite"),
 ])
 def test_fit_rejects_non_finite_input(fixture_dir, tmp_path, capsys,
                                       method, flags, message):
-    """A non-finite --gamma or --sigma2, or a nan in either CSV, exits 2
-    before any fit (a nan penalty would never end the Lasso path, an
-    infinite one would write invalid JSON)."""
+    """A non-finite --gamma, --sigma2 or --grid-hi, or a nan in either
+    CSV, exits 2 (a nan penalty would never end the Lasso path, an
+    infinite one would write invalid JSON); so does a sigma2 so small
+    that the Lasso grid's penalties overflow to NaN."""
     data = {"y": fixture_dir / "y.csv", "g": fixture_dir / "G.csv"}
     if flags[0].startswith("--nan-"):
         which = flags.pop()[-1]
@@ -185,6 +188,23 @@ def test_fit_rejects_non_finite_input(fixture_dir, tmp_path, capsys,
                  "--data-g", str(data["g"]), "--groups", "4"] + flags)
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def test_a_non_finite_estimate_exits_3(fixture_dir, arx_csv, tmp_path,
+                                       capsys):
+    """fit and arx exit 3 with a message and write no result when theta is
+    not finite (sigma2 = 1e-320 overflows the hgl selection stage)."""
+    out = tmp_path / "out"
+    code = main(["fit", "--data-y", str(fixture_dir / "y.csv"),
+                 "--data-g", str(fixture_dir / "G.csv"), "--groups", "4",
+                 "--sigma2", "1e-320", "--out", str(out)])
+    assert code == 3
+    assert "not finite" in capsys.readouterr().err
+    code = main(["arx", "--data", str(arx_csv), "--q", "10",
+                 "--sigma2", "1e-320", "--out", str(out)])
+    assert code == 3
+    assert "not finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_fit_lasso_glasso_reject_negative_gamma(fixture_dir, capsys):
@@ -609,6 +629,27 @@ def test_arx_q_too_large_exits_2(tmp_path):
     np.savetxt(tmp_path / "s.csv", np.ones((10, 2)), delimiter=",")
     code = main(["arx", "--data", str(tmp_path / "s.csv"), "--q", "20"])
     assert code == 2
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--split", "-0.3"), ("--split", "nan"), ("--split", "1"),
+    ("--horizon", "0"), ("--horizon", "-2"), ("--q", "0"),
+])
+def test_arx_rejects_out_of_range_flags(tmp_path, capsys, flag, value):
+    """--split must be finite and in (0, 1), --horizon and --q >= 1.  An
+    out-of-range value exits 2, names its flag and writes no report (a
+    negative split trained on a prefix of the rows, a NaN one raised, and
+    a horizon below 1 wrote an empty report)."""
+    from groupsparse import gen_arx_series
+    np.savetxt(tmp_path / "s.csv", gen_arx_series(T=200, seed=4),
+               delimiter=",")
+    flags = dict([("--q", "3"), (flag, value)])
+    code = main(["arx", "--data", str(tmp_path / "s.csv"), "--out",
+                 str(tmp_path / "arx")] + [t for kv in flags.items()
+                                            for t in kv])
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert not list(tmp_path.glob("arx*"))
 
 
 # ------------------------------------------------------------

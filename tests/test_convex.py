@@ -592,6 +592,21 @@ def test_glasso_rejects_a_negative_penalty(rng):
         glasso_path(rng.standard_normal(des.n), des, 1.0, [1.0, -1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_paths_reject_a_non_finite_penalty(rng, bad):
+    """A NaN or infinite penalty raises ValueError in both paths (a NaN
+    mu is never drained from the Lasso path's grid, so the walk would
+    not end)."""
+    des = random_grouped(rng)
+    y = rng.standard_normal(des.n)
+    with pytest.raises(ValueError, match="finite"):
+        lasso_path(des.gram(), des.G.T @ y, [1.0, bad])
+    with pytest.raises(ValueError, match="finite"):
+        lasso_path(des.gram(), des.G.T @ y, [1.0], sigma2=bad)
+    with pytest.raises(ValueError, match="finite"):
+        glasso_path(y, des, 1.0, [1.0, bad])
+
+
 def test_glasso_block_zero_condition(rng):
     """A large enough penalty zeroes every block exactly."""
     des = random_grouped(rng)

@@ -69,7 +69,7 @@ def test_gen_problem_exp2_column_correlation():
 
 
 def test_gen_problem_ada():
-    cfg = McConfig(experiment="ada", runs=1, n=60, sigma2=1.0, estimators=[])
+    cfg = McConfig(experiment="ada", runs=1, n=60, estimators=[])
     des, theta, y, s2 = gen_problem(cfg, 0)
     assert des.group_sizes == [1] * 8 and des.n == 60
     assert np.array_equal(theta.theta, [3.0, 1.5, 0, 0, 2.0, 0, 0, 0])
@@ -153,15 +153,14 @@ def test_cod_perfect_model_noise_free(rng):
     theta = np.zeros(2 * q)
     theta[0] = 0.9       # y lag 1
     theta[q] = 0.5       # u lag 1
-    model = ArxModel(theta=theta, q=q, n_inputs=1,
-                     means=np.zeros(2), stds=np.ones(2))
+    model = ArxModel(theta=theta, q=q, means=np.zeros(2), stds=np.ones(2))
     for k in (1, 2, 5):
         assert cod_k(model, series, k) >= 1.0 - 1e-12
 
 
 def test_cod_k_validation(rng):
-    model = ArxModel(theta=np.zeros(4), q=2, n_inputs=1,
-                     means=np.zeros(2), stds=np.ones(2))
+    model = ArxModel(theta=np.zeros(4), q=2, means=np.zeros(2),
+                     stds=np.ones(2))
     with pytest.raises(ValueError):
         cod_k(model, rng.standard_normal((20, 2)), 0)
     with pytest.raises(ValueError, match="too short"):

@@ -80,7 +80,7 @@ def test_hgl_objective_not_worse_than_start(rng):
     y = rng.standard_normal(des.n)
     s2, gam = 0.8, 0.5
     res = solve_hgl_pqn(y, des, s2, gam)
-    f0 = MarginalFactor(des, np.zeros(des.p), s2).neg_log_marginal(y, gam)[0]
+    f0 = MarginalFactor(des, np.zeros(des.p), s2, y).neg_log_marginal(gam)[0]
     assert res.objective <= f0 + 1e-12 * (1 + abs(f0))
 
 
@@ -110,10 +110,10 @@ def test_hgl_iterates_stay_feasible_and_descend(rng, monkeypatch):
     seen = []
     factor = hg.MarginalFactor
 
-    def recording(design, lam, sigma2):
+    def recording(design, lam, sigma2, y):
         assert np.all(lam >= 0.0)
         seen.append(lam.copy())
-        return factor(design, lam, sigma2)
+        return factor(design, lam, sigma2, y)
 
     monkeypatch.setattr(hg, "MarginalFactor", recording)
     des = random_grouped(rng, p_max=5)
@@ -123,10 +123,10 @@ def test_hgl_iterates_stay_feasible_and_descend(rng, monkeypatch):
     s2, gam = 0.5, 0.2
     res = solve_hgl_pqn(y, des, s2, gam, lam0=np.full(des.p, 2.0))
     assert res.converged and len(seen) > 1
-    f0 = MarginalFactor(des, seen[0], s2).neg_log_marginal(y, gam)[0]
+    f0 = MarginalFactor(des, seen[0], s2, y).neg_log_marginal(gam)[0]
     assert res.objective <= f0
     assert res.objective == \
-        MarginalFactor(des, res.lam, s2).neg_log_marginal(y, gam)[0]
+        MarginalFactor(des, res.lam, s2, y).neg_log_marginal(gam)[0]
 
 
 def test_hgl_converged_is_false_when_max_iter_runs_out(rng, monkeypatch):
@@ -195,9 +195,9 @@ def test_hgl_factorizations_count_the_marginal_factor_builds(monkeypatch):
     builds = []
     factor = hg.MarginalFactor
 
-    def counting(design, lam, sigma2):
+    def counting(design, lam, sigma2, y):
         builds.append(lam)
-        return factor(design, lam, sigma2)
+        return factor(design, lam, sigma2, y)
 
     monkeypatch.setattr(hg, "MarginalFactor", counting)
     des, _, y, _ = gen_problem(McConfig(experiment="exp1", runs=1,

@@ -15,7 +15,7 @@ from conftest import assemble_sigma_y, random_grouped
 
 def neg_log_marginal(des, lam, s2, gam, y):
     """(f, grad) of the penalized negative log marginal at lam."""
-    return MarginalFactor(des, lam, s2).neg_log_marginal(y, gam)
+    return MarginalFactor(des, lam, s2, y).neg_log_marginal(gam)
 
 
 # ------------------------------------------------------------
@@ -43,11 +43,11 @@ def test_design_rejects_bad_partition():
         GroupedDesign(G, [4, 0])
 
 
-def test_design_expand_and_subdesign():
+def test_design_owner_and_subdesign():
     des = GroupedDesign(np.ones((2, 5)), [2, 3])
-    assert np.array_equal(des.expand([1.0, 2.0]), [1, 1, 2, 2, 2])
+    assert np.array_equal(np.array([1.0, 2.0])[des.owner], [1, 1, 2, 2, 2])
     with pytest.raises(ValueError):
-        des.expand([1.0])
+        mse_of_lambda(des, np.array([1.0]), 1.0, np.zeros(5))
     sub = des.subdesign([1])
     assert sub.group_sizes == [3] and sub.m == 3
 
@@ -67,9 +67,9 @@ def test_inputs_are_checked_where_they_arrive(rng):
         for s2 in (-1e-3, 0.0, np.nan):
             with pytest.raises(np.linalg.LinAlgError):
                 MarginalFactor(des, lam, s2)
-        fac = MarginalFactor(des, lam, 1.0)
+        fac = MarginalFactor(des, lam, 1.0, rng.standard_normal(des.n))
         with pytest.raises(ValueError):
-            fac.neg_log_marginal(rng.standard_normal(des.n), -0.1)
+            fac.neg_log_marginal(-0.1)
         with pytest.raises(ValueError):
             mse_of_lambda(des, np.array([1.0, -1.0, 2.0]), 1.0, np.zeros(12))
 
@@ -113,7 +113,7 @@ def test_marginal_factor_routes_agree(rng):
             lam[rng.integers(0, des.p, size=1 + des.p // 3)] = 0.0
         s2 = float(rng.uniform(0.2, 2.0))
         y = rng.standard_normal(des.n)
-        fac = MarginalFactor(des, lam, s2)
+        fac = MarginalFactor(des, lam, s2, y)
         routes.add(fac.lowrank)
         S = assemble_sigma_y(des, lam, s2)
         sign, logdet = np.linalg.slogdet(S)
@@ -121,8 +121,8 @@ def test_marginal_factor_routes_agree(rng):
         assert abs(fac.logdet() - logdet) <= 1e-8 * (1 + abs(logdet))
         ref = np.linalg.solve(S, y)
         assert np.linalg.norm(fac.solve(y) - ref) <= 1e-8 * (1 + np.linalg.norm(ref))
-        assert abs(fac.quad(y) - y @ ref) <= 1e-8 * (1 + abs(y @ ref))
-        assert np.allclose(fac.gtw_y(y), des.G.T @ ref, atol=1e-8)
+        assert abs(fac.quad() - y @ ref) <= 1e-8 * (1 + abs(y @ ref))
+        assert np.allclose(fac.gtw_y(), des.G.T @ ref, atol=1e-8)
         M = des.G.T @ np.linalg.solve(S, des.G)
         assert np.allclose(fac.gtwg(), M, atol=1e-8)
         q = des.G.T @ ref
@@ -130,24 +130,40 @@ def test_marginal_factor_routes_agree(rng):
         np.testing.assert_allclose(
             fac.block_traces(), [np.trace(M[s, s]) for s in sl], atol=1e-8)
         np.testing.assert_allclose(
-            fac.block_scores(y), [q[s] @ q[s] for s in sl], atol=1e-8)
+            fac.block_scores(), [q[s] @ q[s] for s in sl], atol=1e-8)
         H = [[-0.5 * np.sum(M[a, b] ** 2) + q[a] @ M[a, b] @ q[b]
               for b in sl] for a in sl]
-        np.testing.assert_allclose(fac.block_hessian(y), H, atol=1e-8)
+        np.testing.assert_allclose(fac.block_hessian(), H, atol=1e-8)
     assert routes == {False, True}
 
 
-def test_marginal_factor_caches_the_solve_by_value(rng):
-    """A y changed in place after a query is solved again."""
+def test_marginal_factor_answers_for_its_own_copy_of_y(rng):
+    """On both routes the factor answers for y as it was at the build: the
+    caller's y changed in place afterwards, before or after the first
+    query, leaves quad() and gtw_y() as they were; every y-query of a
+    factor built without y raises ValueError."""
     for n in (6, 30):                       # dense and low-rank routes
         des = GroupedDesign(rng.standard_normal((n, 12)), [4, 4, 4])
-        fac = MarginalFactor(des, np.array([1.0, 0.0, 0.5]), 0.3)
+        lam = np.array([1.0, 0.0, 0.5])
         y = rng.standard_normal(n)
-        q1 = fac.quad(y)
+        ref = MarginalFactor(des, lam, 0.3, y.copy())
+        quad, gwy = ref.quad(), ref.gtw_y().copy()
+        assert not ref.gtw_y().flags.writeable
+        late, early = (MarginalFactor(des, lam, 0.3, y) for _ in range(2))
+        early.quad()
         y *= 2.0
-        assert fac.quad(y) == pytest.approx(4.0 * q1, rel=1e-12)
-        np.testing.assert_allclose(fac.gtw_y(y),
-                                   des.G.T @ fac.solve(y), rtol=1e-10)
+        for fac in (late, early):
+            assert fac.lowrank is (n > 12)
+            assert fac.quad() == quad
+            assert np.array_equal(fac.gtw_y(), gwy)
+        np.testing.assert_allclose(gwy, des.G.T @ ref.solve(y / 2.0),
+                                   rtol=1e-10)
+        bare = MarginalFactor(des, lam, 0.3)
+        for query in (bare.quad, bare.gtw_y, bare.block_scores,
+                      bare.block_hessian, lambda: bare.neg_log_marginal(0.1)):
+            with pytest.raises(ValueError, match="without y"):
+                query()
+        assert bare.logdet() == ref.logdet()
 
 
 def test_marginal_factor_raises_when_sigma_y_is_not_pd(rng):
@@ -179,7 +195,7 @@ def test_posterior_mean_two_forms_agree(rng):
         s2 = float(rng.uniform(0.2, 2.0))
         y = rng.standard_normal(des.n)
         th = posterior_mean(des, lam, s2, y)
-        lam_full = des.expand(lam)
+        lam_full = lam[des.owner]
         M = s2 * np.diag(1.0 / lam_full) + des.gram()
         ref = np.linalg.solve(M, des.G.T @ y)
         assert np.linalg.norm(th - ref) <= 1e-9 * (1 + np.linalg.norm(ref))
@@ -248,9 +264,9 @@ def test_block_hessian_matches_differences_of_gradient(rng, lowrank):
         lam[rng.permutation(des.p)[:1 + trial % 2]] = 0.0
         s2 = float(rng.uniform(0.2, 2.0))
         y = 2.0 * rng.standard_normal(n)
-        fac = MarginalFactor(des, lam, s2)
+        fac = MarginalFactor(des, lam, s2, y)
         assert fac.lowrank == lowrank
-        H = fac.block_hessian(y)
+        H = fac.block_hessian()
         assert np.array_equal(H, H.T)
 
         def grad(l):

@@ -80,8 +80,8 @@ def test_kappa_is_a_minimizer(rng):
     k = estimate_kappa(y, des, s2)
 
     def f(kv):
-        return MarginalFactor(des, np.full(2, kv), s2).neg_log_marginal(
-            y, 0.0)[0]
+        return MarginalFactor(des, np.full(2, kv), s2, y).neg_log_marginal(
+            0.0)[0]
 
     fk = f(k)
     for mult in (0.5, 0.9, 1.1, 2.0):
@@ -97,7 +97,7 @@ def _log_posterior(y, des, s2, kap, gam, subset):
     the blocks of I, zero elsewhere."""
     lam = np.zeros(des.p)
     lam[list(subset)] = kap
-    return -MarginalFactor(des, lam, s2).neg_log_marginal(y, gam)[0]
+    return -MarginalFactor(des, lam, s2, y).neg_log_marginal(gam)[0]
 
 
 def test_forward_select_huge_gamma_selects_nothing(rng):
@@ -265,8 +265,11 @@ def test_fit_selection_matches_per_gamma_greedy(rng):
                 variant="hgla", sigma2=s2, gamma_grid=grid))
             assert [] in trace.selected_sets
             assert any(len(s) >= 2 for s in trace.selected_sets)
-            for gam, sel, gains, err in zip(trace.gammas, trace.selected_sets,
-                                            trace.gains, trace.val_errors):
+            for gam, sel, err in zip(trace.gammas, trace.selected_sets,
+                                     trace.val_errors):
+                # the accepted gains: the greedy path cut at gamma
+                floor = gam * trace.kappa
+                gains = [g - floor for g in trace.greedy_gains[:len(sel)]]
                 ref_order, ref_gains = _reference_forward_select(
                     y[:n_tr], d_tr, trace.sigma2, trace.kappa, gam)
                 ref_set = sorted(ref_order)
@@ -318,6 +321,13 @@ def test_fit_config_validation():
         SelectionConfig(variant="bogus")
     with pytest.raises(ValueError):
         SelectionConfig(gamma_grid=np.array([2.0, 1.0]))
+    # no infinite or NaN gamma reaches the selection (an infinite grid_hi
+    # made a NaN gamma)
+    for kwargs in ({"grid_hi": np.inf}, {"grid_lo": np.inf, "grid_hi": np.inf},
+                   {"gamma_grid": [1.0, np.inf]}, {"gamma_grid": [np.nan]},
+                   {"gamma_grid": [1.0, np.nan]}):
+        with pytest.raises(ValueError, match="finite"):
+            SelectionConfig(**kwargs)
 
 
 def test_fit_is_deterministic(rng):
