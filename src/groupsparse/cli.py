@@ -12,6 +12,7 @@ Option precedence: command-line flags, then a JSON config file given with
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -103,7 +104,21 @@ def parse_groups(text, m):
     return sizes
 
 
+def _finite_or_null(v):
+    """v with every float that is not finite, in dicts and flat lists too,
+    replaced by None, which JSON writes as null."""
+    if isinstance(v, dict):
+        return {k: _finite_or_null(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [None if isinstance(x, float) and not math.isfinite(x) else x
+                for x in v]
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def result_to_json(res, path_or_none):
+    """The fit as a JSON document, to a file or standard output.  Numbers
+    that are not finite (an objective or KKT residual can overflow) are
+    written as null, so the output is always valid JSON."""
     doc = {
         "theta": [float(x) for x in res.theta],
         "lambda": None if res.lam is None else [float(x) for x in res.lam],
@@ -112,13 +127,13 @@ def result_to_json(res, path_or_none):
         "diagnostics": {
             "converged": bool(res.converged),
             "iterations": int(res.iterations),
-            "objective": None if np.isnan(res.objective)
-            else float(res.objective),
+            "objective": float(res.objective),
             **{k: (float(v) if isinstance(v, (int, float, np.floating))
                    else v) for k, v in res.extra.items()},
         },
     }
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = json.dumps(_finite_or_null(doc), indent=2, sort_keys=True,
+                      allow_nan=False)
     if path_or_none:
         with open(path_or_none, "w") as fh:
             fh.write(text + "\n")
@@ -137,8 +152,8 @@ def _estimate(args, y, design):
     m).  The ctx holds --gamma, a SelectionConfig with --sigma2 and the
     --grid-* flags given, and the names of those flags.  Data errors of
     the fit (e.g. a split too short to estimate sigma2 or to hold a row)
-    are usage errors.  A non-finite estimate is a numerical failure
-    (LinAlgError, exit 3)."""
+    are usage errors.  A LinAlgError from the fit, and a non-finite
+    estimate, are numerical failures (exit 3)."""
     if args.method not in FIT_METHODS:
         raise CliError("unknown method %r; choose from %s"
                        % (args.method, FIT_METHODS))
@@ -160,6 +175,8 @@ def _estimate(args, y, design):
         ctx = {"selection": SelectionConfig(sigma2=args.sigma2, **grid),
                "gamma": flags.get("gamma"), "grid_flags": sorted(grid)}
         res = ex.ESTIMATORS[args.method](y, design, sigma2, ctx)
+    except np.linalg.LinAlgError:
+        raise                         # a ValueError, but a numerical one
     except ValueError as exc:
         raise CliError(str(exc))
     if not np.isfinite(res.theta).all():

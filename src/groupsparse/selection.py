@@ -6,9 +6,10 @@ noise variance from training least squares, estimate a common scale kappa,
 compute one unpenalized greedy block path on the training data, cut it for
 each gamma on a grid (gamma only moves the stopping point, never the order),
 and pick gamma by validation error, computed once per distinct selected set.
-(The path carries Sigma_y^{-1} G and Sigma_y^{-1} y and updates them by one
-rank-k term per accepted block, so it builds no MarginalFactor.)  The
-variants differ only in the final polish:
+The path carries Sigma_y^{-1} G and Sigma_y^{-1} y and updates them by one
+rank-k term per accepted block, and each cut's posterior mean, which the
+validation error needs, is read off the path.  So the stage builds no
+MarginalFactor.  The variants differ only in the final polish:
 
   hgla  posterior mean at the forward-selection scales, no polish
   hglb  projected Newton refinement over all blocks from the selected start
@@ -20,6 +21,7 @@ callers that fit several variants run the stage once.
 
 import numpy as np
 from dataclasses import dataclass
+from scipy.linalg.lapack import dtrtrs
 from scipy.optimize import minimize_scalar
 
 from .model import EstimateResult, GroupedDesign, posterior_mean
@@ -134,6 +136,14 @@ def estimate_kappa(y_tr, design_tr, sigma2):
     return k
 
 
+def _block_stack(A, cols, k):
+    """A[:, cols] as r stacked n x k blocks (r x n x k), cols the columns
+    of r blocks of k in increasing order: a view of A when cols is one run."""
+    run = cols[-1] - cols[0] + 1 == cols.size
+    A = A[:, cols[0]:cols[-1] + 1] if run else A[:, cols]
+    return A.reshape(A.shape[0], -1, k).transpose(1, 0, 2)
+
+
 def _greedy_path(y_tr, design_tr, sigma2, kappa, floor):
     """Unpenalized greedy block path, shared by every gamma.
 
@@ -142,8 +152,11 @@ def _greedy_path(y_tr, design_tr, sigma2, kappa, floor):
     at the first step whose best gain is <= floor.  The penalty gamma kappa
     |I| lowers every candidate's gain by the same gamma kappa, so the greedy
     order is the same for every gamma; only the stopping point moves.
-    Returns (blocks in order of inclusion, their unpenalized gains), every
-    gain > floor.
+    Returns (order, gains, q): the blocks in order of inclusion, their
+    unpenalized gains (every gain > floor), and the (len(order) + 1) x m
+    array whose row t is G^T W_t y, W_t = Sigma_y^{-1} at lambda = kappa on
+    the blocks of order[:t] and zero elsewhere.  The posterior mean at that
+    lambda is kappa q[t] on those blocks and zero on the others.
 
     With W = Sigma_y(I)^{-1}, S_j = G_j^T W G_j, q_j = G_j^T W y and
     C_j = I_k + kappa S_j, the determinant lemma and Woodbury give
@@ -153,32 +166,40 @@ def _greedy_path(y_tr, design_tr, sigma2, kappa, floor):
     and adding j changes W by the rank-k term -kappa U C_j^{-1} U^T,
     U = W G_j (Tipping & Faul, AISTATS 2003).  So the path carries WG and
     Wy from W = I / sigma2 and updates them by that term after each step;
-    it factors nothing larger than C_j.  Blocks of equal size are scored
-    together as a stack.
+    it factors nothing larger than C_j.  Each step's q is one product
+    Wy G, and blocks of equal size are scored together: their S_j are one
+    batched product of stacked blocks (views of G and WG where the blocks
+    of a size are adjacent).
     """
     y = np.asarray(y_tr, dtype=float)
     G = design_tr.G
     sizes = np.asarray(design_tr.group_sizes)
-    # per block size k: the blocks of that size and their columns (r x k)
-    classes = [(k, np.flatnonzero(sizes == k)) for k in np.unique(sizes)]
-    classes = [(k, b, design_tr.starts[b][:, None] + np.arange(k))
-               for k, b in classes]
+    # per block size k: the blocks of that size, their columns, and their
+    # columns of G as a stack of k x n blocks
+    classes = []
+    for k in np.unique(sizes):
+        blocks = np.flatnonzero(sizes == k)
+        cols = (design_tr.starts[blocks][:, None] + np.arange(k)).ravel()
+        classes.append((k, blocks, cols,
+                        _block_stack(G, cols, k).transpose(0, 2, 1)))
     row = np.empty(design_tr.p, dtype=int)     # a block's row in its class
-    for _, blocks, _ in classes:
+    for _, blocks, _, _ in classes:
         row[blocks] = np.arange(blocks.size)
     WG, Wy = G / sigma2, y / sigma2
     out = np.ones(design_tr.p, dtype=bool)     # not yet on the path
     cand = np.empty(design_tr.p)
-    order, gains = [], []
-    while out.any():
+    order, gains, qs = [], [], []
+    while True:
+        q = Wy @ G                                   # G^T W y
+        qs.append(q)
+        if not out.any():
+            break
         # score every block (those on the path are masked below)
         scored = {}
-        for k, blocks, cols in classes:
-            Gb = G[:, cols]                              # n x blocks x k
-            C = np.eye(k) + kappa * np.einsum("nri,nrj->rij", Gb, WG[:, cols])
-            q = np.einsum("nri,n->ri", Gb, Wy)
+        for k, blocks, cols, Gs in classes:
+            C = np.eye(k) + kappa * np.matmul(Gs, _block_stack(WG, cols, k))
             L = np.linalg.cholesky(C)
-            z = np.linalg.solve(L, q[..., None])[..., 0]    # L^{-1} q
+            z = np.linalg.solve(L, q[cols].reshape(-1, k, 1))[..., 0]
             logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
             cand[blocks] = -0.5 * logdet + 0.5 * kappa * np.sum(z * z, axis=1)
             scored[k] = L, z
@@ -192,10 +213,10 @@ def _greedy_path(y_tr, design_tr, sigma2, kappa, floor):
         # W <- W - kappa V V^T with V = U L^{-T}, C_j = L L^T; V^T y = z
         L, z = (a[row[best]] for a in scored[sizes[best]])
         cols = design_tr.slices[best]
-        V = np.linalg.solve(L, WG[:, cols].T).T
+        V = dtrtrs(L, WG[:, cols].T, lower=1)[0].T
         WG -= kappa * V @ (V.T @ G)
         Wy -= kappa * V @ z
-    return order, gains
+    return order, gains, np.array(qs)
 
 
 def forward_select(y_tr, design_tr, sigma2, kappa, gamma):
@@ -208,7 +229,7 @@ def forward_select(y_tr, design_tr, sigma2, kappa, gamma):
     penalized gains in order of inclusion).
     """
     floor = gamma * kappa
-    order, gains = _greedy_path(y_tr, design_tr, sigma2, kappa, floor)
+    order, gains, _ = _greedy_path(y_tr, design_tr, sigma2, kappa, floor)
     return sorted(order), [g - floor for g in gains]
 
 
@@ -229,7 +250,9 @@ def select_hglasso(y, design, config=None):
     Prefix split, training-residual sigma2 (unless overridden), kappa
     estimate, one greedy path cut per gamma on the grid (the same sets
     forward_select returns), gamma chosen by validation error (ties:
-    largest gamma).
+    largest gamma).  A cut's validation error is that of its posterior
+    mean on the training half, which the path gives (see _greedy_path):
+    no factor of Sigma_y is built.
     """
     cfg = config or SelectionConfig()
     y = np.asarray(y, dtype=float)
@@ -246,8 +269,8 @@ def select_hglasso(y, design, config=None):
         gammas = np.logspace(np.log10(cfg.grid_lo / k_ref),
                              np.log10(cfg.grid_hi / k_ref), cfg.grid_n)
 
-    order, path_gains = _greedy_path(y_tr, d_tr, sigma2, kappa,
-                                     np.min(gammas) * kappa)
+    order, path_gains, q = _greedy_path(y_tr, d_tr, sigma2, kappa,
+                                        np.min(gammas) * kappa)
     sets, val_errors = [], []
     err_of_cut = {}      # validation error per distinct selected set
     for gamma in gammas:
@@ -258,7 +281,7 @@ def select_hglasso(y, design, config=None):
         if t not in err_of_cut:
             lam = np.zeros(design.p)
             lam[order[:t]] = kappa
-            th = posterior_mean(d_tr, lam, sigma2, y_tr)
+            th = lam[d_tr.owner] * q[t]      # the posterior mean at lam
             err_of_cut[t] = float(np.linalg.norm(y_val - d_val.G @ th))
         sets.append(sorted(order[:t]))
         val_errors.append(err_of_cut[t])
@@ -287,8 +310,10 @@ def polish_hglasso(y, design, trace, config=None):
     extra["min_free_hessian_eig"] the smallest eigenvalue of its Hessian
     on the final free blocks (None without a solve or a free block); a
     positive value marks a strict local minimum.  extra["factorizations"]
-    counts the solve's MarginalFactor builds (None for hgla, 0 for hglc
-    without a chosen block).  extra["greedy_order"] and
+    counts the polish's MarginalFactor builds: the solve's, 1 for hgla
+    (its posterior mean) and 0 for hglc without a chosen block.
+    select_hglasso builds none, so that is the fit's count.
+    extra["greedy_order"] and
     extra["greedy_gains"] are trace's unpenalized greedy path.
     """
     cfg = config or SelectionConfig()
@@ -312,7 +337,7 @@ def polish_hglasso(y, design, trace, config=None):
     if res is not None:
         kkt, builds = res.extra["kkt_residual"], res.extra["factorizations"]
     else:
-        kkt, builds = (None, None) if cfg.variant == "hgla" else (0.0, 0)
+        kkt, builds = (None, 1) if cfg.variant == "hgla" else (0.0, 0)
     sel = [i for i in range(design.p) if lam_hat[i] > 0]
     return EstimateResult(
         theta=theta, lam=lam_hat, selected=sel, gamma=trace.chosen_gamma,

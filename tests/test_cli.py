@@ -207,6 +207,42 @@ def test_a_non_finite_estimate_exits_3(fixture_dir, arx_csv, tmp_path,
     assert not list(tmp_path.glob("out*"))
 
 
+def test_a_numerical_failure_in_a_fit_exits_3(fixture_dir, tmp_path,
+                                             capsys):
+    """A LinAlgError raised inside an estimator is a numerical failure
+    (exit 3), not a usage error, though LinAlgError is a ValueError: with
+    G scaled by 1e160 an eigensolver in the mkl fit does not converge."""
+    G = read_csv_matrix(str(fixture_dir / "G.csv"))
+    big = tmp_path / "G_big.csv"
+    write_csv_matrix(str(big), G * 1e160)
+    code = main(["fit", "--method", "mkl", "--data-y",
+                 str(fixture_dir / "y.csv"), "--data-g", str(big),
+                 "--groups", "4", "--out", str(tmp_path / "out.json")])
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["mkl", "glasso"])
+def test_fit_writes_valid_json_when_a_diagnostic_overflows(
+        fixture_dir, tmp_path, method):
+    """At sigma2 = 1e-320 the mkl/glasso objective (and mkl's KKT residual)
+    overflow while theta stays finite: the fit writes them as null, never
+    as Infinity or NaN, which JSON does not have."""
+    out = tmp_path / "out.json"
+    code = main(["fit", "--method", method,
+                 "--data-y", str(fixture_dir / "y.csv"),
+                 "--data-g", str(fixture_dir / "G.csv"), "--groups", "4",
+                 "--sigma2", "1e-320", "--out", str(out)])
+    assert code == 0
+
+    def reject(name):
+        raise ValueError("not JSON: %s" % name)
+
+    doc = json.loads(out.read_text(), parse_constant=reject)
+    assert doc["diagnostics"]["objective"] is None
+    assert all(np.isfinite(doc["theta"]))
+
+
 def test_fit_lasso_glasso_reject_negative_gamma(fixture_dir, capsys):
     for method in ("lasso", "glasso"):
         code = main(["fit", "--method", method,

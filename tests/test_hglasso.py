@@ -188,8 +188,10 @@ def test_newton_direction_rejects_a_non_finite_hessian_or_gradient(bad):
 def test_hgl_factorizations_count_the_marginal_factor_builds(monkeypatch):
     """extra["factorizations"] of solve_hgl_pqn, and of the hglb/hglc
     polish that reports it, equals the MarginalFactor builds the solve
-    makes; hgla, which runs no solve, reports None."""
+    makes; hgla's is 1, its posterior mean, which is every build of its
+    fit (the selection stage builds none)."""
     import groupsparse.hglasso as hg
+    import groupsparse.model as gm
     from groupsparse import McConfig, estimate_sigma2_ls, gen_problem
     from groupsparse.experiments import ESTIMATORS
     builds = []
@@ -200,13 +202,16 @@ def test_hgl_factorizations_count_the_marginal_factor_builds(monkeypatch):
         return factor(design, lam, sigma2, y)
 
     monkeypatch.setattr(hg, "MarginalFactor", counting)
+    monkeypatch.setattr(gm, "MarginalFactor", counting)
     des, _, y, _ = gen_problem(McConfig(experiment="exp1", runs=1,
                                         master_seed=0, estimators=[]), 0)
     s2 = estimate_sigma2_ls(y, des.G)
     res = solve_hgl_pqn(y, des, s2, 1.0)
     assert res.extra["factorizations"] == len(builds) > 1
     ctx = {}
-    assert ESTIMATORS["hgla"](y, des, s2, ctx).extra["factorizations"] is None
+    builds.clear()
+    res = ESTIMATORS["hgla"](y, des, s2, ctx)
+    assert res.extra["factorizations"] == len(builds) == 1
     for name in ("hglb", "hglc"):
         builds.clear()
         res = ESTIMATORS[name](y, des, s2, ctx)

@@ -11,7 +11,7 @@ from groupsparse import (
     estimate_sigma2_ls, fit_hglasso, forward_select,
 )
 from groupsparse.model import MarginalFactor, posterior_mean
-from groupsparse.selection import _greedy_path
+from groupsparse.selection import _greedy_path, _split, select_hglasso
 
 from conftest import orthogonal_design
 
@@ -191,7 +191,7 @@ def test_greedy_path_long_dense_route_matches_reference():
     """The incrementally updated path adds blocks in the order of the
     greedy over freshly factored log posteriors."""
     des, y, s2, kap = _long_path_problem()
-    order, gains = _greedy_path(y, des, s2, kap, 0.0)
+    order, gains, _ = _greedy_path(y, des, s2, kap, 0.0)
     ref_order, ref_gains = _reference_forward_select(y, des, s2, kap, 0.0)
     assert len(order) >= 30
     assert order == ref_order
@@ -201,7 +201,7 @@ def test_greedy_path_long_dense_route_matches_reference():
 def test_greedy_path_gains_are_log_posterior_differences():
     """Every step's gain is L(I + {j}) - L(I) of the set before it."""
     des, y, s2, kap = _long_path_problem()
-    order, gains = _greedy_path(y, des, s2, kap, 0.0)
+    order, gains, _ = _greedy_path(y, des, s2, kap, 0.0)
     logpost = [_log_posterior(y, des, s2, kap, 0.0, order[:t])
                for t in range(len(order) + 1)]
     np.testing.assert_allclose(gains, np.diff(logpost), rtol=1e-9, atol=0)
@@ -216,11 +216,11 @@ def test_greedy_path_exact_tie_goes_to_the_smaller_index(rng):
     G[:, des.slices[3]] = G[:, des.slices[1]]
     y = G[:, des.slices[1]] @ np.array([2.0, -1.0, 1.5]) + \
         0.3 * rng.standard_normal(30)
-    order, gains = _greedy_path(y, des, 0.09, 2.0, 0.0)
+    order, gains, _ = _greedy_path(y, des, 0.09, 2.0, 0.0)
     assert order[0] == 1
     # without block 1 its copy (index 2 of the subdesign) scores the same
-    sub_order, sub_gains = _greedy_path(y, des.subdesign([0, 2, 3, 4]),
-                                        0.09, 2.0, 0.0)
+    sub_order, sub_gains, _ = _greedy_path(y, des.subdesign([0, 2, 3, 4]),
+                                           0.09, 2.0, 0.0)
     assert sub_order[0] == 2 and sub_gains[0] == gains[0]
 
 
@@ -254,8 +254,10 @@ def test_forward_select_matches_per_gamma_greedy(rng):
 
 def test_fit_selection_matches_per_gamma_greedy(rng):
     """Every grid point's set and validation error equal those of the
-    per-gamma greedy run on the same split, sigma2 and kappa; on both
-    factor routes, on the default grid and on a user-supplied one."""
+    per-gamma greedy run on the same split, sigma2 and kappa (the error
+    within 1e-12: the fit reads it off the path's Woodbury updates, the
+    reference factors Sigma_y afresh); on both factor routes, on the
+    default grid and on a user-supplied one."""
     for des, y, s2 in _two_route_problems(rng):
         n_tr = int(np.ceil(0.5 * des.n))
         d_tr = GroupedDesign(des.G[:n_tr], des.group_sizes)
@@ -277,15 +279,51 @@ def test_fit_selection_matches_per_gamma_greedy(rng):
                 lam[ref_set] = trace.kappa
                 th = posterior_mean(d_tr, lam, trace.sigma2, y[:n_tr])
                 assert sel == ref_set
-                assert err == float(np.linalg.norm(y[n_tr:] - d_val.G @ th))
+                np.testing.assert_allclose(
+                    err, np.linalg.norm(y[n_tr:] - d_val.G @ th), rtol=1e-12,
+                    atol=0)
                 np.testing.assert_allclose(gains, ref_gains, rtol=1e-9,
                                            atol=0)
 
 
+def test_path_gives_each_cut_posterior_mean(rng):
+    """Row t of the path's q, times kappa on the blocks of order[:t] and
+    zero on the others, is the posterior mean at that lambda, within 1e-12
+    relative in the 2-norm (a component far below the norm carries the
+    path's absolute rounding, so components are not compared one by one).
+    On the cuts a fit validates, on both factor routes of its training
+    split, on blocks of one size that are not adjacent, and at every step
+    of the 36-step path."""
+    cases = []
+    for des, y, s2 in _two_route_problems(rng):
+        trace = select_hglasso(y, des, SelectionConfig(sigma2=s2))
+        y_tr, _, d_tr, _ = _split(y, des)
+        cases.append((d_tr, y_tr, trace.sigma2, trace.kappa,
+                      min(trace.gammas) * trace.kappa,
+                      sorted({len(s) for s in trace.selected_sets})))
+    # sizes 2 and 3 interleaved: no size's blocks are adjacent columns
+    sizes = [2, 3, 1, 3, 2, 1, 2, 3]
+    des = GroupedDesign(rng.standard_normal((30, sum(sizes))), sizes)
+    y = des.G @ rng.standard_normal(des.m) + 0.3 * rng.standard_normal(30)
+    cases.append((des, y, 0.09, 2.0, 0.0, None))
+    des, y, s2, kap = _long_path_problem()
+    cases.append((des, y, s2, kap, 0.0, None))
+    for des, y, s2, kap, floor, cuts in cases:
+        order, _, q = _greedy_path(y, des, s2, kap, floor)
+        assert q.shape == (len(order) + 1, des.m) and len(order) >= 3
+        for t in cuts or range(len(order) + 1):
+            lam = np.zeros(des.p)
+            lam[order[:t]] = kap
+            th = lam[des.owner] * q[t]
+            ref = posterior_mean(des, lam, s2, y)
+            assert np.array_equal(th == 0, ref == 0)
+            assert np.linalg.norm(th - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_fit_factorizations_bounded_by_path(rng, monkeypatch):
-    """The greedy path builds no factor: a fit builds exactly one per
-    distinct selected set for validation and one for the final posterior
-    mean."""
+    """The selection stage builds no factor (the path gives every cut's
+    validation error), so an hgla fit builds exactly one, for the final
+    posterior mean."""
     builds = []
     init = MarginalFactor.__init__
 
@@ -295,10 +333,12 @@ def test_fit_factorizations_bounded_by_path(rng, monkeypatch):
 
     monkeypatch.setattr(MarginalFactor, "__init__", counted)
     for des, y, s2 in _two_route_problems(rng):
-        _, trace = fit_hglasso(y, des, SelectionConfig(variant="hgla",
-                                                       sigma2=s2))
-        distinct = len({tuple(s) for s in trace.selected_sets})
-        assert len(builds) == distinct + 1
+        cfg = SelectionConfig(variant="hgla", sigma2=s2)
+        trace = select_hglasso(y, des, cfg)
+        assert len({tuple(s) for s in trace.selected_sets}) >= 3
+        assert builds == []
+        res, _ = fit_hglasso(y, des, cfg)
+        assert len(builds) == res.extra["factorizations"] == 1
         builds.clear()
 
 
