@@ -11,6 +11,7 @@ Option precedence: command-line flags, then a JSON config file given with
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -115,6 +116,16 @@ def _finite_or_null(v):
     return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
+def _json_number(v):
+    """v as its own JSON type: a bool stays a bool and an integer (a count)
+    an integer; any other number is a float."""
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    return float(v) if isinstance(v, np.floating) else v
+
+
 def result_to_json(res, path_or_none):
     """The fit as a JSON document, to a file or standard output.  Numbers
     that are not finite (an objective or KKT residual can overflow) are
@@ -128,8 +139,7 @@ def result_to_json(res, path_or_none):
             "converged": bool(res.converged),
             "iterations": int(res.iterations),
             "objective": float(res.objective),
-            **{k: (float(v) if isinstance(v, (int, float, np.floating))
-                   else v) for k, v in res.extra.items()},
+            **{k: _json_number(v) for k, v in res.extra.items()},
         },
     }
     text = json.dumps(_finite_or_null(doc), indent=2, sort_keys=True,
@@ -292,7 +302,10 @@ def cmd_arx(args):
 # argument plumbing
 # ============================================================
 
+@functools.cache
 def build_parser():
+    """The parser, built once per process (about 1 ms): main only reads it
+    and sets values on the Namespace it returns."""
     ap = argparse.ArgumentParser(
         prog="groupsparse",
         description="Group-sparse linear regression toolkit")

@@ -56,6 +56,19 @@ _CORRECTOR_SOLVES = 8
 # (_glasso_point) gives a point up as unconverged; they bound its runs
 _HALVINGS = 40
 
+# rows of the sign fold: _SIGNS * v stacks v over -v, exactly
+_SIGNS = np.array([[1.0], [-1.0]])
+# the empty index array a breakpoint without drops or held coordinates
+# shares (nothing writes to it)
+_NONE = np.zeros(0, dtype=np.intp)
+
+
+def _absmax(v):
+    """max |v_j| of a nonempty v (NaN if any is): argmax is one C call where
+    .max() goes through the ufunc reduction machinery."""
+    v = np.abs(v)
+    return v[v.argmax()]
+
 
 @dataclass
 class PenaltyPath:
@@ -102,7 +115,7 @@ def _cholesky(M):
     # LAPACK directly: on these small systems the checks of the
     # scipy.linalg wrappers cost more than the factorization
     L, info = dpotrf(M, lower=1, clean=0)
-    if info != 0 or np.any(np.diag(L) ** 2 <= _PIVOT * np.diag(M)):
+    if info != 0 or (L.diagonal() ** 2 <= _PIVOT * M.diagonal()).any():
         return None
     return L
 
@@ -175,15 +188,16 @@ def _path_slope(HE, s, zero, held):
 class _ActiveSet:
     """The Lasso path's active set A, its signs s_A and coefficients
     theta_A, in the order of the lower Cholesky factor L of H_AA, with the
-    rows H[A, :], in buffers sized for every column.  factorizations
-    counts each dpotrf and each column appended."""
+    rows H[A, :], in buffers sized for every column (L's in Fortran order,
+    which the LAPACK solves copy from fastest).  factorizations counts each
+    dpotrf and each column appended."""
 
     def __init__(self, H):
         m = H.shape[0]
         self.H, self.factorizations = H, 0
         self.idx = np.zeros(m, dtype=np.intp)
         self.s, self.th = np.zeros(m), np.zeros(m)
-        self.rows, self.L = np.zeros((m, m)), np.zeros((m, m))
+        self.rows, self.L = np.zeros((m, m)), np.zeros((m, m), order="F")
         self._resize(0)
 
     def _resize(self, k):
@@ -260,9 +274,9 @@ class _ActiveSet:
         (at mu = 0, an interpolating fit when m > n, only the rounding
         slack is left)."""
         thA = self._solve(b[self.A, None] - self.sA[:, None] * mus).T
-        off = np.abs(b - thA @ self.HA) > (mus * (1 + 1e-9) + slack)[:, None]
-        off[:, self.A] = False
-        return thA, ~off.any(axis=1) & np.all(np.sign(thA) == self.sA, axis=1)
+        bad = np.abs(b - thA @ self.HA) > (mus * (1 + 1e-9) + slack)[:, None]
+        bad[:, self.A] = np.sign(thA) != self.sA  # on A: a sign lost
+        return thA, ~bad.any(axis=1)
 
 
 def _settle(act, c, E, theta, dropped):
@@ -276,7 +290,7 @@ def _settle(act, c, E, theta, dropped):
     signs, or None when the nonzero coordinates alone are singular."""
     zero = theta[E] == 0
     s = np.sign(np.where(zero, c[E], theta[E]))
-    d = _path_slope(act.H[np.ix_(E, E)], s, zero, np.isin(E, dropped))
+    d = _path_slope(act.H[E[:, None], E], s, zero, np.isin(E, dropped))
     if d is None:
         return None
     # a zero coordinate moves only if it leaves zero faster than rounding:
@@ -321,41 +335,51 @@ def lasso_path(H, b, gammas, sigma2=1.0):
     mus = sigma2 * gammas
     if not np.isfinite(mus).all():
         raise ValueError("every penalty sigma2 gamma must be finite")
-    todo = list(np.argsort(mus, kind="stable"))  # next grid point last
+    # the grid points in the order the walk reaches them (mu falling), nxt
+    # the first of them not yet read off; the NaN after them meets no stop
+    order = np.argsort(mus, kind="stable")[::-1]
+    mus = mus[order]
+    stops, nxt = mus.tolist() + [np.nan], 0
     theta = np.zeros((gammas.size, m))
     converged = np.zeros(gammas.size, dtype=bool)
     mu = mu_max = np.max(np.abs(b), initial=0.0)
+    slack, to_zero = 1e-14 * mu_max, mus.size > 0 and mus[-1] <= 0
     act = _ActiveSet(H)
     breaks = 0
-    inf = np.full(m, np.inf)
+    inf = np.full((2, m), np.inf)
 
     def read_off(stop):
-        take = []
-        while todo and mus[todo[-1]] >= stop:
-            take.append(todo.pop())
-        if take:
-            theta[np.ix_(take, act.A)], converged[take] = act.points(
-                b, mus[take], 1e-14 * mu_max)
+        nonlocal nxt
+        end = nxt
+        while stops[end] >= stop:
+            end += 1
+        if end > nxt:
+            take = order[nxt:end]
+            theta[take[:, None], act.A], converged[take] = act.points(
+                b, mus[nxt:end], slack)
+            nxt = end
 
     read_off(mu)  # above mu_max theta = 0
     c = b
     joins = np.zeros(m, dtype=bool)  # inactive coordinates at the bound
-    drops = np.zeros(0, dtype=np.intp)  # positions in A of those at zero
-    while todo:
+    drops = _NONE  # positions in A of those at zero
+    while nxt < mus.size:
         # every correlation at the bound, so that ties are settled together
         joins |= np.abs(c) >= mu * (1.0 - _TIE)
         joins[act.A] = False
         J = joins.nonzero()[0]
         d = e = None
-        held = s_held = np.zeros(0, dtype=np.intp)
-        A, thA, dropped = act.A, act.thA, act.A[drops]
+        held = s_held = dropped = _NONE
+        A, thA = act.A, act.thA
+        if drops.size:
+            dropped = A[drops]
         # one join or one drop: update the factor and take the slope from
         # it, unless a check _path_slope would also make fails (in exact
         # arithmetic a lone event passes them; rounding near a tie may not)
         if J.size == 1 and not drops.size:
             if act.append(J[0], np.sign(c[J[0]])):
                 d = act.slope()
-                if act.sA[-1] * d[-1] <= _TIE * np.abs(d).max():
+                if act.sA[-1] * d[-1] <= _TIE * _absmax(d):
                     act.pop()  # the joiner does not leave zero
                     d = None
         elif drops.size == 1 and not J.size:
@@ -373,7 +397,7 @@ def lasso_path(H, b, gammas, sigma2=1.0):
             E = np.union1d(A, J)
             settled = _settle(act, c, E, th, dropped)
             if settled is None:  # no slope: the rest stay at this point
-                theta[todo] = th
+                theta[order[nxt:]] = th
                 break
             held, s_held = settled
             d, e = act.slope(), None
@@ -381,32 +405,37 @@ def lasso_path(H, b, gammas, sigma2=1.0):
             e = d @ act.HA
         A, thA = act.A, act.thA
         # drops: active coefficients heading for zero
-        to_drop = np.divide(-thA, d, out=inf[:A.size].copy(),
+        to_drop = np.divide(-thA, d, out=inf[0, :A.size].copy(),
                             where=thA * d < 0)
-        # joins: c_j falls by delta e_j while the bound falls by delta
-        up = np.divide(np.maximum(mu - c, 0.0), 1.0 - e, out=inf.copy(),
-                       where=e < 1.0)
-        down = np.divide(np.maximum(mu + c, 0.0), 1.0 + e, out=inf.copy(),
-                         where=e > -1.0)
+        # joins: c_j falls by delta e_j while the bound falls by delta, so
+        # the gap mu - c_j closes at rate 1 - e_j (> 0 exactly where
+        # e_j < 1); row 0 of the fold is c_j meeting mu, row 1 -c_j
+        # meeting mu (c_j meeting -mu), in one divide
+        rate = 1.0 - _SIGNS * e
+        to_join = np.divide(np.maximum(mu - _SIGNS * c, 0.0), rate,
+                            out=inf.copy(), where=rate > 0.0)
         # coordinates held at the bound leave it inwards (_path_slope) but
         # may still cross to the opposite bound
         if held.size:
-            up[held[s_held > 0]] = np.inf
-            down[held[s_held < 0]] = np.inf
-        to_join = np.minimum(up, down)
+            to_join[0, held[s_held > 0]] = np.inf
+            to_join[1, held[s_held < 0]] = np.inf
+        to_join = np.minimum(to_join[0], to_join[1])
         to_join[A] = np.inf
-        delta = min(to_drop.min(initial=np.inf), to_join.min())
+        # the least of each, read off argmin (a cheaper call than min)
+        delta = min(to_drop[to_drop.argmin()] if A.size else np.inf,
+                    to_join[to_join.argmin()])
         # while a grid point at mu = 0 remains, events this close to it
         # are rounding
-        if mu - delta <= _TIE * mu_max and mus[todo[0]] <= 0:
+        if mu - delta <= _TIE * mu_max and to_zero:
             delta = np.inf
         read_off(mu - delta)
-        if not todo:
+        if nxt == mus.size:
             break
         thA += delta * d
         window = delta + _TIE * mu
         drops = (to_drop <= window).nonzero()[0]
-        thA[drops] = 0.0
+        if drops.size:
+            thA[drops] = 0.0
         joins = to_join <= window
         mu -= delta
         breaks += 1
@@ -419,51 +448,74 @@ def _newton(H_AA, b_A, x, blk, a):
     """Newton's method on the stationarity equations of a set of blocks,
     H_AA x - b_A + a x_i / ||x_i|| = 0, from x (nonzero on every block);
     blk numbers each coordinate's block 0, 1, ...  The Jacobian H_AA +
-    c_i (I - u_i u_i^T), c_i = a / ||x_i|| on same-block entries, is built
-    in one buffer and solved by one Cholesky solve (dposv): H_AA plus a
-    semidefinite term is singular exactly when not positive definite.
+    c_i (I - u_i u_i^T), c_i = a / ||x_i|| on same-block entries, is
+    solved by one Cholesky solve (dposv): H_AA plus a semidefinite term is
+    singular exactly when not positive definite.  It is built transposed,
+    entry by entry as the same products and sums, in a C-order buffer
+    whose transpose is the Fortran-order matrix dposv factors in place.
     Returns (x, steps, turned): on convergence (a step below 1e-10 of
     max |x|: convergence is quadratic, so what is left is rounding) turned
     is None; when a step would turn some block around (x_new_i . x_i <= 0)
     x is the iterate before it and turned flags those blocks; x is None
     when the Jacobian is singular or _NEWTON_STEPS run out.
     """
-    nb = blk[-1] + 1
-    same = (blk[:, None] == blk[None, :]).astype(float)
-    J = np.empty((x.size, x.size))
-    diag = J.reshape(-1)[::x.size + 1]
+    # J's off-diagonal term -(c_i u_i) u_j on same-block entries is
+    # (u_j (c_i u_i)) (-1), and across blocks -0 makes the zero J had
+    minus_same = -(blk[:, None] == blk).astype(float)
+    HT = H_AA.T.copy()
+    JT = np.empty_like(HT)
+    diag = JT.reshape(-1)[::x.size + 1]
     for it in range(1, _NEWTON_STEPS + 1):
-        nrm = np.sqrt(np.bincount(blk, x * x, minlength=nb))
-        if not nrm.all():
+        # np.count_nonzero: one C call where .all() and .any() are three
+        nrm = np.sqrt(np.bincount(blk, x * x))
+        if np.count_nonzero(nrm) < nrm.size:
             return None, it, None
-        u, c = x / nrm[blk], a / nrm[blk]
+        nrm = nrm[blk]
+        u, c = x / nrm, a / nrm
         F = H_AA @ x - b_A + a * u
-        np.multiply.outer(-c * u, u, out=J)
-        J *= same                  # zero across blocks
+        np.multiply.outer(u, c * u, out=JT)
+        JT *= minus_same
         diag += c
-        J += H_AA
-        step, info = dposv(J, F, lower=1)[1:]
+        JT += HT
+        step, info = dposv(JT.T, F, lower=1, overwrite_a=1,
+                           overwrite_b=1)[1:]
         if info != 0:
             return None, it, None
         x_new = x - step
-        turned = np.bincount(blk, x_new * x, minlength=nb) <= 0.0
-        if turned.any():
+        turned = np.bincount(blk, x_new * x) <= 0.0
+        if np.count_nonzero(turned):
             return x, it, turned
         x = x_new
-        if np.abs(step).max() <= 1e-10 * np.abs(x).max():
+        if _absmax(step) <= 1e-10 * _absmax(x):
             return x, it, None
     return None, _NEWTON_STEPS, None
 
 
 class _GlassoProblem:
     """What glasso_path computes once per design and data: H = G^T G
-    (design.gram()), b = G^T y and, in tops, each joining block's L_i."""
+    (design.gram()), b = G^T y, in tops each joining block's L_i, and the
+    parts of the last active set (_active)."""
 
     def __init__(self, y, design, sigma2):
         self.y, self.design, self.sigma2 = y, design, sigma2
         self.H = design.gram()
         self.b = design.G.T @ y
         self.tops = {}
+        self._key = self._parts = None
+
+    def _active(self, act):
+        """For the blocks flagged in act: their coordinates idx, each one's
+        block numbered 0, 1, ... among them, H and b on idx, and H's
+        columns at idx.  Kept for the last set asked for, which the next
+        solve or grid point asks for again about two times in three."""
+        key = act.tobytes()
+        if key != self._key:
+            owner = self.design.owner
+            idx = act[owner].nonzero()[0]
+            self._key, self._parts = key, (
+                idx, (np.cumsum(act) - 1)[owner[idx]],
+                self.H[idx[:, None], idx], self.b[idx], self.H[:, idx])
+        return self._parts
 
     def correct(self, x, a, one=False):
         """Active-set corrector from x at a = sigma2 reg > 0: Newton
@@ -480,16 +532,13 @@ class _GlassoProblem:
         satisfies the Group Lasso optimality conditions (the
         certificate)."""
         H, b, design = self.H, self.b, self.design
-        owner = design.owner
         x = x.copy()
         steps = added = 0
         for _ in range(_CORRECTOR_SOLVES):
-            act = design.block_norms(x) > 0
-            idx = np.flatnonzero(act[owner])
+            act = design.block_sums(x * x) > 0.0  # the nonzero blocks
+            idx, blk, H_AA, b_A, H_A = self._active(act)
             if idx.size:
-                blk = (np.cumsum(act) - 1)[owner[idx]]
-                xA, k, turned = _newton(H[np.ix_(idx, idx)], b[idx], x[idx],
-                                        blk, a)
+                xA, k, turned = _newton(H_AA, b_A, x[idx], blk, a)
                 steps += k
                 if xA is None:
                     break
@@ -497,9 +546,9 @@ class _GlassoProblem:
                 if turned is not None:
                     x[idx[turned[blk]]] = 0.0
                     continue
-            q = b - H[:, idx] @ x[idx]
+            q = b - H_A @ x[idx]
             qn = design.block_norms(q)
-            viol = np.flatnonzero(~act & (qn > a * (1.0 + 1e-9)))
+            viol = (~act & (qn > a * (1.0 + 1e-9))).nonzero()[0]
             if not viol.size:
                 return x, steps, added
             if one:

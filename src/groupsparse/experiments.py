@@ -337,8 +337,9 @@ def est_mkl(y, design, sigma2, ctx):
     path's point at the chosen gamma (from zero at a fixed gamma).
     extra["kkt_residual"] is kkt_residual_mkl, and extra["newton_steps"],
     ["blocks_added"] and ["retreats"] (glasso_path's retreat runs) total
-    the work of the path and the full-data solve.  Cached in ctx["mkl"],
-    where est_glasso reads it."""
+    the work of the path and the full-data solve.  converged also needs
+    that certificate to be finite (it overflows at a tiny sigma2).  Cached
+    in ctx["mkl"], where est_glasso reads it."""
     if "mkl" in ctx:
         return ctx["mkl"]
     gamma, fits, theta0 = ctx.get("gamma"), None, None
@@ -352,8 +353,9 @@ def est_mkl(y, design, sigma2, ctx):
     res = _counted(res, fits, {"newton_steps": res.extra["newton_steps"],
                                "blocks_added": res.extra["blocks_added"],
                                "retreats": res.iterations})
-    res.extra["kkt_residual"] = kkt_residual_mkl(res.lam, y, design, sigma2,
-                                                 gamma)
+    kkt = kkt_residual_mkl(res.lam, y, design, sigma2, gamma)
+    res.extra["kkt_residual"] = kkt
+    res.converged = res.converged and bool(np.isfinite(kkt))
     ctx["mkl"] = res
     return res
 

@@ -147,3 +147,190 @@ def newton_reference(H_AA, b_A, x, blk, a):
         if np.max(np.abs(step)) <= 1e-10 * np.max(np.abs(x)):
             return x, it, None
     return None, _NEWTON_STEPS, None
+
+
+class _ActiveSetReference:
+    """The active set of lasso_path_reference, as convex._ActiveSet but
+    with L in a C-order buffer and the plain certificate: A, s_A,
+    theta_A, the rows H[A, :] and the lower Cholesky factor L of H_AA in
+    buffers sized for every column."""
+
+    def __init__(self, H):
+        m = H.shape[0]
+        self.H, self.factorizations = H, 0
+        self.idx = np.zeros(m, dtype=np.intp)
+        self.s, self.th = np.zeros(m), np.zeros(m)
+        self.rows, self.L = np.zeros((m, m)), np.zeros((m, m))
+        self._resize(0)
+
+    def _resize(self, k):
+        self.k = k
+        self.A, self.sA, self.thA = self.idx[:k], self.s[:k], self.th[:k]
+        self.HA = self.rows[:k]
+
+    def _solve(self, r):
+        from scipy.linalg.lapack import dpotrs
+        return dpotrs(self.L[:self.k, :self.k], r, lower=1)[0] \
+            if self.k else r
+
+    def _factor(self):
+        from groupsparse.convex import _cholesky
+        if not self.k:
+            return True
+        self.factorizations += 1
+        L = _cholesky(self.HA[:, self.A])
+        if L is None:
+            return False
+        self.L[:self.k, :self.k] = L
+        return True
+
+    def reset(self, A, s, th):
+        self._resize(A.size)
+        self.A[:], self.sA[:], self.thA[:] = A, s, th
+        self.HA[:] = self.H[A]
+        return self._factor()
+
+    def append(self, j, s_j):
+        from scipy.linalg.lapack import dtrtrs
+        from groupsparse.convex import _PIVOT
+        k, h = self.k, self.H[j]
+        self.factorizations += 1
+        pivot = h[j]
+        if k:
+            w = dtrtrs(self.L[:k, :k], h[self.A], lower=1)[0]
+            pivot -= w @ w
+            self.L[k, :k] = w
+        if not pivot > _PIVOT * h[j]:
+            return False
+        self.L[k, k] = np.sqrt(pivot)
+        self.idx[k], self.s[k], self.th[k] = j, s_j, 0.0
+        self.rows[k] = h
+        self._resize(k + 1)
+        return True
+
+    def pop(self):
+        self._resize(self.k - 1)
+
+    def remove(self, p):
+        k = self.k
+        for buf in (self.idx, self.s, self.th, self.rows):
+            buf[p:k - 1] = buf[p + 1:k]
+        self._resize(k - 1)
+        return self._factor()
+
+    def slope(self):
+        return self._solve(self.sA)
+
+    def points(self, b, mus, slack):
+        thA = self._solve(b[self.A, None] - self.sA[:, None] * mus).T
+        off = np.abs(b - thA @ self.HA) > (mus * (1 + 1e-9) + slack)[:, None]
+        off[:, self.A] = False
+        return thA, ~off.any(axis=1) & np.all(np.sign(thA) == self.sA, axis=1)
+
+
+def _settle_reference(act, c, E, theta, dropped):
+    from groupsparse.convex import _TIE, _path_slope
+    zero = theta[E] == 0
+    s = np.sign(np.where(zero, c[E], theta[E]))
+    d = _path_slope(act.H[np.ix_(E, E)], s, zero, np.isin(E, dropped))
+    if d is None:
+        return None
+    moving = ~zero | (s * d > _TIE * np.max(np.abs(d), initial=0.0))
+    if not act.reset(E[moving], s[moving], theta[E[moving]]):
+        return None
+    return E[~moving], s[~moving]
+
+
+def lasso_path_reference(H, b, gammas, sigma2=1.0):
+    """convex.lasso_path written plainly: one divide per bound (up and
+    down), the grid points in a popped list, np.ix_ indexing and plain
+    reductions.  It shares _path_slope and _cholesky with lasso_path and
+    is the reference for its theta, converged and work, which must agree
+    bit for bit.  Returns a PenaltyPath."""
+    from groupsparse.convex import _TIE, PenaltyPath
+    gammas = np.asarray(gammas, dtype=float)
+    m = b.size
+    mus = sigma2 * gammas
+    if not np.isfinite(mus).all():
+        raise ValueError("every penalty sigma2 gamma must be finite")
+    todo = list(np.argsort(mus, kind="stable"))  # next grid point last
+    theta = np.zeros((gammas.size, m))
+    converged = np.zeros(gammas.size, dtype=bool)
+    mu = mu_max = np.max(np.abs(b), initial=0.0)
+    act = _ActiveSetReference(H)
+    breaks = 0
+    inf = np.full(m, np.inf)
+
+    def read_off(stop):
+        take = []
+        while todo and mus[todo[-1]] >= stop:
+            take.append(todo.pop())
+        if take:
+            theta[np.ix_(take, act.A)], converged[take] = act.points(
+                b, mus[take], 1e-14 * mu_max)
+
+    read_off(mu)
+    c = b
+    joins = np.zeros(m, dtype=bool)
+    drops = np.zeros(0, dtype=np.intp)
+    while todo:
+        joins |= np.abs(c) >= mu * (1.0 - _TIE)
+        joins[act.A] = False
+        J = joins.nonzero()[0]
+        d = e = None
+        held = s_held = np.zeros(0, dtype=np.intp)
+        A, thA, dropped = act.A, act.thA, act.A[drops]
+        if J.size == 1 and not drops.size:
+            if act.append(J[0], np.sign(c[J[0]])):
+                d = act.slope()
+                if act.sA[-1] * d[-1] <= _TIE * np.abs(d).max():
+                    act.pop()
+                    d = None
+        elif drops.size == 1 and not J.size:
+            A, thA = A.copy(), thA.copy()
+            if act.remove(drops[0]):
+                d = act.slope()
+                e = d @ act.HA
+                held, s_held = dropped, np.sign(c[dropped])
+                if s_held[0] * e[held[0]] < 1.0 - 1e-10:
+                    d = None
+        if d is None:
+            th = np.zeros(m)
+            th[A] = thA
+            E = np.union1d(A, J)
+            settled = _settle_reference(act, c, E, th, dropped)
+            if settled is None:
+                theta[todo] = th
+                break
+            held, s_held = settled
+            d, e = act.slope(), None
+        if e is None:
+            e = d @ act.HA
+        A, thA = act.A, act.thA
+        to_drop = np.divide(-thA, d, out=inf[:A.size].copy(),
+                            where=thA * d < 0)
+        up = np.divide(np.maximum(mu - c, 0.0), 1.0 - e, out=inf.copy(),
+                       where=e < 1.0)
+        down = np.divide(np.maximum(mu + c, 0.0), 1.0 + e, out=inf.copy(),
+                         where=e > -1.0)
+        if held.size:
+            up[held[s_held > 0]] = np.inf
+            down[held[s_held < 0]] = np.inf
+        to_join = np.minimum(up, down)
+        to_join[A] = np.inf
+        delta = min(to_drop.min(initial=np.inf), to_join.min())
+        if mu - delta <= _TIE * mu_max and mus[todo[0]] <= 0:
+            delta = np.inf
+        read_off(mu - delta)
+        if not todo:
+            break
+        thA += delta * d
+        window = delta + _TIE * mu
+        drops = (to_drop <= window).nonzero()[0]
+        thA[drops] = 0.0
+        joins = to_join <= window
+        mu -= delta
+        breaks += 1
+        c = b - thA @ act.HA
+    return PenaltyPath(theta, converged, {
+        "breakpoints": breaks, "factorizations": act.factorizations})

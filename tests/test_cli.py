@@ -227,13 +227,14 @@ def test_fit_writes_valid_json_when_a_diagnostic_overflows(
         fixture_dir, tmp_path, method):
     """At sigma2 = 1e-320 the mkl/glasso objective (and mkl's KKT residual)
     overflow while theta stays finite: the fit writes them as null, never
-    as Infinity or NaN, which JSON does not have."""
+    as Infinity or NaN, which JSON does not have.  With no finite
+    certificate the fit is not converged, and exits 3."""
     out = tmp_path / "out.json"
     code = main(["fit", "--method", method,
                  "--data-y", str(fixture_dir / "y.csv"),
                  "--data-g", str(fixture_dir / "G.csv"), "--groups", "4",
                  "--sigma2", "1e-320", "--out", str(out)])
-    assert code == 0
+    assert code == 3
 
     def reject(name):
         raise ValueError("not JSON: %s" % name)
@@ -241,6 +242,27 @@ def test_fit_writes_valid_json_when_a_diagnostic_overflows(
     doc = json.loads(out.read_text(), parse_constant=reject)
     assert doc["diagnostics"]["objective"] is None
     assert all(np.isfinite(doc["theta"]))
+
+
+def test_fit_writes_counts_as_json_integers(fixture_dir, tmp_path):
+    """Counts in the diagnostics are JSON integers, the certificate a JSON
+    number and converged a JSON bool: lasso, mkl and hglb output."""
+    counts = {"lasso": ("breakpoints", "factorizations",
+                        "unconverged_solves"),
+              "mkl": ("newton_steps", "blocks_added", "retreats",
+                      "unconverged_solves"),
+              "hglb": ("factorizations",)}
+    for method, keys in counts.items():
+        out = tmp_path / ("%s.json" % method)
+        assert main(["fit", "--method", method,
+                     "--data-y", str(fixture_dir / "y.csv"),
+                     "--data-g", str(fixture_dir / "G.csv"), "--groups",
+                     "4", "--out", str(out)]) == 0
+        diag = json.loads(out.read_text())["diagnostics"]
+        for key in keys + ("iterations",):
+            assert type(diag[key]) is int, (method, key)
+        assert type(diag["kkt_residual"]) is float, method
+        assert diag["converged"] is True, method
 
 
 def test_fit_lasso_glasso_reject_negative_gamma(fixture_dir, capsys):
@@ -775,6 +797,38 @@ def test_abbreviated_flags_are_rejected(fixture_dir, tmp_path, capsys):
         assert main(config + ["fit", "--sigma", "0.5"] + data) == 2
         assert "--sigma" in capsys.readouterr().err
     assert main(["--conf", str(cfg), "fit", "--sigma2", "0.5"] + data) == 2
+
+
+def test_one_parser_serves_every_call_of_a_process(fixture_dir, tmp_path,
+                                                 capsys):
+    """main builds its parser once per process.  In one process a --config
+    fit, an argparse error and a plain fit give the exit codes, output and
+    messages that each gives with a parser of its own, as in a fresh
+    process: no config value or parse state carries over."""
+    from groupsparse.cli import build_parser
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"method": "lasso", "sigma2": 2.0}))
+    data = ["--data-y", str(fixture_dir / "y.csv"), "--data-g",
+            str(fixture_dir / "G.csv"), "--groups", "4"]
+    calls = [["--config", str(cfg), "fit"] + data,
+             ["fit", "--grid-n", "many"] + data,
+             ["fit"] + data]
+
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr()
+
+    shared = [run(argv) for argv in calls]
+    assert build_parser() is build_parser()
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [code for code, _ in shared] == [0, 2, 0]
+    lasso, hgla = (json.loads(io.out) for _, io in (shared[0], shared[2]))
+    assert "breakpoints" in lasso["diagnostics"]
+    assert hgla["diagnostics"]["variant"] == "hgla"
 
 
 def test_bad_config_file_exits_2(tmp_path, capsys):

@@ -15,8 +15,9 @@ from groupsparse.convex import ADALASSO_WEIGHT_CAP, _adalasso_weights, \
 from groupsparse.experiments import _lasso_grid, build_arx, gen_arx_series
 from groupsparse.selection import _split
 
-from conftest import cold_cd_glasso, lasso_on_support, mkl_pqn, \
-    mkl_recover_theta, newton_reference, orthogonal_design, random_grouped
+from conftest import cold_cd_glasso, lasso_on_support, \
+    lasso_path_reference, mkl_pqn, mkl_recover_theta, newton_reference, \
+    orthogonal_design, random_grouped
 
 
 def test_config_validation():
@@ -221,6 +222,61 @@ def test_lasso_path_matches_exact_solves_on_stress_designs():
                     <= 1e-10 * np.linalg.norm(ref), kind
 
 
+def _assert_reference_path(y, G, grid, s2=1.0):
+    """lasso_path and lasso_path_reference on (y, G) agree bit for bit:
+    theta, converged and work."""
+    H, b = G.T @ G, G.T @ y
+    path = lasso_path(H, b, grid, s2)
+    ref = lasso_path_reference(H, b, grid, s2)
+    assert np.array_equal(path.theta, ref.theta)
+    assert np.array_equal(path.converged, ref.converged)
+    assert path.work == ref.work
+
+
+def test_lasso_path_matches_the_reference_on_stress_designs():
+    """Ten seeded designs of every STRESS_KINDS kind (wide ones are
+    m > n), each on grids below, spanning and above gamma_max and one
+    ending at gamma = 0: the same points, flags and counts as
+    lasso_path_reference."""
+    rng = np.random.default_rng(21)
+    for kind in STRESS_KINDS:
+        for _ in range(10):
+            des, y = _stress_design(kind, rng)
+            s2 = float(rng.uniform(0.2, 2.0))
+            gmax = np.max(np.abs(des.G.T @ y)) / s2
+            for grid in (gmax * np.logspace(-4, 0, 31)[:-1],
+                         gmax * np.logspace(-3, 0.2, 12),
+                         np.r_[gmax * np.logspace(-2, 0, 5), 0.0]):
+                _assert_reference_path(y, des.G, grid, s2)
+
+
+def test_lasso_path_matches_the_reference_on_wide_and_tied_designs(rng):
+    """m > n designs (Gaussian 12 x 30, and exp1 with p = 40 on est_lasso's
+    grid), duplicated and sign-flipped columns, a column shrunk by
+    ADALASSO_WEIGHT_CAP and the integer designs with many-way ties: the
+    same points, flags and counts as lasso_path_reference."""
+    des, _, y, s2 = gen_problem(McConfig(experiment="exp1", runs=1, p=40,
+                                         master_seed=5, estimators=[]), 0)
+    assert des.m > des.n
+    _assert_reference_path(y, des.G, _lasso_grid(y, des.G, s2), s2)
+    dup = rng.standard_normal((30, 8))
+    dup[:, 1] = dup[:, 0]
+    dup[:, 5] = -dup[:, 2]
+    capped = rng.standard_normal((30, 6))
+    capped[:, 3] /= ADALASSO_WEIGHT_CAP
+    cases = [(rng.standard_normal((12, 30)), rng.standard_normal(12)),
+             (dup, dup[:, :4] @ [1.0, -2.0, 0.5, 1.5]
+              + 0.3 * rng.standard_normal(30)),
+             (capped, capped @ [1.0, 0.0, -2.0, 3e8, 0.0, 1.0]
+              + 0.3 * rng.standard_normal(30)),
+             *(_tie_design(seed) for seed in TIE_SEEDS)]
+    for G, y in cases:
+        gmax = np.max(np.abs(G.T @ y)) / 0.5
+        for lo in (1e-4, 1e-12):
+            _assert_reference_path(y, G, np.logspace(
+                np.log10(lo * gmax), np.log10(gmax), 30), 0.5)
+
+
 def test_lasso_certificate_rejects_wrong_signs_and_violations(rng):
     """The checks behind converged, on an orthogonal design whose Lasso
     solution is the soft threshold of G^T y / n: the exact solve on the
@@ -278,6 +334,19 @@ def test_lasso_path_certifies_integer_designs(problem):
     for gamma, theta in zip(grid, path.theta):
         assert _kkt_violation(y, G, theta, 1.0, gamma) \
             <= 1e-8 * gamma + 1e-14 * gmax
+
+
+@given(_integer_problem())
+@settings(max_examples=150, deadline=None)
+def test_lasso_path_matches_the_reference_on_integer_designs(problem):
+    """Small integer designs, where columns repeat, vanish and tie many
+    ways, on a grid down to 1e-4 gamma_max and on one that ends at
+    gamma = 0: the same points, flags and counts as lasso_path_reference."""
+    G, y = problem
+    gmax = np.max(np.abs(G.T @ y))
+    assume(gmax > 0)
+    _assert_reference_path(y, G, gmax * np.logspace(-4, 0, 12))
+    _assert_reference_path(y, G, np.r_[gmax * np.logspace(-2, 0, 4), 0.0])
 
 
 def test_path_slope_runs_only_where_one_event_does_not_settle(monkeypatch):
