@@ -12,7 +12,7 @@ from .model import (
 from .pqn import PqnConfig, PqnResult, minimize_pqn
 from .convex import (
     ConvexFitConfig, solve_lasso, solve_glasso, solve_mkl_lambda,
-    kkt_residual_mkl, solve_adalasso,
+    kkt_residual_mkl,
 )
 from .hglasso import (
     solve_hgl_pqn, kkt_residual_hgl, closed_form_lambda_orth,

@@ -26,6 +26,8 @@ from . import experiments as ex
 FIT_METHODS = tuple(m for m in ex.ESTIMATORS if m != "oracle")
 # methods whose `selected` lists columns; the others list blocks
 COLUMN_SELECTED = ("lasso", "adalasso")
+# methods that walk no grid the --grid-* flags set
+NO_GRID = ("lasso", "adalasso")
 
 
 class CliError(Exception):
@@ -159,8 +161,8 @@ def _estimate(args, y, design):
     """ESTIMATORS[args.method] on (y, design), the one fit of fit and arx.
 
     sigma2 is --sigma2, or else the least-squares residual variance (n >
-    m).  The ctx holds --gamma, a SelectionConfig with --sigma2 and the
-    --grid-* flags given, and the names of those flags.  Data errors of
+    m).  The ctx holds --gamma and a SelectionConfig with --sigma2 and the
+    --grid-* flags given, which NO_GRID methods reject.  Data errors of
     the fit (e.g. a split too short to estimate sigma2 or to hold a row)
     are usage errors.  A LinAlgError from the fit, and a non-finite
     estimate, are numerical failures (exit 3)."""
@@ -181,9 +183,11 @@ def _estimate(args, y, design):
             if flags.get(k) is not None}
     if grid and flags.get("gamma") is not None:
         raise CliError("--grid-* flags do not apply with a fixed --gamma")
+    if grid and args.method in NO_GRID:
+        raise CliError("--grid-* flags do not apply to " + args.method)
     try:
         ctx = {"selection": SelectionConfig(sigma2=args.sigma2, **grid),
-               "gamma": flags.get("gamma"), "grid_flags": sorted(grid)}
+               "gamma": flags.get("gamma")}
         res = ex.ESTIMATORS[args.method](y, design, sigma2, ctx)
     except np.linalg.LinAlgError:
         raise                         # a ValueError, but a numerical one
@@ -420,7 +424,7 @@ def main(argv=None):
             setattr(args, attr, val)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, OSError) as exc:  # OSError: an unwritable --out
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except np.linalg.LinAlgError as exc:

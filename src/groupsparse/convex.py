@@ -1,4 +1,4 @@
-"""Convex estimators: Lasso, Group Lasso, the kernel-scale problem, AdaLasso.
+"""Convex solvers: Lasso, Group Lasso, the kernel-scale problem, AdaLasso.
 
 The kernel-scale (MKL-style) problem minimizes
     y^T (K(lambda) + sigma2 I)^{-1} y / 2 + gamma sum_i lambda_i
@@ -22,8 +22,7 @@ import numpy as np
 from dataclasses import dataclass
 from scipy.linalg.lapack import dposv, dpotrf, dpotrs, dtrtrs
 
-from .model import EstimateResult, GroupedDesign, MarginalFactor
-from .selection import _split
+from .model import EstimateResult, MarginalFactor
 
 
 @dataclass
@@ -72,11 +71,11 @@ def _absmax(v):
 
 @dataclass
 class PenaltyPath:
-    """Solutions along a penalty grid, as lasso_path and glasso_path return
-    them: theta (points x m) has one row per penalty, in the order given,
+    """Solutions along a penalty grid, as the *_path solvers return them:
+    theta (points x m) has one row per penalty, in the order given,
     converged flags the rows that passed the path's certificate, and work
-    holds the path's counts (lasso_path: breakpoints and factorizations;
-    glasso_path: newton_steps, blocks_added and retreats)."""
+    holds the path's counts (lasso_path, adalasso_path: breakpoints and
+    factorizations; glasso_path: newton_steps, blocks_added, retreats)."""
     theta: np.ndarray
     converged: np.ndarray
     work: dict
@@ -87,9 +86,9 @@ def solve_lasso(y, G, config, sigma2=1.0):
 
     Minimizes (y - G theta)^T (y - G theta) / (2 sigma2) + reg ||theta||_1
     exactly: lasso_path walked from ||G^T y||_inf down to mu = sigma2 reg.
-    iterations is the number of breakpoints walked, extra["factorizations"]
-    the factorizations made on the way and extra["kkt_residual"] the
-    largest violation of the optimality conditions, in units of reg.
+    iterations is the number of breakpoints walked; extra holds the path's
+    work (breakpoints, factorizations) and kkt_residual, the largest
+    violation of the optimality conditions, in units of reg.
     """
     y = np.asarray(y, dtype=float)
     G = np.atleast_2d(np.asarray(G, dtype=float))
@@ -104,8 +103,7 @@ def solve_lasso(y, G, config, sigma2=1.0):
         theta=theta, selected=list(np.flatnonzero(theta)), gamma=reg,
         converged=bool(path.converged[0]), iterations=work["breakpoints"],
         objective=(r @ r) / (2.0 * sigma2) + reg * np.sum(np.abs(theta)),
-        extra={"kkt_residual": float(np.max(viol, initial=0.0)),
-               "factorizations": work["factorizations"]})
+        extra={"kkt_residual": float(np.max(viol, initial=0.0)), **work})
 
 
 def _cholesky(M):
@@ -638,7 +636,8 @@ def glasso_path(y, design, sigma2, regs, theta0=None):
 def solve_glasso(y, design, sigma2, reg, theta0=None):
     """Group Lasso at the single penalty reg: glasso_path run at that
     penalty from theta0 (default zero).  iterations counts the retreat's
-    corrector runs and extra the Newton steps and added blocks."""
+    corrector runs and extra holds the path's work (Newton steps, added
+    blocks, retreats)."""
     y = np.asarray(y, dtype=float)
     path = glasso_path(y, design, sigma2, [reg], theta0)
     theta, work = path.theta[0], path.work
@@ -648,7 +647,7 @@ def solve_glasso(y, design, sigma2, reg, theta0=None):
         theta=theta, selected=list(np.flatnonzero(norms)), gamma=reg,
         converged=bool(path.converged[0]), iterations=work["retreats"],
         objective=(r @ r) / (2.0 * sigma2) + reg * np.sum(norms),
-        extra={k: work[k] for k in ("newton_steps", "blocks_added")})
+        extra=work)
 
 
 def solve_mkl_lambda(y, design, sigma2, gamma, theta0=None):
@@ -689,52 +688,22 @@ def _adalasso_weights(ls, eta):
     return np.minimum(w, ADALASSO_WEIGHT_CAP)
 
 
-def solve_adalasso(y, G, sigma2, grids):
-    """Adaptive Lasso with two-dimensional validation over (gamma, eta).
-
-    grids: mapping with "gamma" (1-D array of penalties) and "eta" (1-D
-    array of weight exponents, default 0.5..4 step 0.5).  Weights are
-    |theta_ls_j|^(-eta), capped when the LS coefficient vanishes.  Each pair
-    is scored by prediction error on the second half of the data after
-    fitting on the first half; the winner (the least error, then gamma,
-    then eta) is refit on the full data.  Each data set has one LS fit,
-    H and b; for each eta the gamma grid is read off one exact homotopy
-    pass (lasso_path) on the columns G_j / w_j, with Gram matrix
-    H / (w w^T) and correlations b / w, and the refit is that path run
-    down to the chosen gamma; a capped weight only shrinks its column,
-    which then joins the path last, if at all.
-    converged is true only if every grid point and the refit passed the
-    KKT certificate, and extra["unconverged_solves"] counts those that did
-    not; extra["breakpoints"] and ["factorizations"] total the work of
-    every path.
-    """
-    y = np.asarray(y, dtype=float)
-    G = np.atleast_2d(np.asarray(G, dtype=float))
-    gammas = np.asarray(grids["gamma"], dtype=float)
-    etas = np.asarray(grids.get("eta", np.arange(0.5, 4.01, 0.5)), dtype=float)
-    y_tr, y_val, d_tr, d_val = _split(y, GroupedDesign(G, [1] * G.shape[1]))
-    paths = []
-
-    def weighted(Gd, yd, gammas, etas):
-        # substitute u = w * theta: the plain Lasso on rescaled columns
-        H, b = Gd.T @ Gd, Gd.T @ yd
-        ls = np.linalg.lstsq(Gd, yd, rcond=None)[0]
-        for eta in etas:
-            w = _adalasso_weights(ls, eta)
-            paths.append(lasso_path(H / np.outer(w, w), b / w, gammas,
-                                    sigma2))
-            yield from paths[-1].theta / w
-
-    thetas = np.array(list(weighted(d_tr.G, y_tr, gammas, etas)))
-    errs = np.linalg.norm(y_val[:, None] - d_val.G @ thetas.T, axis=0)
-    # the rows of thetas run over gammas for each eta in turn
-    eta_of, gamma_of = np.repeat(etas, gammas.size), np.tile(gammas, etas.size)
-    best = np.lexsort((eta_of, gamma_of, errs))[0]
-    gamma, eta = gamma_of[best], eta_of[best]
-    theta, = weighted(G, y, [gamma], [eta])
-    unconverged = sum(int(np.count_nonzero(~p.converged)) for p in paths)
-    return EstimateResult(theta=theta, selected=list(np.nonzero(theta)[0]),
-                          gamma=gamma, converged=unconverged == 0,
-                          extra={"eta": eta, "unconverged_solves": unconverged,
-                                 **{k: sum(p.work[k] for p in paths) for k in
-                                    ("breakpoints", "factorizations")}})
+def adalasso_path(G, y, gammas, etas, sigma2):
+    """Adaptive Lasso solutions over the (eta, gamma) grid, as one
+    PenaltyPath whose rows run over gammas for each eta in turn.  The
+    weights w = |theta_ls|^(-eta) (_adalasso_weights) come from one
+    least-squares fit; with u = w * theta each eta is one lasso_path on
+    the columns G_j / w_j, with Gram matrix H / (w w^T) and correlations
+    b / w for the one H = G^T G and b = G^T y (a capped weight only
+    shrinks its column, which then joins last, if at all).  theta is in
+    the original coordinates and work totals the paths'."""
+    H, b = G.T @ G, G.T @ y
+    ls = np.linalg.lstsq(G, y, rcond=None)[0]
+    ws = [_adalasso_weights(ls, eta) for eta in etas]
+    paths = [lasso_path(H / np.outer(w, w), b / w, gammas, sigma2)
+             for w in ws]
+    return PenaltyPath(
+        np.concatenate([p.theta / w for p, w in zip(paths, ws)]),
+        np.concatenate([p.converged for p in paths]),
+        {k: sum(p.work[k] for p in paths)
+         for k in ("breakpoints", "factorizations")})

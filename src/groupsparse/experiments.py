@@ -22,8 +22,8 @@ import numpy as np
 from dataclasses import dataclass, field, asdict, replace
 
 from .model import BlockVector, EstimateResult, GroupedDesign
-from .convex import ConvexFitConfig, glasso_path, kkt_residual_mkl, \
-    lasso_path, solve_adalasso, solve_glasso, solve_lasso, solve_mkl_lambda
+from .convex import ConvexFitConfig, adalasso_path, glasso_path, \
+    kkt_residual_mkl, lasso_path, solve_glasso, solve_lasso, solve_mkl_lambda
 from .selection import SelectionConfig, _split, estimate_sigma2_ls, \
     fit_hglasso, polish_hglasso
 
@@ -35,6 +35,7 @@ ADA_THETA = np.array([3.0, 1.5, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
 ADA_SIGMA2 = 1.0    # ada's noise variance; block experiments derive it per run
 
 ZERO_TOL = 1e-10
+ADALASSO_ETAS = np.arange(0.5, 4.01, 0.5)  # adalasso's weight exponents
 
 
 @dataclass
@@ -264,16 +265,8 @@ ARX_TRUE_ACTIVE_CHANNELS = 2  # output lags + input 1
 # ============================================================
 # ESTIMATORS[name](y, design, sigma2, ctx).  ctx is shared by the fits of
 # one problem: it caches the hgla stage ("hgla") and mkl ("mkl"), and may
-# hold a SelectionConfig ("selection"), the names of the fit --grid-* flags
-# that set its grid ("grid_flags"), a fixed penalty ("gamma") and, for the
-# oracle, the true coefficients ("theta_true").
-
-def _no_grid(ctx, name):
-    """Rejects any fit --grid-* flag given (ctx["grid_flags"]), whatever
-    its value, for an estimator that walks no such grid."""
-    if ctx.get("grid_flags"):
-        raise ValueError("--grid-* flags do not apply to " + name)
-
+# hold a SelectionConfig ("selection"), a fixed penalty ("gamma") and, for
+# the oracle, the true coefficients ("theta_true").
 
 def _hgla_stage(y, design, sigma2, ctx):
     """The hgla fit and its trace, cached in ctx["hgla"]: the stage the hgl
@@ -305,26 +298,28 @@ def _est_hgl(variant):
 def _validate(y, design, path):
     """The convex estimators' validation: path(y_tr, d_tr) fits the
     training half of _split along a grid and returns (grid, its
-    PenaltyPath).  Every row of theta is scored at once on the validation
-    half; returns the gamma that predicts it best (ties: the smaller
-    gamma) and the path."""
+    PenaltyPath), one grid entry per row of theta: a gamma, or a row of
+    parameters (gamma, eta).  Every row of theta is scored at once on the
+    validation half; returns the grid entry that predicts it best (ties:
+    the smaller gamma, then the smaller eta) and the path."""
     y_tr, y_val, d_tr, d_val = _split(y, design)
     grid, fits = path(y_tr, d_tr)
     errs = np.linalg.norm(y_val[:, None] - d_val.G @ fits.theta.T, axis=0)
-    return grid[np.lexsort((grid, errs))[0]], fits
+    return grid[np.lexsort((*np.atleast_2d(grid.T)[::-1], errs))[0]], fits
 
 
-def _counted(res, fits, work):
+def _counted(res, fits):
     """The full-data fit res after the validation path fits (None at a
     fixed gamma): converged only if no point of either failed, the
-    failures counted in extra["unconverged_solves"], and work, the
-    full-data fit's counts, totalled with the path's into extra."""
+    failures counted in extra["unconverged_solves"], and the path's work
+    added into res.extra key by key."""
     unconverged = int(not res.converged)
     if fits is not None:
         unconverged += int(np.count_nonzero(~fits.converged))
-        work = {k: n + fits.work[k] for k, n in work.items()}
+        for key, count in fits.work.items():
+            res.extra[key] += count
     res.converged = unconverged == 0
-    res.extra.update(unconverged_solves=unconverged, **work)
+    res.extra["unconverged_solves"] = unconverged
     return res
 
 
@@ -335,11 +330,11 @@ def est_mkl(y, design, sigma2, ctx):
     The 30 validation fits are one Group Lasso path (glasso_path) at
     penalties sqrt(2 gamma), and the full-data solve starts from the
     path's point at the chosen gamma (from zero at a fixed gamma).
-    extra["kkt_residual"] is kkt_residual_mkl, and extra["newton_steps"],
-    ["blocks_added"] and ["retreats"] (glasso_path's retreat runs) total
-    the work of the path and the full-data solve.  converged also needs
-    that certificate to be finite (it overflows at a tiny sigma2).  Cached
-    in ctx["mkl"], where est_glasso reads it."""
+    extra["kkt_residual"] is kkt_residual_mkl, and the rest of extra
+    (solve_glasso's work) totals the work of the path and the full-data
+    solve (_counted).  converged also needs that certificate to be finite
+    (it overflows at a tiny sigma2).  Cached in ctx["mkl"], where
+    est_glasso reads it."""
     if "mkl" in ctx:
         return ctx["mkl"]
     gamma, fits, theta0 = ctx.get("gamma"), None, None
@@ -350,9 +345,7 @@ def est_mkl(y, design, sigma2, ctx):
             grid, glasso_path(y_tr, d_tr, sigma2, np.sqrt(2.0 * grid))))
         theta0 = fits.theta[grid == gamma][0]
     res = solve_mkl_lambda(y, design, sigma2, gamma, theta0=theta0)
-    res = _counted(res, fits, {"newton_steps": res.extra["newton_steps"],
-                               "blocks_added": res.extra["blocks_added"],
-                               "retreats": res.iterations})
+    res = _counted(res, fits)
     kkt = kkt_residual_mkl(res.lam, y, design, sigma2, gamma)
     res.extra["kkt_residual"] = kkt
     res.converged = res.converged and bool(np.isfinite(kkt))
@@ -363,21 +356,27 @@ def est_mkl(y, design, sigma2, ctx):
 def est_glasso(y, design, sigma2, ctx):
     """Group Lasso at a fixed ctx["gamma"], or else est_mkl's full-data fit
     at penalty sqrt(2 gamma), so converged and extra (unconverged solves
-    and the path's work) cover the MKL stage too."""
+    and the path's work, all of est_mkl's but its kkt_residual) cover the
+    MKL stage too."""
     gamma = ctx.get("gamma")
     if gamma is not None:
         if gamma < 0:
             raise ValueError("--gamma must be nonnegative")
-        return solve_glasso(y, design, sigma2, gamma)
+        return _counted(solve_glasso(y, design, sigma2, gamma), None)
     mkl = est_mkl(y, design, sigma2, ctx)
     return replace(mkl, lam=None, gamma=np.sqrt(2.0 * mkl.gamma),
-                   extra={k: mkl.extra[k] for k in (
-                       "unconverged_solves", "newton_steps", "blocks_added",
-                       "retreats")})
+                   extra={k: v for k, v in mkl.extra.items()
+                          if k != "kkt_residual"})
 
 
 def _lasso_grid(y, G, sigma2):
-    gmax = np.max(np.abs(G.T @ y)) / sigma2
+    """30 penalties log-spaced over [1e-4, 1] times the largest, whose
+    overflow (at a tiny sigma2) is a numerical failure."""
+    with np.errstate(over="ignore"):
+        gmax = np.max(np.abs(G.T @ y)) / sigma2
+    if np.isinf(gmax):
+        raise np.linalg.LinAlgError("the Lasso penalty grid overflows at "
+                                    "sigma2 = %g" % sigma2)
     return np.logspace(np.log10(1e-4 * gmax), np.log10(gmax), 30)
 
 
@@ -386,9 +385,8 @@ def est_lasso(y, design, sigma2, ctx):
     _lasso_grid; the validation fits are exact grid points of one homotopy
     pass (lasso_path).  The full-data fit is solve_lasso (iterations
     counts its breakpoints, extra["kkt_residual"] is its certificate);
-    extra["breakpoints"] and ["factorizations"] total the work of the
-    validation path and the full-data fit."""
-    _no_grid(ctx, "lasso")
+    the rest of extra totals the work of the validation path and the
+    full-data fit (_counted)."""
 
     def path(y_tr, d_tr):
         grid = _lasso_grid(y_tr, d_tr.G, sigma2)
@@ -401,19 +399,29 @@ def est_lasso(y, design, sigma2, ctx):
         raise ValueError("--gamma must be nonnegative")
     res = solve_lasso(y, design.G, ConvexFitConfig(reg_param=gamma),
                       sigma2=sigma2)
-    return _counted(res, fits, {"breakpoints": res.iterations,
-                                "factorizations": res.extra["factorizations"]})
+    return _counted(res, fits)
 
 
 def est_adalasso(y, design, sigma2, ctx):
-    """Adaptive Lasso (solve_adalasso) on _lasso_grid of the training half;
-    it validates gamma with eta, so ctx may fix neither gamma nor a grid."""
-    _no_grid(ctx, "adalasso")
+    """Adaptive Lasso (Zou, JASA 2006): gamma (_lasso_grid of the training
+    half) and eta (ADALASSO_ETAS) validated together on one adalasso_path,
+    then the chosen pair refit on the full data; extra["eta"] is its eta.
+    It validates gamma with eta, so ctx may not fix gamma."""
     if ctx.get("gamma") is not None:
         raise ValueError("adalasso validates its gamma; it takes no --gamma")
-    y_tr, _, d_tr, _ = _split(y, design)
-    return solve_adalasso(y, design.G, sigma2,
-                          {"gamma": _lasso_grid(y_tr, d_tr.G, sigma2)})
+
+    def path(y_tr, d_tr):
+        gammas = _lasso_grid(y_tr, d_tr.G, sigma2)
+        grid = np.stack(np.meshgrid(gammas, ADALASSO_ETAS), -1).reshape(-1, 2)
+        return grid, adalasso_path(d_tr.G, y_tr, gammas, ADALASSO_ETAS, sigma2)
+
+    (gamma, eta), fits = _validate(y, design, path)
+    fit = adalasso_path(design.G, y, [gamma], [eta], sigma2)
+    theta = fit.theta[0]
+    return _counted(EstimateResult(
+        theta=theta, selected=list(np.flatnonzero(theta)), gamma=gamma,
+        converged=bool(fit.converged[0]), extra={"eta": eta, **fit.work}),
+        fits)
 
 
 def est_oracle(y, design, sigma2, ctx):
@@ -443,7 +451,9 @@ ESTIMATORS = {
 @dataclass
 class McReport:
     config: dict
-    per_run: list       # dicts: run, seed, method, pct_error, zero_pattern
+    # per_run: dicts of run, seed, method, pct_error, zero_pattern,
+    # converged (None for a fit that raised) and error
+    per_run: list
     aggregates: dict
 
     def to_json(self, path):
@@ -475,11 +485,13 @@ def _one_run(config, run_index):
     for name in config.estimators:
         row = {"run": run_index, "seed": seed, "method": name,
                "pct_error": None, "zero_pattern": None,
-               "true_zeros": true_zeros, "error": None, "error_type": None}
+               "true_zeros": true_zeros, "converged": None, "error": None,
+               "error_type": None}
         try:
             res = ESTIMATORS[name](y, design, sigma2, ctx)
             row.update(pct_error=percentage_error(res, theta_true),
-                       zero_pattern=zero_pattern(res, design))
+                       zero_pattern=zero_pattern(res, design),
+                       converged=bool(res.converged))
         except Exception as exc:  # recorded, not fatal
             row.update(error=str(exc), error_type=type(exc).__name__)
         rows.append(row)
@@ -507,6 +519,7 @@ def run_monte_carlo(config):
         outcomes = [(r["zero_pattern"], r["true_zeros"]) for r in rows]
         aggregates[name] = {
             "runs_ok": len(rows),
+            "unconverged": sum(not r["converged"] for r in rows),
             "mean_pct_error": float(np.mean(errs)) if errs.size else None,
             "median_pct_error": float(np.median(errs)) if errs.size else None,
             "sparsity_index": sparsity_index(outcomes) if outcomes else None,

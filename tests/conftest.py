@@ -334,3 +334,43 @@ def lasso_path_reference(H, b, gammas, sigma2=1.0):
         c = b - thA @ act.HA
     return PenaltyPath(theta, converged, {
         "breakpoints": breaks, "factorizations": act.factorizations})
+
+
+def adalasso_reference(y, G, sigma2, grids):
+    """The adaptive Lasso as one function, as it was before the estimator
+    layer took over its validation: split, scoring, tie rule (the least
+    error, then gamma, then eta), full-data refit and work totals.  It is
+    the reference for experiments.est_adalasso, which must agree bit for
+    bit.  grids holds "gamma" and optionally "eta" (default 0.5..4 step
+    0.5).  Returns an EstimateResult."""
+    from groupsparse import EstimateResult, GroupedDesign
+    from groupsparse.convex import _adalasso_weights, lasso_path
+    from groupsparse.selection import _split
+    y = np.asarray(y, dtype=float)
+    G = np.atleast_2d(np.asarray(G, dtype=float))
+    gammas = np.asarray(grids["gamma"], dtype=float)
+    etas = np.asarray(grids.get("eta", np.arange(0.5, 4.01, 0.5)), dtype=float)
+    y_tr, y_val, d_tr, d_val = _split(y, GroupedDesign(G, [1] * G.shape[1]))
+    paths = []
+
+    def weighted(Gd, yd, gammas, etas):
+        H, b = Gd.T @ Gd, Gd.T @ yd
+        ls = np.linalg.lstsq(Gd, yd, rcond=None)[0]
+        for eta in etas:
+            w = _adalasso_weights(ls, eta)
+            paths.append(lasso_path(H / np.outer(w, w), b / w, gammas,
+                                    sigma2))
+            yield from paths[-1].theta / w
+
+    thetas = np.array(list(weighted(d_tr.G, y_tr, gammas, etas)))
+    errs = np.linalg.norm(y_val[:, None] - d_val.G @ thetas.T, axis=0)
+    eta_of, gamma_of = np.repeat(etas, gammas.size), np.tile(gammas, etas.size)
+    best = np.lexsort((eta_of, gamma_of, errs))[0]
+    gamma, eta = gamma_of[best], eta_of[best]
+    theta, = weighted(G, y, [gamma], [eta])
+    unconverged = sum(int(np.count_nonzero(~p.converged)) for p in paths)
+    return EstimateResult(theta=theta, selected=list(np.nonzero(theta)[0]),
+                          gamma=gamma, converged=unconverged == 0,
+                          extra={"eta": eta, "unconverged_solves": unconverged,
+                                 **{k: sum(p.work[k] for p in paths) for k in
+                                    ("breakpoints", "factorizations")}})

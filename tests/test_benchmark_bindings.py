@@ -135,3 +135,24 @@ def test_run_py_reads_of_the_package(tmp_path, capsys):
         pattern = ex.zero_pattern(fit, design)
         assert len(pattern) == design.p
         assert 0.0 <= ex.sparsity_index([(pattern, true_zeros)]) <= 100.0
+
+
+def test_what_selected_lists():
+    """benchmarks/run.py::MonteCarlo.run reads ESTIMATORS["lasso"]'s
+    `selected` as columns and every other fit's as blocks, and
+    cli.COLUMN_SELECTED names the fits that list columns: on an exp1
+    problem (10 blocks of 4 columns) each lists the nonzero columns or
+    the nonzero blocks of its theta."""
+    import numpy as np
+    from groupsparse import cli, experiments as ex
+    cfg = ex.McConfig(experiment="exp1", runs=1, master_seed=0,
+                      estimators=[])
+    design, _, y, _ = ex.gen_problem(cfg, 0)
+    sigma2 = ex.estimate_sigma2_ls(y, design.G)
+    ctx = {}
+    assert "lasso" in cli.COLUMN_SELECTED
+    for name in cli.FIT_METHODS:
+        res = ex.ESTIMATORS[name](y, design, sigma2, ctx)
+        nonzero = res.theta if name in cli.COLUMN_SELECTED \
+            else design.block_norms(res.theta)
+        assert list(res.selected) == list(np.flatnonzero(nonzero)), name

@@ -1,6 +1,7 @@
 """Command-line surface: argument handling, exit codes, file formats."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -169,14 +170,12 @@ def test_fit_mkl_rejects_nonpositive_gamma(fixture_dir, capsys):
     ("hgla", ["--nan-y"], "non-finite entry"),
     ("mkl", ["--nan-g"], "non-finite entry"),
     ("hgla", ["--grid-hi", "inf"], "grid_hi, both finite"),
-    ("lasso", ["--sigma2", "1e-320"], "penalty sigma2 gamma must be finite"),
 ])
 def test_fit_rejects_non_finite_input(fixture_dir, tmp_path, capsys,
                                       method, flags, message):
     """A non-finite --gamma, --sigma2 or --grid-hi, or a nan in either
     CSV, exits 2 (a nan penalty would never end the Lasso path, an
-    infinite one would write invalid JSON); so does a sigma2 so small
-    that the Lasso grid's penalties overflow to NaN."""
+    infinite one would write invalid JSON)."""
     data = {"y": fixture_dir / "y.csv", "g": fixture_dir / "G.csv"}
     if flags[0].startswith("--nan-"):
         which = flags.pop()[-1]
@@ -205,6 +204,44 @@ def test_a_non_finite_estimate_exits_3(fixture_dir, arx_csv, tmp_path,
     assert code == 3
     assert "not finite" in capsys.readouterr().err
     assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("method", ["lasso", "adalasso"])
+def test_a_lasso_grid_that_overflows_exits_3(fixture_dir, capsys, method):
+    """At sigma2 = 1e-320 the largest penalty of the Lasso grid overflows:
+    a numerical failure (exit 3) with a message, and no NumPy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["fit", "--method", method,
+                     "--data-y", str(fixture_dir / "y.csv"),
+                     "--data-g", str(fixture_dir / "G.csv"), "--groups", "4",
+                     "--sigma2", "1e-320"])
+    assert code == 3
+    assert "penalty grid overflows" in capsys.readouterr().err
+
+
+def test_an_unwritable_out_exits_2(fixture_dir, arx_csv, tmp_path, capsys):
+    """An --out that cannot be written (a missing directory, or for
+    simulate an existing file) is a usage error: exit 2 and a message
+    naming the path, not a traceback."""
+    missing = tmp_path / "missing"
+    data = ["--data-y", str(fixture_dir / "y.csv"),
+            "--data-g", str(fixture_dir / "G.csv"), "--groups", "4"]
+    for argv, path in [
+            (["fit"] + data + ["--out", str(missing / "x.json")],
+             missing / "x.json"),
+            (["benchmark", "--runs", "1", "--estimators", "oracle",
+              "--out", str(missing / "r")], missing / "r.json"),
+            (["arx", "--data", str(arx_csv), "--q", "10", "--horizon", "2",
+              "--sigma2", "1", "--out", str(missing / "a")],
+             missing / "a.csv"),
+            (["simulate", "--seed", "1", "--out",
+              str(fixture_dir / "G.csv")], fixture_dir / "G.csv")]:
+        capsys.readouterr()
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err, argv[0]
+        assert "Traceback" not in err
 
 
 def test_a_numerical_failure_in_a_fit_exits_3(fixture_dir, tmp_path,

@@ -7,17 +7,39 @@ from hypothesis.extra.numpy import arrays
 
 from groupsparse import (
     ConvexFitConfig, GroupedDesign, McConfig, estimate_sigma2_ls,
-    gen_problem, kkt_residual_mkl, solve_adalasso,
+    gen_problem, kkt_residual_mkl,
     solve_glasso, solve_lasso, solve_mkl_lambda,
 )
 from groupsparse.convex import ADALASSO_WEIGHT_CAP, _adalasso_weights, \
-    _newton, glasso_path, lasso_path
-from groupsparse.experiments import _lasso_grid, build_arx, gen_arx_series
+    _newton, adalasso_path, glasso_path, lasso_path
+from groupsparse.experiments import ESTIMATORS, _lasso_grid, build_arx, \
+    est_adalasso, gen_arx_series
 from groupsparse.selection import _split
 
-from conftest import cold_cd_glasso, lasso_on_support, \
+from conftest import adalasso_reference, cold_cd_glasso, lasso_on_support, \
     lasso_path_reference, mkl_pqn, mkl_recover_theta, newton_reference, \
     orthogonal_design, random_grouped
+
+
+def test_convex_imports_only_the_model_module():
+    """The solvers sit below the estimators: groupsparse/convex.py imports
+    from no package module other than .model (validation, which needs
+    selection._split, is the estimators')."""
+    import ast
+    import pathlib
+    import groupsparse.convex as cv
+    tree = ast.parse(pathlib.Path(cv.__file__).read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else \
+                {a.name for a in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) \
+                else [a.name for a in node.names]
+            found |= {n.split(".", 1)[-1] for n in names
+                      if n.split(".")[0] == "groupsparse"}
+    assert found == {"model"}
 
 
 def test_config_validation():
@@ -436,7 +458,7 @@ def test_glasso_stops_on_a_kkt_point(rng):
         warm = solve_glasso(y, des, s2, reg, theta0=fit.theta)
         assert warm.converged and warm.iterations == 0
         assert warm.extra == {"newton_steps": int(np.any(fit.theta)),
-                              "blocks_added": 0}
+                              "blocks_added": 0, "retreats": 0}
         assert np.allclose(warm.theta, fit.theta, rtol=1e-12, atol=0.0)
         assert _block_kkt_violation(y, des, fit.theta, s2, reg) <= 1e-8
 
@@ -762,35 +784,71 @@ def test_mkl_recover_theta_accepts_array_or_result(rng):
 # adalasso
 # ------------------------------------------------------------
 
-def test_adalasso_weights_reciprocal(rng):
+def _fixed_grids(monkeypatch, gammas, etas=None):
+    """est_adalasso with its gamma grid (and its eta grid, if given) fixed
+    to these tests' inputs."""
+    import groupsparse.experiments as ex
+    monkeypatch.setattr(ex, "_lasso_grid", lambda y, G, sigma2: gammas)
+    if etas is not None:
+        monkeypatch.setattr(ex, "ADALASSO_ETAS", etas)
+
+
+def test_adalasso_weights_reciprocal(rng, monkeypatch):
     """eta=1 weights are 1/|theta_ls|; check through a transparent fit."""
     n = 60
     G = np.kron(np.ones((n // 2, 1)), np.eye(2))
     y = G @ np.array([2.0, 0.5]) + 0.01 * rng.standard_normal(n)
-    fit = solve_adalasso(y, G, 0.01, {"gamma": np.array([1e-6]),
-                                      "eta": np.array([1.0])})
+    _fixed_grids(monkeypatch, np.array([1e-6]), np.array([1.0]))
+    fit = est_adalasso(y, GroupedDesign(G, [1, 1]), 0.01, {})
     assert np.allclose(fit.theta, [2.0, 0.5], atol=0.05)
     assert fit.extra["eta"] == 1.0
+    path = adalasso_path(G, y, [1e-6], [1.0], 0.01)  # the refit itself
+    assert np.array_equal(path.theta[0], fit.theta)
 
 
 def test_adalasso_one_row_cannot_be_split():
-    """solve_adalasso validates on the second half of the rows (_split's
+    """est_adalasso validates on the second half of the rows (_split's
     split); one row leaves no validation half."""
     with pytest.raises(ValueError, match="degenerate split"):
-        solve_adalasso(np.array([3.0]), np.array([[1.0, 2.0]]), 1.0,
-                       {"gamma": np.array([1.0])})
+        est_adalasso(np.array([3.0]),
+                     GroupedDesign(np.array([[1.0, 2.0]]), [1, 1]), 1.0, {})
 
 
-def test_adalasso_prunes_null_variables(rng):
+def test_adalasso_prunes_null_variables(rng, monkeypatch):
     n, m = 80, 6
     G = rng.standard_normal((n, m))
     theta = np.array([3.0, 0.0, 2.0, 0.0, 0.0, 1.5])
     y = G @ theta + 0.3 * rng.standard_normal(n)
-    grid = np.logspace(-2, 2, 15)
-    fit = solve_adalasso(y, G, 0.09, {"gamma": grid})
+    _fixed_grids(monkeypatch, np.logspace(-2, 2, 15))
+    fit = est_adalasso(y, GroupedDesign(G, [1] * m), 0.09, {})
     assert set(np.nonzero(np.abs(fit.theta) > 1e-8)[0]) <= {0, 2, 5, 1, 3, 4}
     # the three real coefficients survive
     assert all(abs(fit.theta[j]) > 0.5 for j in (0, 2, 5))
+
+
+@pytest.mark.parametrize("experiment,seed,runs,shape", [
+    ("exp1", 0, (0, 1, 2), {}), ("exp2", 0, (0, 1, 2), {}),
+    ("exp2", 42, (6, 12, 23), {}), ("ada", 0, (0, 1, 2), {"n": 60})])
+def test_est_adalasso_matches_the_reference_bit_for_bit(experiment, seed,
+                                                        runs, shape):
+    """ESTIMATORS["adalasso"] (_validate over one adalasso_path, then the
+    refit) is adalasso_reference on the training half's _lasso_grid, bit
+    for bit: theta, gamma, eta, converged and every work count.  exp2
+    seed 42 runs 6, 12 and 23 have weights down to ~1e-9."""
+    for run in runs:
+        design, _, y, _ = gen_problem(McConfig(
+            experiment=experiment, runs=1, master_seed=seed, estimators=[],
+            **shape), run)
+        s2 = estimate_sigma2_ls(y, design.G)
+        fit = ESTIMATORS["adalasso"](y, design, s2, {})
+        y_tr, _, d_tr, _ = _split(y, design)
+        ref = adalasso_reference(y, design.G, s2,
+                                 {"gamma": _lasso_grid(y_tr, d_tr.G, s2)})
+        assert np.array_equal(fit.theta, ref.theta), (seed, run)
+        assert fit.gamma == ref.gamma and fit.selected == ref.selected
+        assert fit.converged == ref.converged
+        assert fit.iterations == ref.iterations
+        assert fit.extra == ref.extra, (seed, run)
 
 
 def test_adalasso_converges_on_exp2():
@@ -815,14 +873,14 @@ def test_adalasso_converges_on_exp2():
                               fit.gamma) <= 1e-8 * fit.gamma, (seed, run)
 
 
-def test_validation_ties_go_to_the_smaller_gamma_then_eta(monkeypatch):
+def test_validation_ties_go_to_the_smaller_gamma_then_eta():
     """On pure-noise data every grid point whose theta is zero predicts the
     validation half equally, and here they tie for the best error.
-    solve_adalasso picks the lexicographic minimum of (error, gamma, eta)
-    over its eta x gamma grid, and _validate the smallest tied gamma, also
-    for decreasing and shuffled grids; the errors are taken point by point
-    here."""
-    import groupsparse.convex as cv
+    _validate picks the lexicographic minimum of (error, gamma, eta) over
+    a (gamma, eta) grid of adalasso_path, whose rows run over gammas for
+    each eta in turn, and the smallest tied gamma over a gamma grid, also
+    for decreasing and shuffled grids; the errors are taken point by
+    point here."""
     from groupsparse.experiments import _validate
     rng = np.random.default_rng(0)
     G = rng.standard_normal((40, 6))
@@ -832,24 +890,21 @@ def test_validation_ties_go_to_the_smaller_gamma_then_eta(monkeypatch):
     grid = np.max(np.abs(d_tr.G.T @ y_tr)) * np.logspace(-3, 1, 15)
     etas = np.array([2.0, 0.5, 1.0])
     ls_tr = np.linalg.lstsq(d_tr.G, y_tr, rcond=None)[0]
-    paths, path_of = [], cv.lasso_path
-
-    def recorded(*args):
-        paths.append(path_of(*args))
-        return paths[-1]
-
-    monkeypatch.setattr(cv, "lasso_path", recorded)
+    H, b = d_tr.G.T @ d_tr.G, d_tr.G.T @ y_tr
     for gammas in (grid, grid[::-1], rng.permutation(grid)):
-        paths.clear()
-        fit = cv.solve_adalasso(y, G, 1.0, {"gamma": gammas, "eta": etas})
-        # the first paths are the training half's, one per eta
-        keys = [(np.linalg.norm(y_val - d_val.G @ (theta / w)), gamma, eta)
-                for path, eta in zip(paths, etas)
-                for w in [_adalasso_weights(ls_tr, eta)]
-                for gamma, theta in zip(gammas, path.theta)]
+        pairs = np.column_stack((np.tile(gammas, etas.size),
+                                 np.repeat(etas, gammas.size)))
+        chosen, path = _validate(y, des, lambda y_tr, d_tr: (
+            pairs, adalasso_path(d_tr.G, y_tr, gammas, etas, 1.0)))
+        for eta, thetas in zip(etas, np.split(path.theta, etas.size)):
+            w = _adalasso_weights(ls_tr, eta)
+            assert np.array_equal(thetas, lasso_path(
+                H / np.outer(w, w), b / w, gammas).theta / w)
+        keys = [(np.linalg.norm(y_val - d_val.G @ theta), gamma, eta)
+                for (gamma, eta), theta in zip(pairs, path.theta)]
         best = min(keys)
         assert sum(key[0] == best[0] for key in keys) > 1
-        assert (fit.gamma, fit.extra["eta"]) == best[1:]
+        assert tuple(chosen) == best[1:]
 
         chosen, path = _validate(y, des, lambda y_tr, d_tr: (
             gammas, _lasso_path(y_tr, d_tr.G, gammas)))

@@ -261,6 +261,32 @@ def test_estimator_failure_is_recorded_not_fatal(monkeypatch, tmp_path):
             assert line[3:] == ["", "", "synthetic failure, with a comma"]
 
 
+def test_monte_carlo_rows_say_whether_their_fit_converged(monkeypatch,
+                                                          tmp_path):
+    """Each row carries converged: the fit's flag as a bool, None for a fit
+    that raised; each aggregate counts its unconverged fits.  The CSV
+    keeps its columns."""
+    import groupsparse.experiments as ex
+
+    def unconverged(y, design, sigma2, ctx):
+        return EstimateResult(theta=np.zeros(design.m), converged=False)
+
+    def boom(y, design, sigma2, ctx):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setitem(ex.ESTIMATORS, "hgla", unconverged)
+    monkeypatch.setitem(ex.ESTIMATORS, "mkl", boom)
+    rep = ex.run_monte_carlo(McConfig(experiment="exp1", runs=2,
+                                      estimators=["hgla", "mkl", "oracle"]))
+    expect = {"hgla": False, "mkl": None, "oracle": True}
+    assert all(r["converged"] is expect[r["method"]] for r in rep.per_run)
+    assert {name: agg["unconverged"] for name, agg
+            in rep.aggregates.items()} == {"hgla": 2, "mkl": 0, "oracle": 0}
+    rep.to_csv(tmp_path / "rep.csv")
+    with open(tmp_path / "rep.csv", newline="") as fh:
+        assert all(len(line) == 6 for line in csv.reader(fh))
+
+
 def test_glasso_reuses_the_mkl_fit_in_ctx(monkeypatch):
     """mkl then glasso on one ctx: the 30 validation points and the final
     solve run once, and glasso's penalty matches a glasso fit on its own."""
@@ -495,11 +521,16 @@ def test_converged_is_false_when_one_inner_solve_fails(monkeypatch):
             return fails(out) if len(calls) == 3 else out
         mp.setattr(owner, name, wrapped)
 
+    def adalasso():
+        with monkeypatch.context() as mp:  # this test's gamma and eta grids
+            mp.setattr(ex, "_lasso_grid",
+                       lambda y, G, sigma2: np.logspace(-1, 2, 4))
+            mp.setattr(ex, "ADALASSO_ETAS", np.array([1.0, 2.0]))
+            return ESTIMATORS["adalasso"](y, design, sigma2, {})
+
     fits = {
         "lasso": lambda: ESTIMATORS["lasso"](y, design, sigma2, {}),
-        "adalasso": lambda: cv.solve_adalasso(
-            y, design.G, sigma2, {"gamma": np.logspace(-1, 2, 4),
-                                  "eta": np.array([1.0, 2.0])}),
+        "adalasso": adalasso,
         "mkl": lambda: ESTIMATORS["mkl"](y, design, sigma2, {}),
         "glasso": lambda: ESTIMATORS["glasso"](y, design, sigma2, {}),
     }
