@@ -243,6 +243,9 @@ def cmd_benchmark(args):
                           threads=args.threads)
     except ValueError as exc:
         raise CliError(str(exc))
+    if args.out:   # an unwritable --out fails here, not after the campaign
+        for ext in (".json", ".csv"):
+            open(args.out + ext, "a").close()
     report = ex.run_monte_carlo(cfg)
     if args.out:
         report.to_json(args.out + ".json")

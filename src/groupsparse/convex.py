@@ -491,14 +491,18 @@ def _newton(H_AA, b_A, x, blk, a):
 
 class _GlassoProblem:
     """What glasso_path computes once per design and data: H = G^T G
-    (design.gram()), b = G^T y, in tops each joining block's L_i, and the
-    parts of the last active set (_active)."""
+    (design.gram()), b = G^T y, in tops every block's L_i (one batched
+    eigvalsh per block size), and the parts of the last active set
+    (_active)."""
 
     def __init__(self, y, design, sigma2):
         self.y, self.design, self.sigma2 = y, design, sigma2
-        self.H = design.gram()
+        self.H = H = design.gram()
         self.b = design.G.T @ y
-        self.tops = {}
+        self.tops = np.empty(design.p)
+        for _, blocks, cols in design.size_classes():
+            self.tops[blocks] = np.linalg.eigvalsh(
+                H[cols[:, :, None], cols[:, None, :]])[:, -1]
         self._key = self._parts = None
 
     def _active(self, act):
@@ -523,13 +527,12 @@ class _GlassoProblem:
         most violating of them) then joins at its proximal-gradient step
         (1 - a / ||q_i||) q_i / L_i, L_i the largest eigenvalue of
         G^(i)T G^(i) (the exact block minimizer for a singleton or
-        orthogonal block; computed when i first joins and kept), and the
-        set is solved again.
+        orthogonal block), and the set is solved again.
         Returns (x, newton steps, blocks added), x None unless a solve
         left no violator within _CORRECTOR_SOLVES solves: then x
         satisfies the Group Lasso optimality conditions (the
         certificate)."""
-        H, b, design = self.H, self.b, self.design
+        b, design, tops = self.b, self.design, self.tops
         x = x.copy()
         steps = added = 0
         for _ in range(_CORRECTOR_SOLVES):
@@ -553,9 +556,7 @@ class _GlassoProblem:
                 viol = viol[[np.argmax(qn[viol])]]
             for i in viol:
                 sl = design.slices[i]
-                if i not in self.tops:
-                    self.tops[i] = np.linalg.eigvalsh(H[sl, sl])[-1]
-                x[sl] = (1.0 - a / qn[i]) / self.tops[i] * q[sl]
+                x[sl] = (1.0 - a / qn[i]) / tops[i] * q[sl]
             added += viol.size
         return None, steps, added
 
@@ -683,8 +684,10 @@ def kkt_residual_mkl(lam, y, design, sigma2, gamma):
 
 def _adalasso_weights(ls, eta):
     """Adaptive Lasso weights |theta_ls_j|^(-eta) from the least-squares
-    coefficients ls, capped at ADALASSO_WEIGHT_CAP."""
-    w = np.where(ls != 0, np.abs(ls) ** (-eta), ADALASSO_WEIGHT_CAP)
+    coefficients ls, capped at ADALASSO_WEIGHT_CAP (also where ls_j = 0,
+    which is not raised to -eta)."""
+    w = np.power(np.abs(ls), -eta, where=ls != 0,
+                 out=np.full(ls.shape, ADALASSO_WEIGHT_CAP))
     return np.minimum(w, ADALASSO_WEIGHT_CAP)
 
 

@@ -370,13 +370,15 @@ def est_glasso(y, design, sigma2, ctx):
 
 
 def _lasso_grid(y, G, sigma2):
-    """30 penalties log-spaced over [1e-4, 1] times the largest, whose
-    overflow (at a tiny sigma2) is a numerical failure."""
+    """30 penalties log-spaced over [1e-4, 1] times the largest,
+    max|G^T y| / sigma2 (1 where G^T y = 0: every penalty then gives
+    theta = 0), whose overflow (at a tiny sigma2) is a numerical failure."""
     with np.errstate(over="ignore"):
         gmax = np.max(np.abs(G.T @ y)) / sigma2
     if np.isinf(gmax):
         raise np.linalg.LinAlgError("the Lasso penalty grid overflows at "
                                     "sigma2 = %g" % sigma2)
+    gmax = gmax or 1.0
     return np.logspace(np.log10(1e-4 * gmax), np.log10(gmax), 30)
 
 

@@ -12,8 +12,6 @@ weighted-MSE diagnostic, and the two-group worked example.
 import numpy as np
 from dataclasses import dataclass
 from scipy.linalg.lapack import dposv
-from scipy.optimize import brentq
-from scipy.special import chndtr
 
 from .model import EstimateResult, MarginalFactor
 
@@ -227,6 +225,8 @@ def prob_lambda_zero(q):
     an estimator-specific threshold: k + 2 gamma sigma2 / n for the
     marginal-likelihood estimator, 2 gamma sigma2 / n for the kernel one.
     """
+    from scipy.special import chndtr   # on first use: not at import
+
     mu = q.theta_block_norm2 * q.n / q.sigma2
     if q.estimator == "hgl":
         thr = q.k + 2.0 * q.gamma * q.sigma2 / q.n
@@ -282,6 +282,8 @@ def _tg_margin(gamma, y2, sigma2, delta, estimator):
 def _tg_gamma_min(y2, sigma2, delta, estimator):
     """Smallest gamma from which the zero condition holds for every larger
     gamma (log-grid scan refined by brentq)."""
+    from scipy.optimize import brentq  # on first use: not at import
+
     grid = np.concatenate([[0.0], np.logspace(-8, 8, 1601)])
     ok = np.array([_tg_margin(g, y2, sigma2, delta, estimator) >= 0
                    for g in grid])

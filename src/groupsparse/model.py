@@ -73,6 +73,17 @@ class GroupedDesign:
         """Euclidean norm of each block of a length-m vector, as a p-vector."""
         return np.sqrt(self.block_sums(x * x))
 
+    def size_classes(self):
+        """Per block size k, in increasing order: (k, the blocks of that
+        size, their columns as an array whose row j is blocks[j]'s)."""
+        sizes = np.asarray(self.group_sizes)
+        out = []
+        for k in np.unique(sizes):
+            blocks = np.flatnonzero(sizes == k)
+            out.append((int(k), blocks,
+                        self.starts[blocks][:, None] + np.arange(k)))
+        return out
+
     def gram(self):
         """G^T G, cached."""
         if self._gtg is None:

@@ -18,6 +18,52 @@ def random_grouped(rng, p_max=5, k_max=4, n_extra=10):
     return GroupedDesign(G, sizes)
 
 
+def kappa_reference(y_tr, design_tr, sigma2):
+    """selection.estimate_kappa as it was before its profile scan: bounded
+    scalar minimization (scipy.optimize.minimize_scalar) on log kappa over
+    [1e-8, 1e8] ||y_tr||^2 / n_tr, then Newton polish steps on the exact
+    1-D derivative until one moves kappa by at most 1e-12 max(1, kappa),
+    and kappa = 0 where f(0) is no larger.  The reference the scan is
+    pinned to."""
+    from scipy.optimize import minimize_scalar
+    y = np.asarray(y_tr, dtype=float)
+    if not np.any(y):
+        return 0.0
+    scale = float(y @ y) / design_tr.n
+    w, Q = np.linalg.eigh(design_tr.G @ design_tr.G.T)
+    w = np.maximum(w, 0.0)
+    yt2 = (Q.T @ y) ** 2
+
+    def f(k):
+        den = k * w + sigma2
+        return 0.5 * np.sum(np.log(den)) + 0.5 * np.sum(yt2 / den)
+
+    def df(k):
+        den = k * w + sigma2
+        return 0.5 * np.sum(w / den) - 0.5 * np.sum(w * yt2 / (den * den))
+
+    bounds = (np.log(1e-8 * scale), np.log(1e8 * scale))
+    k = float(np.exp(minimize_scalar(lambda t: f(np.exp(t)), bounds=bounds,
+                                     method="bounded").x))
+    for _ in range(50):
+        g = df(k)
+        den = k * w + sigma2
+        h = (-0.5 * np.sum(w * w / (den * den))
+             + np.sum(w * w * yt2 / (den * den * den)))
+        if h <= 0:
+            break
+        k_new = k - g / h
+        if k_new <= 0:
+            k_new = 0.5 * k
+        if abs(k_new - k) <= 1e-12 * max(1.0, k):
+            k = k_new
+            break
+        k = k_new
+    if f(0.0) <= f(k):
+        return 0.0
+    return k
+
+
 def mkl_pqn(y, des, s2, gam, config=None):
     """Kernel scales by projected quasi-Newton on the convex objective
     y^T (K(lam) + s2 I)^{-1} y / 2 + gam sum(lam), from zero: an MKL

@@ -220,10 +220,16 @@ def test_a_lasso_grid_that_overflows_exits_3(fixture_dir, capsys, method):
     assert "penalty grid overflows" in capsys.readouterr().err
 
 
-def test_an_unwritable_out_exits_2(fixture_dir, arx_csv, tmp_path, capsys):
+def test_an_unwritable_out_exits_2(fixture_dir, arx_csv, tmp_path, capsys,
+                                  monkeypatch):
     """An --out that cannot be written (a missing directory, or for
     simulate an existing file) is a usage error: exit 2 and a message
-    naming the path, not a traceback."""
+    naming the path, not a traceback.  benchmark finds it out before its
+    campaign runs a fit."""
+    def campaign(config):
+        raise AssertionError("the campaign ran before --out was checked")
+
+    monkeypatch.setattr("groupsparse.experiments.run_monte_carlo", campaign)
     missing = tmp_path / "missing"
     data = ["--data-y", str(fixture_dir / "y.csv"),
             "--data-g", str(fixture_dir / "G.csv"), "--groups", "4"]
@@ -421,19 +427,31 @@ def test_fit_rejects_flags_its_method_ignores(fixture_dir, capsys, flags,
     assert message in capsys.readouterr().err
 
 
-def test_fit_zero_data_gives_zero_estimate(tmp_path, capsys):
+@pytest.mark.parametrize("method", FIT_METHODS)
+def test_fit_zero_data_gives_zero_estimate(method, tmp_path, capsys):
+    """A y of zeros gives theta = 0 (and lambda = 0, where the method has
+    one), without a warning, from every method: through fit at a fixed
+    gamma (adalasso takes none), and through the library with gamma chosen
+    on the method's own grid."""
     rng = np.random.default_rng(0)
     G = rng.standard_normal((20, 4))
     np.savetxt(tmp_path / "G.csv", G, delimiter=",")
     np.savetxt(tmp_path / "y.csv", np.zeros((20, 1)), delimiter=",")
     out = tmp_path / "fit.json"
-    code = main(["fit", "--method", "mkl", "--data-y", str(tmp_path / "y.csv"),
-                 "--data-g", str(tmp_path / "G.csv"), "--groups", "2",
-                 "--sigma2", "1.0", "--gamma", "0.5", "--out", str(out)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["fit", "--method", method,
+                     "--data-y", str(tmp_path / "y.csv"),
+                     "--data-g", str(tmp_path / "G.csv"), "--groups", "2",
+                     "--sigma2", "1.0", "--out", str(out)]
+                    + ([] if method == "adalasso" else ["--gamma", "0.5"]))
+        res = ESTIMATORS[method](np.zeros(20), GroupedDesign(G, [2, 2]), 1.0,
+                                 {})
     assert code == 0
     doc = json.loads(out.read_text())
     assert all(t == 0.0 for t in doc["theta"])
-    assert all(l == 0.0 for l in doc["lambda"])
+    assert all(l == 0.0 for l in doc["lambda"] or [])
+    assert not res.theta.any()
 
 
 def test_fit_dimension_mismatch_exits_2(fixture_dir, tmp_path, capsys):

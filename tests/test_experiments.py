@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -208,6 +211,55 @@ def test_run_monte_carlo_deterministic_and_thread_invariant():
     e1 = [row["pct_error"] for row in r1.per_run]
     e2 = [row["pct_error"] for row in r2.per_run]
     assert e1 == e2
+
+
+# A child process fits a few exp1 problems (sigma2 estimated) and exp1
+# p = 40 ones (m > n, sigma2 given) with hgla, hglb and mkl, twice each,
+# asserts the two fits agree bit for bit, and prints the results as JSON
+# (floats round-trip exactly).
+_BLAS_CHILD = """
+import json, sys
+import numpy as np
+from groupsparse import McConfig, SelectionConfig, estimate_sigma2_ls
+from groupsparse.experiments import ESTIMATORS, gen_problem
+
+out = []
+for cfg, given in ((McConfig(master_seed=0), False),
+                   (McConfig(master_seed=7000, p=40), True)):
+    for r in range(2):
+        design, _, y, s2 = gen_problem(cfg, r)
+        s2 = s2 if given else estimate_sigma2_ls(y, design.G)
+        fits = []
+        for _ in range(2):
+            ctx = {"selection": SelectionConfig(sigma2=s2)} if given else {}
+            fits.append([ESTIMATORS[name](y, design, s2, ctx)
+                         for name in ("hgla", "hglb", "mkl")])
+        for a, b in zip(*fits):
+            assert np.array_equal(a.theta, b.theta) and a.gamma == b.gamma
+        out += [[a.theta.tolist(), a.gamma, [int(i) for i in a.selected],
+                 bool(a.converged)] for a in fits[0]]
+json.dump(out, sys.stdout)
+"""
+
+
+def test_fits_agree_across_blas_thread_counts():
+    """At 1 and at 2 OpenBLAS threads (set in a child process's
+    environment only), repeated fits are bit-identical, and across the two
+    counts gamma, selected and converged are identical and theta agrees
+    within 1e-12 relative: on m > n designs a threaded BLAS sums in
+    another order, so theta may move in the last bits."""
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        runs.append(json.loads(subprocess.run(
+            [sys.executable, "-c", _BLAS_CHILD], check=True, env=env,
+            capture_output=True, text=True, timeout=120).stdout))
+    assert len(runs[0]) == len(runs[1]) == 12
+    for (th1, g1, sel1, conv1), (th2, g2, sel2, conv2) in zip(*runs):
+        assert (g1, sel1, conv1) == (g2, sel2, conv2)
+        th1, th2 = np.array(th1), np.array(th2)
+        assert np.max(np.abs(th1 - th2)) <= 1e-12 * np.max(np.abs(th1))
 
 
 def test_report_serialization(tmp_path):

@@ -325,15 +325,18 @@ def test_prob_zero_central_case():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    """prob_lambda_zero takes the noncentral chi-square cdf from
-    scipy.special, so importing the package does not load scipy.stats
-    (about half a second of start-up)."""
-    code = "import sys, groupsparse; print('scipy.stats' in sys.modules)"
+    """Importing the package and its CLI loads none of scipy.stats,
+    scipy.special or scipy.optimize: prob_lambda_zero takes the noncentral
+    chi-square cdf from scipy.special and _tg_gamma_min takes brentq from
+    scipy.optimize when first called, and estimate_kappa uses neither."""
+    code = ("import sys, groupsparse, groupsparse.cli; print(sorted(m for m "
+            "in ('scipy.stats', 'scipy.special', 'scipy.optimize') "
+            "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(
                              sys.path)}).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 def test_prob_zero_mkl_vanishes_as_gamma_to_zero():
