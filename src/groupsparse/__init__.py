@@ -15,9 +15,9 @@ from .convex import (
     kkt_residual_mkl,
 )
 from .hglasso import (
-    solve_hgl_pqn, kkt_residual_hgl, closed_form_lambda_orth,
-    closed_form_lambda_mkl_orth, lambda_opt, ZeroProbQuery, prob_lambda_zero,
-    two_group_thresholds, weighted_mse_profile,
+    solve_hgl_pqn, closed_form_lambda_orth, closed_form_lambda_mkl_orth,
+    ZeroProbQuery, prob_lambda_zero, two_group_thresholds,
+    weighted_mse_profile,
 )
 from .selection import (
     SelectionConfig, SelectionTrace, estimate_sigma2_ls, estimate_kappa,

@@ -138,20 +138,11 @@ def solve_hgl_pqn(y, design, sigma2, gamma, lam0=None):
                "factorizations": builds})
 
 
-def kkt_residual_hgl(lam, y, design, sigma2, gamma):
-    """Max stationarity violation of the first-order conditions at lambda.
-
-    With e = 2 grad of MarginalFactor.neg_log_marginal, e_i = tr(G^(i)T W
-    G^(i)) - ||G^(i)T W y||^2 + 2 gamma: active coordinates must have e_i =
-    0, zero coordinates must have e_i >= 0.
-    """
-    fac = MarginalFactor(design, lam, sigma2, y)
-    return kkt_violation_hgl(fac.lam, 2.0 * fac.neg_log_marginal(gamma)[1])
-
-
 def kkt_violation_hgl(lam, e):
-    """kkt_residual_hgl from e, which is twice the gradient of the
-    objective of solve_hgl_pqn: max |e_i| if lam_i > 0, else max(0, -e_i)."""
+    """Max violation of the first-order conditions of solve_hgl_pqn's
+    objective at lam, from e, twice its gradient: active coordinates must
+    have e_i = 0 and zero ones e_i >= 0, so max |e_i| if lam_i > 0, else
+    max(0, -e_i)."""
     res = np.where(lam > 0, np.abs(e), np.maximum(0.0, -e))
     return float(np.max(res, initial=0.0))
 
@@ -185,12 +176,6 @@ def closed_form_lambda_mkl_orth(theta_ls_block, n, sigma2, gamma):
         raise ValueError("mkl requires positive gamma")
     t = float(np.linalg.norm(np.asarray(theta_ls_block, dtype=float)))
     return max(0.0, t / np.sqrt(2.0 * gamma) - sigma2 / n)
-
-
-def lambda_opt(theta_true_block, k):
-    """MSE-optimal per-block scale ||theta_true^(i)||^2 / k_i."""
-    t = np.asarray(theta_true_block, dtype=float)
-    return float(t @ t) / k
 
 
 # ============================================================

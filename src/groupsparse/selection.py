@@ -21,7 +21,7 @@ callers that fit several variants run the stage once.
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dgelsy, dgelsy_lwork, dtrtrs
 
 from .model import EstimateResult, GroupedDesign, posterior_mean
 from .hglasso import solve_hgl_pqn
@@ -41,6 +41,8 @@ class SelectionConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError("variant must be one of %s" % (VARIANTS,))
+        if self.sigma2 is not None and not 0 < self.sigma2 < np.inf:
+            raise ValueError("sigma2 must be finite and positive")
         if not (0 < self.grid_lo <= self.grid_hi < np.inf
                 and self.grid_n >= 1):
             raise ValueError("the gamma grid needs 0 < grid_lo <= grid_hi, "
@@ -71,7 +73,10 @@ def estimate_sigma2_ls(y, G):
     """Residual variance of the least-squares fit, ||y - G t||^2 / (n - m).
 
     Requires more rows than columns; with n <= m the residual is zero by
-    construction and the caller must supply sigma2 explicitly.
+    construction and the caller must supply sigma2 explicitly.  t comes
+    from one LAPACK gelsy solve (QR with column pivoting), which keeps
+    NumPy's rank rule rcond = eps max(n, m): with dependent columns the
+    residual is still that of y's projection onto range(G).
     """
     y = np.asarray(y, dtype=float)
     G = np.atleast_2d(np.asarray(G, dtype=float))
@@ -79,8 +84,20 @@ def estimate_sigma2_ls(y, G):
     if n <= m:
         raise ValueError("need n > m to estimate the noise variance from "
                          "least-squares residuals; supply sigma2 explicitly")
-    t, *_ = np.linalg.lstsq(G, y, rcond=None)
-    r = y - G @ t
+    if y.shape != (n,):
+        raise ValueError("y must be a vector with one entry per row of G")
+    for name, a in (("y", y), ("G", G)):
+        if not np.isfinite(a).all():
+            raise ValueError("%s has a non-finite entry" % name)
+    r = y
+    if m:
+        cond = np.finfo(float).eps * n
+        lwork = int(dgelsy_lwork(n, m, 1, cond)[0])
+        _, x, _, _, info = dgelsy(G, y, np.zeros(m, dtype=np.int32), cond,
+                                  lwork)
+        if info:
+            raise np.linalg.LinAlgError("gelsy failed (info %d)" % info)
+        r = y - G @ x[:m]
     return float(r @ r) / (n - m)
 
 
@@ -108,22 +125,20 @@ def estimate_kappa(y_tr, design_tr, sigma2):
         return 0.5 * np.sum(np.log(den), axis=-1) \
             + 0.5 * np.sum(yt2 / den, axis=-1)
 
-    def df(k):
-        den = k * w + sigma2
-        return 0.5 * np.sum(w / den) - 0.5 * np.sum(w * yt2 / (den * den))
-
     ks = scale * np.logspace(-8.0, 8.0, 161)      # ten per decade
     k = float(ks[np.argmin(f(ks))])
-    # Newton polish on the derivative
+    # Newton polish on the derivative: with r = 1 / (k w + sigma2),
+    # f' = (w.r - wy.r^2) / 2 and f'' = -w2.r^2 / 2 + w2y.r^3
+    wy, w2 = w * yt2, w * w
+    w2y = w2 * yt2
     for _ in range(50):
-        g = df(k)
-        den = k * w + sigma2
-        h = (-0.5 * np.sum(w * w / (den * den))
-             + np.sum(w * w * yt2 / (den * den * den)))
+        r = 1.0 / (k * w + sigma2)
+        r2 = r * r
+        g = 0.5 * (w @ r - wy @ r2)
+        h = w2y @ (r2 * r) - 0.5 * (w2 @ r2)
         if h <= 0:
             break
-        step = g / h
-        k_new = k - step
+        k_new = k - g / h
         if k_new <= 0:
             k_new = 0.5 * k
         if abs(k_new - k) <= 1e-12 * k:
@@ -256,10 +271,9 @@ def select_hglasso(y, design, config=None):
     cfg = config or SelectionConfig()
     y = np.asarray(y, dtype=float)
     y_tr, y_val, d_tr, d_val = _split(y, design)
+    # a noiseless training fit estimates 0: floor it at 1e-12
     sigma2 = cfg.sigma2 if cfg.sigma2 is not None \
-        else estimate_sigma2_ls(y_tr, d_tr.G)
-    if sigma2 <= 0:
-        sigma2 = max(sigma2, 1e-12)
+        else estimate_sigma2_ls(y_tr, d_tr.G) or 1e-12
     kappa = estimate_kappa(y_tr, d_tr, sigma2)
     if cfg.gamma_grid is not None:
         gammas = cfg.gamma_grid

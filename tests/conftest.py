@@ -18,6 +18,18 @@ def random_grouped(rng, p_max=5, k_max=4, n_extra=10):
     return GroupedDesign(G, sizes)
 
 
+def sigma2_reference(y, G):
+    """selection.estimate_sigma2_ls as it was before its gelsy kernel: the
+    residual variance ||y - G t||^2 / (n - m) with t from np.linalg.lstsq
+    (an SVD, rcond=None).  The reference the kernel is pinned to."""
+    y = np.asarray(y, dtype=float)
+    G = np.atleast_2d(np.asarray(G, dtype=float))
+    n, m = G.shape
+    t, *_ = np.linalg.lstsq(G, y, rcond=None)
+    r = y - G @ t
+    return float(r @ r) / (n - m)
+
+
 def kappa_reference(y_tr, design_tr, sigma2):
     """selection.estimate_kappa as it was before its profile scan: bounded
     scalar minimization (scipy.optimize.minimize_scalar) on log kappa over
@@ -62,6 +74,23 @@ def kappa_reference(y_tr, design_tr, sigma2):
     if f(0.0) <= f(k):
         return 0.0
     return k
+
+
+def kkt_residual_hgl(lam, y, design, sigma2, gamma):
+    """Max violation of the first-order conditions of solve_hgl_pqn's
+    objective at lambda, from a MarginalFactor built there: with e = 2 grad
+    of neg_log_marginal, e_i = tr(G^(i)T W G^(i)) - ||G^(i)T W y||^2 +
+    2 gamma, active coordinates must have e_i = 0 and zero ones e_i >= 0."""
+    from groupsparse import MarginalFactor
+    from groupsparse.hglasso import kkt_violation_hgl
+    fac = MarginalFactor(design, lam, sigma2, y)
+    return kkt_violation_hgl(fac.lam, 2.0 * fac.neg_log_marginal(gamma)[1])
+
+
+def lambda_opt(theta_true_block, k):
+    """MSE-optimal per-block scale ||theta_true^(i)||^2 / k_i."""
+    t = np.asarray(theta_true_block, dtype=float)
+    return float(t @ t) / k
 
 
 def mkl_pqn(y, des, s2, gam, config=None):

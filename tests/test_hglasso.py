@@ -12,12 +12,13 @@ from scipy import stats
 from groupsparse import (
     GroupedDesign, MarginalFactor, PqnConfig, ZeroProbQuery,
     closed_form_lambda_mkl_orth, closed_form_lambda_orth, diagonalize_block,
-    kkt_residual_hgl, lambda_opt, mse_of_lambda,
+    mse_of_lambda,
     prob_lambda_zero, solve_hgl_pqn, solve_mkl_lambda,
     two_group_thresholds, weighted_mse_profile,
 )
 
-from conftest import mkl_pqn, orthogonal_design, random_grouped
+from conftest import (kkt_residual_hgl, lambda_opt, mkl_pqn,
+                      orthogonal_design, random_grouped)
 
 
 # ------------------------------------------------------------

@@ -2,6 +2,7 @@
 variants."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from groupsparse import (
 from groupsparse.model import MarginalFactor, posterior_mean
 from groupsparse.selection import _greedy_path, _split, select_hglasso
 
-from conftest import kappa_reference, orthogonal_design
+from conftest import kappa_reference, orthogonal_design, sigma2_reference
 
 
 # ------------------------------------------------------------
@@ -52,6 +53,65 @@ def test_sigma2_concentrates(rng):
     # each estimate is s2 * chi2(n-m)/(n-m): sd = s2 sqrt(2/(n-m))
     sd = s2 * np.sqrt(2.0 / (n - m))
     assert abs(ests.mean() - s2) <= 3 * sd / np.sqrt(ests.size)
+
+
+def test_sigma2_pinned_to_the_svd_least_squares():
+    """The gelsy kernel gives the sigma2 of sigma2_reference (an SVD
+    least-squares fit) within 1e-13 relative on the paper's problems, on
+    the full design and on the training half; on rank-deficient designs it
+    is the reference's within 1e-12 and the residual variance of the design
+    without its redundant columns, over the full n - m."""
+    sets = [("exp1", 0, 40, {}), ("exp1", 3, 40, {}), ("exp2", 5, 20, {}),
+            ("exp2", 7, 20, {}), ("ada", 0, 30, {"n": 60})]
+    for exp, seed, runs, shape in sets:
+        cfg = McConfig(experiment=exp, master_seed=seed, runs=runs, **shape)
+        for r in range(runs):
+            design, _, y, _ = gen_problem(cfg, r)
+            y_tr, _, d_tr, _ = _split(y, design)
+            for yy, G in ((y, design.G), (y_tr, d_tr.G)):
+                s2, ref = estimate_sigma2_ls(yy, G), sigma2_reference(yy, G)
+                assert abs(s2 - ref) <= 1e-13 * ref, (exp, seed, r, s2, ref)
+
+    rng = np.random.default_rng(27)
+    n = 30
+    B = rng.standard_normal((n, 6))
+    y = B @ rng.standard_normal(6) + rng.standard_normal(n)
+    a, b = rng.standard_normal(2)
+    redundant = {
+        "duplicated column": np.c_[B, B[:, 2]],
+        "zero column": np.c_[B[:, :3], np.zeros(n), B[:, 3:]],
+        "three columns spanning two": np.c_[B, a * B[:, 0] + b * B[:, 1]],
+    }
+    t, *_ = np.linalg.lstsq(B, y, rcond=None)
+    rss = float(np.sum((y - B @ t) ** 2))
+    for name, G in redundant.items():
+        s2 = estimate_sigma2_ls(y, G)
+        assert abs(s2 - sigma2_reference(y, G)) <= 1e-12 * s2, name
+        assert abs(s2 - rss / (n - G.shape[1])) <= 1e-12 * s2, name
+
+
+@pytest.mark.parametrize("where", ["y", "G"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sigma2_rejects_non_finite_input(rng, capfd, where, bad):
+    """A NaN or inf in y or G raises a ValueError naming it, before LAPACK
+    runs: no warning, and nothing written to stderr."""
+    G = rng.standard_normal((12, 4))
+    y = rng.standard_normal(12)
+    if where == "y":
+        y[3] = bad
+    else:
+        G[3, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="%s has a non-finite" % where):
+            estimate_sigma2_ls(y, G)
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("sigma2", [np.inf, np.nan, 0.0, -1.0])
+def test_selection_config_rejects_a_bad_sigma2(sigma2):
+    with pytest.raises(ValueError, match="sigma2 must be finite and positive"):
+        SelectionConfig(sigma2=sigma2)
 
 
 # ------------------------------------------------------------
