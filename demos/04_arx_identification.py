@@ -9,7 +9,7 @@ single driving input, and predict well at several horizons.
 import numpy as np
 
 from groupsparse import (
-    ArxModel, SelectionConfig, build_arx, cod_k, fit_hglasso,
+    ArxModel, build_arx, cod_k, fit_hglasso,
     gen_arx_series,
 )
 
@@ -21,7 +21,7 @@ prob = build_arx(train, q)
 print("design: %d rows, %d channels x %d lags" % (prob.design.n,
                                                   prob.design.p, q))
 
-res, trace = fit_hglasso(prob.y, prob.design, SelectionConfig(variant="hglc"))
+res, trace = fit_hglasso(prob.y, prob.design, variant="hglc")
 names = ["output"] + ["input %d" % i for i in range(1, prob.design.p)]
 print("selected channels:", [names[i] for i in res.selected])
 norms = [float(np.linalg.norm(res.theta[s])) for s in prob.design.slices]

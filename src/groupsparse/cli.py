@@ -107,44 +107,34 @@ def parse_groups(text, m):
     return sizes
 
 
-def _finite_or_null(v):
-    """v with every float that is not finite, in dicts and flat lists too,
-    replaced by None, which JSON writes as null."""
+def _plain(v):
+    """v in plain JSON types: dicts, lists, tuples and arrays item by
+    item, a bool as a bool, an integer (a count) as an int, any other
+    number as a float, and a float that is not finite as None, which JSON
+    writes as null."""
     if isinstance(v, dict):
-        return {k: _finite_or_null(x) for k, x in v.items()}
-    if isinstance(v, list):
-        return [None if isinstance(x, float) and not math.isfinite(x) else x
-                for x in v]
-    return None if isinstance(v, float) and not math.isfinite(v) else v
-
-
-def _json_number(v):
-    """v as its own JSON type: a bool stays a bool and an integer (a count)
-    an integer; any other number is a float."""
+        return {k: _plain(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return [_plain(x) for x in v]
     if isinstance(v, (bool, np.bool_)):
         return bool(v)
     if isinstance(v, (int, np.integer)):
         return int(v)
-    return float(v) if isinstance(v, np.floating) else v
+    if isinstance(v, (float, np.floating)):
+        return float(v) if math.isfinite(v) else None
+    return v
 
 
 def result_to_json(res, path_or_none):
     """The fit as a JSON document, to a file or standard output.  Numbers
     that are not finite (an objective or KKT residual can overflow) are
     written as null, so the output is always valid JSON."""
-    doc = {
-        "theta": [float(x) for x in res.theta],
-        "lambda": None if res.lam is None else [float(x) for x in res.lam],
-        "selected": [int(i) for i in res.selected],
-        "gamma": None if res.gamma is None else float(res.gamma),
-        "diagnostics": {
-            "converged": bool(res.converged),
-            "iterations": int(res.iterations),
-            "objective": float(res.objective),
-            **{k: _json_number(v) for k, v in res.extra.items()},
-        },
-    }
-    text = json.dumps(_finite_or_null(doc), indent=2, sort_keys=True,
+    doc = {"theta": res.theta, "lambda": res.lam, "selected": res.selected,
+           "gamma": res.gamma,
+           "diagnostics": {"converged": res.converged,
+                           "iterations": res.iterations,
+                           "objective": res.objective, **res.extra}}
+    text = json.dumps(_plain(doc), indent=2, sort_keys=True,
                       allow_nan=False)
     if path_or_none:
         with open(path_or_none, "w") as fh:

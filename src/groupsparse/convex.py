@@ -22,7 +22,7 @@ import numpy as np
 from dataclasses import dataclass
 from scipy.linalg.lapack import dposv, dpotrf, dpotrs, dtrtrs
 
-from .model import EstimateResult, MarginalFactor
+from .model import EstimateResult, MarginalFactor, kkt_violation_hgl
 
 
 @dataclass
@@ -677,9 +677,7 @@ def kkt_residual_mkl(lam, y, design, sigma2, gamma):
     """
     lam = np.asarray(lam, dtype=float)
     sq = MarginalFactor(design, lam, sigma2, y).block_scores()
-    res = np.where(lam > 0, np.abs(-sq + 2.0 * gamma),
-                   np.maximum(0.0, sq - 2.0 * gamma))
-    return float(np.max(res, initial=0.0))
+    return kkt_violation_hgl(lam, 2.0 * gamma - sq)
 
 
 def _adalasso_weights(ls, eta):

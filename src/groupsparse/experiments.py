@@ -25,7 +25,7 @@ from .model import BlockVector, EstimateResult, GroupedDesign
 from .convex import ConvexFitConfig, adalasso_path, glasso_path, \
     kkt_residual_mkl, lasso_path, solve_glasso, solve_lasso, solve_mkl_lambda
 from .selection import SelectionConfig, _split, estimate_sigma2_ls, \
-    fit_hglasso, polish_hglasso
+    polish_hglasso, select_hglasso
 
 EXPERIMENTS = ("exp1", "exp2", "exp2_noisy_a", "exp2_noisy_b", "exp2_noisy_c",
                "ada")
@@ -264,35 +264,31 @@ ARX_TRUE_ACTIVE_CHANNELS = 2  # output lags + input 1
 # estimator registry
 # ============================================================
 # ESTIMATORS[name](y, design, sigma2, ctx).  ctx is shared by the fits of
-# one problem: it caches the hgla stage ("hgla") and mkl ("mkl"), and may
-# hold a SelectionConfig ("selection"), a fixed penalty ("gamma") and, for
-# the oracle, the true coefficients ("theta_true").
+# one problem: it caches the hgl selection stage ("stage") and mkl ("mkl"),
+# and may hold a SelectionConfig ("selection"), a fixed penalty ("gamma")
+# and, for the oracle, the true coefficients ("theta_true").
 
-def _hgla_stage(y, design, sigma2, ctx):
-    """The hgla fit and its trace, cached in ctx["hgla"]: the stage the hgl
-    variants polish and mkl centres its grid on, run with ctx["selection"]
-    (default SelectionConfig()).  A fixed gamma is a one-point grid."""
-    if "hgla" not in ctx:
-        cfg = replace(ctx.get("selection", SelectionConfig()), variant="hgla")
+def _stage(y, design, ctx):
+    """select_hglasso's SelectionTrace, cached in ctx["stage"]: the one
+    stage the hgl variants polish and mkl centres its grid on, run with
+    ctx["selection"] (default SelectionConfig()).  A fixed gamma is a
+    one-point grid."""
+    if "stage" not in ctx:
+        cfg = ctx.get("selection", SelectionConfig())
         gamma = ctx.get("gamma")
         if gamma is not None:
             if gamma <= 0:
                 raise ValueError("--gamma must be positive")
             cfg = replace(cfg, gamma_grid=[gamma])
-        ctx["hgla"] = fit_hglasso(y, design, cfg)
-    return ctx["hgla"]
+        ctx["stage"] = select_hglasso(y, design, cfg)
+    return ctx["stage"]
 
 
 def _est_hgl(variant):
-    """hgla reads the cached stage; hglb/hglc polish its selection, the
-    same result fit_hglasso(variant=...) gives."""
-    def fit(y, design, sigma2, ctx):
-        res, trace = _hgla_stage(y, design, sigma2, ctx)
-        if variant == "hgla":
-            return res
-        return polish_hglasso(y, design, trace, replace(
-            ctx.get("selection", SelectionConfig()), variant=variant))
-    return fit
+    """The variant's polish of the cached stage: what fit_hglasso gives
+    with ctx["selection"] and that variant."""
+    return lambda y, design, sigma2, ctx: polish_hglasso(
+        y, design, _stage(y, design, ctx), variant)
 
 
 def _validate(y, design, path):
@@ -326,7 +322,8 @@ def _counted(res, fits):
 def est_mkl(y, design, sigma2, ctx):
     """Kernel-scale estimator: the Group Lasso fit of solve_mkl_lambda,
     whose lam holds the scales, at a fixed ctx["gamma"] or at the gamma
-    _validate picks on a grid spanning [1e-2, 1e4] times the hgla stage's.
+    _validate picks on a grid spanning [1e-2, 1e4] times the chosen gamma
+    of the hgl selection stage (_stage).
     The 30 validation fits are one Group Lasso path (glasso_path) at
     penalties sqrt(2 gamma), and the full-data solve starts from the
     path's point at the chosen gamma (from zero at a fixed gamma).
@@ -339,7 +336,7 @@ def est_mkl(y, design, sigma2, ctx):
         return ctx["mkl"]
     gamma, fits, theta0 = ctx.get("gamma"), None, None
     if gamma is None:
-        ref = _hgla_stage(y, design, sigma2, ctx)[1].chosen_gamma
+        ref = _stage(y, design, ctx).chosen_gamma
         grid = np.logspace(np.log10(1e-2 * ref), np.log10(1e4 * ref), 30)
         gamma, fits = _validate(y, design, lambda y_tr, d_tr: (
             grid, glasso_path(y_tr, d_tr, sigma2, np.sqrt(2.0 * grid))))

@@ -4,16 +4,16 @@ Hyperparameters lambda are estimated by minimizing the penalized negative
 log marginal likelihood (an exponential hyperprior with rate gamma gives the
 linear penalty), then theta is the conditional posterior mean.  This module
 has the projected Newton solve (at fixed tolerances, returning an
-EstimateResult like the other estimators), KKT residuals, the closed forms
-that exist under orthogonal designs, exact zero probabilities, the
-weighted-MSE diagnostic, and the two-group worked example.
+EstimateResult like the other estimators), the closed forms that exist
+under orthogonal designs, exact zero probabilities, the weighted-MSE
+diagnostic, and the two-group worked example.
 """
 
 import numpy as np
 from dataclasses import dataclass
 from scipy.linalg.lapack import dposv
 
-from .model import EstimateResult, MarginalFactor
+from .model import EstimateResult, MarginalFactor, kkt_violation_hgl
 
 # solve_hgl_pqn: convergence tolerance on the projected gradient (relative
 # to 1 + |f|), iteration cap, Armijo constant and backtracking factor
@@ -136,15 +136,6 @@ def solve_hgl_pqn(y, design, sigma2, gamma, lam0=None):
         extra={"kkt_residual": kkt_violation_hgl(lam, 2.0 * g),
                "grad_norm": gnorm, "min_free_hessian_eig": eig,
                "factorizations": builds})
-
-
-def kkt_violation_hgl(lam, e):
-    """Max violation of the first-order conditions of solve_hgl_pqn's
-    objective at lam, from e, twice its gradient: active coordinates must
-    have e_i = 0 and zero ones e_i >= 0, so max |e_i| if lam_i > 0, else
-    max(0, -e_i)."""
-    res = np.where(lam > 0, np.abs(e), np.maximum(0.0, -e))
-    return float(np.max(res, initial=0.0))
 
 
 # ============================================================

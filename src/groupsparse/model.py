@@ -308,6 +308,16 @@ def posterior_mean(design, lam, sigma2, y):
     return fac.lam_full * fac.gtw_y()
 
 
+def kkt_violation_hgl(lam, e):
+    """Max violation of the first-order conditions of a minimization over
+    lam >= 0 at lam, from e, a positive multiple of the gradient: active
+    coordinates must have e_i = 0 and zero ones e_i >= 0, so max |e_i| if
+    lam_i > 0, else max(0, -e_i).  solve_hgl_pqn's e is twice its
+    gradient, kkt_residual_mkl's 2 gamma - ||G^(i)T W y||^2."""
+    res = np.where(lam > 0, np.abs(e), np.maximum(0.0, -e))
+    return float(np.max(res, initial=0.0))
+
+
 def _coefficients(theta):
     """theta, an m-vector or a BlockVector, as an m-vector."""
     return np.asarray(getattr(theta, "theta", theta), dtype=float)

@@ -31,16 +31,14 @@ VARIANTS = ("hgla", "hglb", "hglc")
 
 @dataclass
 class SelectionConfig:
+    """The selection stage's inputs: the noise variance and the gamma grid."""
     gamma_grid: np.ndarray = None      # default: built from kappa, see below
     grid_lo: float = 1e-2              # grid spans [grid_lo/kappa, grid_hi/kappa]
     grid_hi: float = 1e4
     grid_n: int = 30
-    variant: str = "hgla"
     sigma2: float = None               # override; otherwise training LS estimate
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError("variant must be one of %s" % (VARIANTS,))
         if self.sigma2 is not None and not 0 < self.sigma2 < np.inf:
             raise ValueError("sigma2 must be finite and positive")
         if not (0 < self.grid_lo <= self.grid_hi < np.inf
@@ -310,10 +308,12 @@ def select_hglasso(y, design, config=None):
                           greedy_gains=path_gains)
 
 
-def polish_hglasso(y, design, trace, config=None):
-    """Stage two: lambda on the full data for config.variant, starting
-    from the forward-selection scales (kappa on trace.chosen_set), and
-    theta the posterior mean at that lambda (see the module docstring).
+def polish_hglasso(y, design, trace, variant):
+    """Stage two: lambda on the full data for variant (one of VARIANTS),
+    starting from the forward-selection scales (kappa on
+    trace.chosen_set), and theta the posterior mean at that lambda (see
+    the module docstring).  trace is select_hglasso's, so one stage serves
+    every variant.
 
     hglb solves over all blocks at the chosen gamma; hglc solves at gamma
     = 0 on the design restricted to the chosen blocks, which gives the
@@ -329,7 +329,8 @@ def polish_hglasso(y, design, trace, config=None):
     extra["greedy_order"] and
     extra["greedy_gains"] are trace's unpenalized greedy path.
     """
-    cfg = config or SelectionConfig()
+    if variant not in VARIANTS:
+        raise ValueError("variant must be one of %s" % (VARIANTS,))
     y = np.asarray(y, dtype=float)
     i_fs, sigma2 = trace.chosen_set, trace.sigma2
     lam_hat = np.zeros(design.p)
@@ -337,20 +338,20 @@ def polish_hglasso(y, design, trace, config=None):
     # a solve's theta is the posterior mean at its lam: hglb's on this
     # design, hglc's on the chosen blocks (zero on the others)
     res, theta = None, np.zeros(design.m)
-    if cfg.variant == "hglb":
+    if variant == "hglb":
         res = solve_hgl_pqn(y, design, sigma2, trace.chosen_gamma, lam_hat)
         lam_hat, theta = res.lam, res.theta
-    elif cfg.variant == "hglc" and i_fs:
+    elif variant == "hglc" and i_fs:
         res = solve_hgl_pqn(y, design.subdesign(i_fs), sigma2, 0.0,
                             lam_hat[i_fs])
         lam_hat[i_fs] = res.lam
         theta[np.isin(design.owner, i_fs)] = res.theta
-    elif cfg.variant == "hgla":
+    elif variant == "hgla":
         theta = posterior_mean(design, lam_hat, sigma2, y)
     if res is not None:
         kkt, builds = res.extra["kkt_residual"], res.extra["factorizations"]
     else:
-        kkt, builds = (None, 1) if cfg.variant == "hgla" else (0.0, 0)
+        kkt, builds = (None, 1) if variant == "hgla" else (0.0, 0)
     sel = [i for i in range(design.p) if lam_hat[i] > 0]
     return EstimateResult(
         theta=theta, lam=lam_hat, selected=sel, gamma=trace.chosen_gamma,
@@ -358,7 +359,7 @@ def polish_hglasso(y, design, trace, config=None):
         iterations=0 if res is None else res.iterations,
         objective=np.nan if res is None else res.objective,
         extra={"kappa": trace.kappa, "sigma2": sigma2,
-               "variant": cfg.variant, "kkt_residual": kkt,
+               "variant": variant, "kkt_residual": kkt,
                "factorizations": builds,
                "min_free_hessian_eig": None if res is None
                else res.extra["min_free_hessian_eig"],
@@ -366,9 +367,8 @@ def polish_hglasso(y, design, trace, config=None):
                "greedy_gains": list(trace.greedy_gains)})
 
 
-def fit_hglasso(y, design, config=None):
+def fit_hglasso(y, design, config=None, variant="hgla"):
     """Staged group-sparse fit; returns (EstimateResult, SelectionTrace):
-    select_hglasso, then polish_hglasso for config.variant."""
-    cfg = config or SelectionConfig()
-    trace = select_hglasso(y, design, cfg)
-    return polish_hglasso(y, design, trace, cfg), trace
+    select_hglasso with config, then polish_hglasso for variant."""
+    trace = select_hglasso(y, design, config)
+    return polish_hglasso(y, design, trace, variant), trace

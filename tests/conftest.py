@@ -81,8 +81,7 @@ def kkt_residual_hgl(lam, y, design, sigma2, gamma):
     objective at lambda, from a MarginalFactor built there: with e = 2 grad
     of neg_log_marginal, e_i = tr(G^(i)T W G^(i)) - ||G^(i)T W y||^2 +
     2 gamma, active coordinates must have e_i = 0 and zero ones e_i >= 0."""
-    from groupsparse import MarginalFactor
-    from groupsparse.hglasso import kkt_violation_hgl
+    from groupsparse.model import MarginalFactor, kkt_violation_hgl
     fac = MarginalFactor(design, lam, sigma2, y)
     return kkt_violation_hgl(fac.lam, 2.0 * fac.neg_log_marginal(gamma)[1])
 
@@ -98,7 +97,8 @@ def mkl_pqn(y, des, s2, gam, config=None):
     y^T (K(lam) + s2 I)^{-1} y / 2 + gam sum(lam), from zero: an MKL
     solver independent of Group Lasso, kept as the reference.  Returns a
     PqnResult (.lam)."""
-    from groupsparse import MarginalFactor, PqnConfig, minimize_pqn
+    from groupsparse.model import MarginalFactor
+    from groupsparse.pqn import PqnConfig, minimize_pqn
     y = np.asarray(y, dtype=float)
 
     def fun_grad(lam):
@@ -136,7 +136,7 @@ def mkl_recover_theta(lam, y, des, s2):
     """Coefficients from kernel scales (an array or a result with .lam):
     theta^(i) = lam_i G^(i)T c with c = (K(lam) + s2 I)^{-1} y, which is
     the posterior mean; returns an EstimateResult."""
-    from groupsparse import EstimateResult, posterior_mean
+    from groupsparse.model import EstimateResult, posterior_mean
     lam = np.asarray(getattr(lam, "lam", lam), dtype=float)
     return EstimateResult(theta=posterior_mean(des, lam, s2, y), lam=lam,
                           selected=[i for i in range(des.p) if lam[i] > 0])
@@ -418,7 +418,8 @@ def adalasso_reference(y, G, sigma2, grids):
     the reference for experiments.est_adalasso, which must agree bit for
     bit.  grids holds "gamma" and optionally "eta" (default 0.5..4 step
     0.5).  Returns an EstimateResult."""
-    from groupsparse import EstimateResult, GroupedDesign
+    from groupsparse import GroupedDesign
+    from groupsparse.model import EstimateResult
     from groupsparse.convex import _adalasso_weights, lasso_path
     from groupsparse.selection import _split
     y = np.asarray(y, dtype=float)

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from groupsparse import (
-    ConvexFitConfig, GroupedDesign, MarginalFactor, McConfig,
-    SelectionConfig, ZeroProbQuery, build_arx, closed_form_lambda_mkl_orth,
-    closed_form_lambda_orth, cod_k, fit_hglasso, gen_arx_series,
-    kkt_residual_mkl, mse_of_lambda, posterior_mean,
-    prob_lambda_zero, solve_glasso, solve_hgl_pqn, solve_mkl_lambda,
+    GroupedDesign, McConfig, ZeroProbQuery, build_arx,
+    closed_form_lambda_mkl_orth, closed_form_lambda_orth, cod_k, fit_hglasso,
+    gen_arx_series, prob_lambda_zero, solve_hgl_pqn, solve_mkl_lambda,
     two_group_thresholds,
 )
+from groupsparse.convex import kkt_residual_mkl, solve_glasso
+from groupsparse.model import MarginalFactor, mse_of_lambda, posterior_mean
 from groupsparse import experiments as ex
 
 from conftest import (kkt_residual_hgl, lambda_opt, mkl_pqn,
@@ -346,8 +346,7 @@ def test_arx_pipeline_prediction_and_selection():
     train, test = series[:300], series[300:]
     q = 10
     prob = build_arx(train, q)
-    res_h, _ = fit_hglasso(prob.y, prob.design,
-                           SelectionConfig(variant="hglc"))
+    res_h, _ = fit_hglasso(prob.y, prob.design, variant="hglc")
     s2 = max(1e-12, float(np.var(prob.y - prob.design.G @ res_h.theta)))
     res_m = ex.est_mkl(prob.y, prob.design, s2, {})
     cods = {}

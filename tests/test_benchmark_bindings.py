@@ -72,7 +72,9 @@ def test_tracing_hooks_read_real_solver_results():
     retreat."""
     import numpy as np
     import groupsparse.convex as cv
-    from groupsparse import McConfig, estimate_sigma2_ls, gen_problem
+    from groupsparse import McConfig
+    from groupsparse.experiments import gen_problem
+    from groupsparse.selection import estimate_sigma2_ls
     rng = np.random.default_rng(0)
     G = rng.standard_normal((6, 3))
     G[:, 1] = G[:, 0] + 1e-10 * rng.standard_normal(6)

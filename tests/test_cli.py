@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from groupsparse import GroupedDesign, McConfig, SelectionConfig, \
-    estimate_sigma2_ls, gen_problem
+from groupsparse import GroupedDesign, McConfig, SelectionConfig
+from groupsparse.experiments import gen_problem
+from groupsparse.selection import estimate_sigma2_ls
 from groupsparse.cli import FIT_METHODS, main, parse_groups, \
     read_csv_matrix, write_csv_matrix
 from groupsparse.cli import CliError
@@ -375,8 +376,8 @@ def test_fit_mkl_on_wide_designs_is_certified(tmp_path):
                          + [("mkl", ["--grid-n", "5"])])
 def test_fit_is_the_registry_estimator(fixture_dir, tmp_path, method, flags):
     """fit makes one registry call: its JSON is ESTIMATORS[method] called
-    with the sigma2 and ctx the CLI builds, and --grid-* reach the hgla
-    stage that centres mkl's gamma grid."""
+    with the sigma2 and ctx the CLI builds, and --grid-* reach the
+    selection stage that centres mkl's gamma grid."""
     out = tmp_path / "fit.json"
     code = main(["fit", "--method", method,
                  "--data-y", str(fixture_dir / "y.csv"),
@@ -396,7 +397,7 @@ def test_fit_is_the_registry_estimator(fixture_dir, tmp_path, method, flags):
     assert doc["gamma"] == float(res.gamma)
     assert doc["selected"] == [int(i) for i in res.selected]
     if flags:
-        assert ctx["hgla"][1].gammas.size == 5
+        assert ctx["stage"].gammas.size == 5
 
 
 @pytest.mark.parametrize("flags,message", [
@@ -693,8 +694,8 @@ def test_arx_sigma2_reaches_hgl_selection(tmp_path, capsys):
 
 
 def test_arx_mkl_selection_stage_uses_sigma2(tmp_path, capsys):
-    """The hgla stage that centres mkl's gamma grid gets --sigma2; without
-    it a selection split too short to estimate sigma2 exits 2."""
+    """The selection stage that centres mkl's gamma grid gets --sigma2;
+    without it a selection split too short to estimate sigma2 exits 2."""
     from groupsparse import gen_arx_series
     p = tmp_path / "series.csv"
     np.savetxt(p, gen_arx_series(T=300, seed=4), delimiter=",")

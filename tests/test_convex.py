@@ -5,16 +5,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from groupsparse import (
-    ConvexFitConfig, GroupedDesign, McConfig, estimate_sigma2_ls,
-    gen_problem, kkt_residual_mkl,
-    solve_glasso, solve_lasso, solve_mkl_lambda,
+from groupsparse import GroupedDesign, McConfig, solve_mkl_lambda
+from groupsparse.convex import (
+    ADALASSO_WEIGHT_CAP, ConvexFitConfig, _adalasso_weights, _newton,
+    adalasso_path, glasso_path, kkt_residual_mkl, lasso_path, solve_glasso,
+    solve_lasso,
 )
-from groupsparse.convex import ADALASSO_WEIGHT_CAP, _adalasso_weights, \
-    _newton, adalasso_path, glasso_path, lasso_path
 from groupsparse.experiments import ESTIMATORS, _lasso_grid, build_arx, \
-    est_adalasso, gen_arx_series
-from groupsparse.selection import _split
+    est_adalasso, gen_arx_series, gen_problem
+from groupsparse.selection import _split, estimate_sigma2_ls
 
 from conftest import adalasso_reference, cold_cd_glasso, lasso_on_support, \
     lasso_path_reference, mkl_pqn, mkl_recover_theta, newton_reference, \

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from groupsparse import (
-    ArxModel, GroupedDesign, McConfig, build_arx, cod_k,
-    gen_arx_series, percentage_error, run_monte_carlo, sparsity_index,
-    zero_pattern,
+    ArxModel, GroupedDesign, McConfig, build_arx, cod_k, gen_arx_series,
+    run_monte_carlo,
 )
 from groupsparse.experiments import (
-    ARX_TRUE_ACTIVE_CHANNELS, ESTIMATORS, gen_problem, run_seed,
+    ARX_TRUE_ACTIVE_CHANNELS, ESTIMATORS, gen_problem, percentage_error,
+    run_seed, sparsity_index, zero_pattern,
 )
 from groupsparse.model import EstimateResult
 
@@ -220,8 +220,9 @@ def test_run_monte_carlo_deterministic_and_thread_invariant():
 _BLAS_CHILD = """
 import json, sys
 import numpy as np
-from groupsparse import McConfig, SelectionConfig, estimate_sigma2_ls
+from groupsparse import McConfig, SelectionConfig
 from groupsparse.experiments import ESTIMATORS, gen_problem
+from groupsparse.selection import estimate_sigma2_ls
 
 out = []
 for cfg, given in ((McConfig(master_seed=0), False),
@@ -381,8 +382,8 @@ def test_hgl_estimators_polish_the_shared_stage(monkeypatch):
         design, _, y, _ = gen_problem(McConfig(experiment="exp1", runs=1,
                                                master_seed=21), run)
         sigma2 = ex.estimate_sigma2_ls(y, design.G)
-        alone = {v: sel.fit_hglasso(y, design, sel.SelectionConfig(
-            variant=v))[0] for v in ("hglb", "hglc")}
+        alone = {v: sel.fit_hglasso(y, design, variant=v)[0]
+                 for v in ("hglb", "hglc")}
         with monkeypatch.context() as mp:
             mp.setattr(sel, "_greedy_path", counted)
             ctx = {}
@@ -409,7 +410,7 @@ def test_hgl_fits_report_their_path_and_local_minimum():
         ctx = {}
         fits = {v: ESTIMATORS[v](y, design, sigma2, ctx)
                 for v in ("hgla", "hglb", "hglc")}
-        _, trace = ctx["hgla"]
+        trace = ctx["stage"]
         for v, res in fits.items():
             assert res.extra["greedy_order"] == trace.greedy_order
             assert res.extra["greedy_gains"] == trace.greedy_gains
@@ -492,7 +493,7 @@ def _cold_est_mkl(y, design, sigma2, ctx):
     from zero)."""
     import groupsparse.experiments as ex
     from conftest import mkl_recover_theta
-    gamma_ref = ex._hgla_stage(y, design, sigma2, ctx)[1].chosen_gamma
+    gamma_ref = ex._stage(y, design, ctx).chosen_gamma
     grid = np.logspace(np.log10(1e-2 * gamma_ref),
                        np.log10(1e4 * gamma_ref), 30)
     y_tr, y_val, d_tr, d_val = ex._split(y, design)

@@ -10,12 +10,13 @@ import pytest
 from scipy import stats
 
 from groupsparse import (
-    GroupedDesign, MarginalFactor, PqnConfig, ZeroProbQuery,
-    closed_form_lambda_mkl_orth, closed_form_lambda_orth, diagonalize_block,
-    mse_of_lambda,
-    prob_lambda_zero, solve_hgl_pqn, solve_mkl_lambda,
-    two_group_thresholds, weighted_mse_profile,
+    GroupedDesign, ZeroProbQuery, closed_form_lambda_mkl_orth,
+    closed_form_lambda_orth, prob_lambda_zero, solve_hgl_pqn, solve_mkl_lambda,
+    two_group_thresholds,
 )
+from groupsparse.hglasso import weighted_mse_profile
+from groupsparse.model import MarginalFactor, diagonalize_block, mse_of_lambda
+from groupsparse.pqn import PqnConfig
 
 from conftest import (kkt_residual_hgl, lambda_opt, mkl_pqn,
                       orthogonal_design, random_grouped)
@@ -187,36 +188,39 @@ def test_newton_direction_rejects_a_non_finite_hessian_or_gradient(bad):
 
 
 def test_hgl_factorizations_count_the_marginal_factor_builds(monkeypatch):
-    """extra["factorizations"] of solve_hgl_pqn, and of the hglb/hglc
-    polish that reports it, equals the MarginalFactor builds the solve
-    makes; hgla's is 1, its posterior mean, which is every build of its
-    fit (the selection stage builds none)."""
-    import groupsparse.hglasso as hg
+    """extra["factorizations"] of solve_hgl_pqn, and of every hgl fit
+    through ESTIMATORS, equals the MarginalFactor builds the fit makes, on
+    the ctx one problem's fits share and on a fresh one: hgla's is 1, its
+    posterior mean (the selection stage builds none), and hglb's and
+    hglc's those of their solve.  An mkl fit on a fresh ctx builds one,
+    its KKT certificate: the stage it centres its grid on builds none."""
     import groupsparse.model as gm
-    from groupsparse import McConfig, estimate_sigma2_ls, gen_problem
-    from groupsparse.experiments import ESTIMATORS
+    from groupsparse import McConfig
+    from groupsparse.experiments import ESTIMATORS, gen_problem
+    from groupsparse.selection import estimate_sigma2_ls
     builds = []
-    factor = hg.MarginalFactor
+    init = gm.MarginalFactor.__init__
 
-    def counting(design, lam, sigma2, y):
-        builds.append(lam)
-        return factor(design, lam, sigma2, y)
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(hg, "MarginalFactor", counting)
-    monkeypatch.setattr(gm, "MarginalFactor", counting)
+    monkeypatch.setattr(gm.MarginalFactor, "__init__", counted)
     des, _, y, _ = gen_problem(McConfig(experiment="exp1", runs=1,
                                         master_seed=0, estimators=[]), 0)
     s2 = estimate_sigma2_ls(y, des.G)
     res = solve_hgl_pqn(y, des, s2, 1.0)
     assert res.extra["factorizations"] == len(builds) > 1
-    ctx = {}
+    shared = {}
+    for name in ("hgla", "hglb", "hglc"):
+        for ctx in (shared, {}):
+            builds.clear()
+            res = ESTIMATORS[name](y, des, s2, ctx)
+            assert res.extra["factorizations"] == len(builds), name
+            assert (len(builds) == 1) == (name == "hgla"), name
     builds.clear()
-    res = ESTIMATORS["hgla"](y, des, s2, ctx)
-    assert res.extra["factorizations"] == len(builds) == 1
-    for name in ("hglb", "hglc"):
-        builds.clear()
-        res = ESTIMATORS[name](y, des, s2, ctx)
-        assert res.extra["factorizations"] == len(builds) > 1, name
+    ESTIMATORS["mkl"](y, des, s2, {})
+    assert len(builds) == 1
 
 
 def test_polish_modules_do_not_import_pqn():
@@ -246,7 +250,9 @@ def test_hgl_line_search_takes_a_converged_trial_on_the_armijo_edge():
     objective lies rounding noise above the current one.  The trial is
     taken, so the fit converges in 13 iterations instead of backtracking
     onto worse points until the line search gives up."""
-    from groupsparse import McConfig, estimate_sigma2_ls, gen_problem
+    from groupsparse import McConfig
+    from groupsparse.experiments import gen_problem
+    from groupsparse.selection import estimate_sigma2_ls
     from groupsparse.experiments import ESTIMATORS
     des, _, y, _ = gen_problem(McConfig(experiment="exp2", runs=10,
                                         master_seed=7, estimators=[]), 6)
@@ -329,10 +335,11 @@ def test_import_leaves_scipy_stats_unloaded():
     """Importing the package and its CLI loads none of scipy.stats,
     scipy.special or scipy.optimize: prob_lambda_zero takes the noncentral
     chi-square cdf from scipy.special and _tg_gamma_min takes brentq from
-    scipy.optimize when first called, and estimate_kappa uses neither."""
+    scipy.optimize when first called, and estimate_kappa uses neither.
+    Nor does it load groupsparse.pqn, which no other module imports."""
     code = ("import sys, groupsparse, groupsparse.cli; print(sorted(m for m "
-            "in ('scipy.stats', 'scipy.special', 'scipy.optimize') "
-            "if m in sys.modules))")
+            "in ('scipy.stats', 'scipy.special', 'scipy.optimize', "
+            "'groupsparse.pqn') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(

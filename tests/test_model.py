@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from groupsparse import (
-    BlockVector, GroupedDesign, MarginalFactor, diagonalize_block,
-    mse_of_lambda, posterior_mean,
+from groupsparse import GroupedDesign
+from groupsparse.model import (
+    BlockVector, MarginalFactor, diagonalize_block, mse_of_lambda,
+    posterior_mean,
 )
 
 from conftest import assemble_sigma_y, random_grouped

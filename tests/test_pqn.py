@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from groupsparse import PqnConfig, minimize_pqn
+from groupsparse.pqn import PqnConfig, minimize_pqn
 
 
 def quad_problem(A, b):

@@ -9,11 +9,14 @@ import pytest
 
 from groupsparse import (
     GroupedDesign, McConfig, SelectionConfig, closed_form_lambda_orth,
-    estimate_kappa, estimate_sigma2_ls, fit_hglasso, forward_select,
-    gen_problem,
+    fit_hglasso,
 )
+from groupsparse.experiments import gen_problem
 from groupsparse.model import MarginalFactor, posterior_mean
-from groupsparse.selection import _greedy_path, _split, select_hglasso
+from groupsparse.selection import (
+    _greedy_path, _split, estimate_kappa, estimate_sigma2_ls, forward_select,
+    select_hglasso,
+)
 
 from conftest import kappa_reference, orthogonal_design, sigma2_reference
 
@@ -372,7 +375,7 @@ def test_fit_selection_matches_per_gamma_greedy(rng):
         d_val = GroupedDesign(des.G[n_tr:], des.group_sizes)
         for grid in (None, np.array([1e-3, 0.3, 3.0, 1e6])):
             _, trace = fit_hglasso(y, des, SelectionConfig(
-                variant="hgla", sigma2=s2, gamma_grid=grid))
+                sigma2=s2, gamma_grid=grid))
             assert [] in trace.selected_sets
             assert any(len(s) >= 2 for s in trace.selected_sets)
             for gam, sel, err in zip(trace.gammas, trace.selected_sets,
@@ -441,7 +444,7 @@ def test_fit_factorizations_bounded_by_path(rng, monkeypatch):
 
     monkeypatch.setattr(MarginalFactor, "__init__", counted)
     for des, y, s2 in _two_route_problems(rng):
-        cfg = SelectionConfig(variant="hgla", sigma2=s2)
+        cfg = SelectionConfig(sigma2=s2)
         trace = select_hglasso(y, des, cfg)
         assert len({tuple(s) for s in trace.selected_sets}) >= 3
         assert builds == []
@@ -464,9 +467,10 @@ def _sparse_problem(rng, n=120):
     return des, theta, y
 
 
-def test_fit_config_validation():
-    with pytest.raises(ValueError):
-        SelectionConfig(variant="bogus")
+def test_fit_config_validation(rng):
+    des, _, y = _sparse_problem(rng)
+    with pytest.raises(ValueError, match="variant"):
+        fit_hglasso(y, des, variant="bogus")
     with pytest.raises(ValueError):
         SelectionConfig(gamma_grid=np.array([2.0, 1.0]))
     # no infinite or NaN gamma reaches the selection (an infinite grid_hi
@@ -480,8 +484,8 @@ def test_fit_config_validation():
 
 def test_fit_is_deterministic(rng):
     des, _, y = _sparse_problem(rng)
-    r1, t1 = fit_hglasso(y, des, SelectionConfig(variant="hgla"))
-    r2, t2 = fit_hglasso(y, des, SelectionConfig(variant="hgla"))
+    r1, t1 = fit_hglasso(y, des, variant="hgla")
+    r2, t2 = fit_hglasso(y, des, variant="hgla")
     assert np.array_equal(r1.theta, r2.theta)
     assert np.array_equal(t1.val_errors, t2.val_errors)
     assert t1.chosen_gamma == t2.chosen_gamma
@@ -490,7 +494,7 @@ def test_fit_is_deterministic(rng):
 def test_fit_recovers_true_blocks(rng):
     des, theta, y = _sparse_problem(rng)
     for variant in ("hgla", "hglc"):
-        res, _ = fit_hglasso(y, des, SelectionConfig(variant=variant))
+        res, _ = fit_hglasso(y, des, variant=variant)
         assert res.selected == [5, 8]
         rel = np.linalg.norm(res.theta - theta) / np.linalg.norm(theta)
         assert rel <= 0.1
@@ -498,7 +502,7 @@ def test_fit_recovers_true_blocks(rng):
 
 def test_hglc_off_set_lambda_exact_zero(rng):
     des, _, y = _sparse_problem(rng)
-    res, trace = fit_hglasso(y, des, SelectionConfig(variant="hglc"))
+    res, trace = fit_hglasso(y, des, variant="hglc")
     off = sorted(set(range(des.p)) - set(trace.chosen_set))
     assert np.all(res.lam[off] == 0.0)
 
@@ -506,7 +510,7 @@ def test_hglc_off_set_lambda_exact_zero(rng):
 def test_pure_noise_selects_nothing(rng):
     des = GroupedDesign(rng.standard_normal((60, 12)), [3, 3, 3, 3])
     y = rng.standard_normal(60)
-    res, trace = fit_hglasso(y, des, SelectionConfig(variant="hgla"))
+    res, trace = fit_hglasso(y, des, variant="hgla")
     # strong-gamma region of the grid must contain the empty set
     assert any(s == [] for s in trace.selected_sets)
     assert len(res.selected) <= 1
@@ -521,8 +525,8 @@ def test_hglc_all_blocks_orthogonal_matches_closed_form(rng):
     s2 = 0.25
     y = des.G @ theta + np.sqrt(s2) * rng.standard_normal(60)
     res, _ = fit_hglasso(
-        y, des, SelectionConfig(variant="hglc", sigma2=s2,
-                                gamma_grid=np.array([1e-8, 1e-4])))
+        y, des, SelectionConfig(sigma2=s2, gamma_grid=np.array([1e-8, 1e-4])),
+        "hglc")
     tls = des.G.T @ y / des.n
     ref = np.array([closed_form_lambda_orth(tls[s], 2, des.n, s2, 0.0)
                     for s in des.slices])
@@ -531,7 +535,6 @@ def test_hglc_all_blocks_orthogonal_matches_closed_form(rng):
 
 def test_sigma2_override_is_respected(rng):
     des, _, y = _sparse_problem(rng)
-    res, trace = fit_hglasso(y, des,
-                             SelectionConfig(variant="hgla", sigma2=0.123))
+    res, trace = fit_hglasso(y, des, SelectionConfig(sigma2=0.123))
     assert trace.sigma2 == 0.123
     assert res.extra["sigma2"] == 0.123
