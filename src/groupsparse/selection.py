@@ -308,6 +308,11 @@ def select_hglasso(y, design, config=None):
                           greedy_gains=path_gains)
 
 
+def _check_variant(variant):
+    if variant not in VARIANTS:
+        raise ValueError("variant must be one of %s" % (VARIANTS,))
+
+
 def polish_hglasso(y, design, trace, variant):
     """Stage two: lambda on the full data for variant (one of VARIANTS),
     starting from the forward-selection scales (kappa on
@@ -329,8 +334,7 @@ def polish_hglasso(y, design, trace, variant):
     extra["greedy_order"] and
     extra["greedy_gains"] are trace's unpenalized greedy path.
     """
-    if variant not in VARIANTS:
-        raise ValueError("variant must be one of %s" % (VARIANTS,))
+    _check_variant(variant)
     y = np.asarray(y, dtype=float)
     i_fs, sigma2 = trace.chosen_set, trace.sigma2
     lam_hat = np.zeros(design.p)
@@ -369,6 +373,8 @@ def polish_hglasso(y, design, trace, variant):
 
 def fit_hglasso(y, design, config=None, variant="hgla"):
     """Staged group-sparse fit; returns (EstimateResult, SelectionTrace):
-    select_hglasso with config, then polish_hglasso for variant."""
+    select_hglasso with config, then polish_hglasso for variant (checked
+    before the stage runs)."""
+    _check_variant(variant)
     trace = select_hglasso(y, design, config)
     return polish_hglasso(y, design, trace, variant), trace

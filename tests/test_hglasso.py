@@ -217,7 +217,8 @@ def test_hgl_factorizations_count_the_marginal_factor_builds(monkeypatch):
             builds.clear()
             res = ESTIMATORS[name](y, des, s2, ctx)
             assert res.extra["factorizations"] == len(builds), name
-            assert (len(builds) == 1) == (name == "hgla"), name
+            assert len(builds) == 1 if name == "hgla" \
+                else len(builds) > 1, name
     builds.clear()
     ESTIMATORS["mkl"](y, des, s2, {})
     assert len(builds) == 1

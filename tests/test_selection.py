@@ -467,10 +467,20 @@ def _sparse_problem(rng, n=120):
     return des, theta, y
 
 
-def test_fit_config_validation(rng):
+def test_fit_config_validation(rng, monkeypatch):
+    import groupsparse.selection as gs
     des, _, y = _sparse_problem(rng)
     with pytest.raises(ValueError, match="variant"):
         fit_hglasso(y, des, variant="bogus")
+
+    def no_stage(*args, **kwargs):
+        raise AssertionError("the stage ran before the variant check")
+
+    # a bad variant is rejected before the selection stage runs
+    monkeypatch.setattr(gs, "select_hglasso", no_stage)
+    with pytest.raises(ValueError, match="variant"):
+        gs.fit_hglasso(y, des, variant="bogus")
+    monkeypatch.undo()
     with pytest.raises(ValueError):
         SelectionConfig(gamma_grid=np.array([2.0, 1.0]))
     # no infinite or NaN gamma reaches the selection (an infinite grid_hi
