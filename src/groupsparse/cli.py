@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 
 from .model import GroupedDesign
-from .selection import SelectionConfig, estimate_sigma2_ls
+from .selection import SelectionConfig, estimate_sigma2
 from . import experiments as ex
 
 FIT_METHODS = tuple(m for m in ex.ESTIMATORS if m != "oracle")
@@ -150,12 +150,13 @@ def result_to_json(res, path_or_none):
 def _estimate(args, y, design):
     """ESTIMATORS[args.method] on (y, design), the one fit of fit and arx.
 
-    sigma2 is --sigma2, or else the least-squares residual variance (n >
-    m).  The ctx holds --gamma and a SelectionConfig with --sigma2 and the
-    --grid-* flags given, which NO_GRID methods reject.  Data errors of
-    the fit (e.g. a split too short to estimate sigma2 or to hold a row)
-    are usage errors.  A LinAlgError from the fit, and a non-finite
-    estimate, are numerical failures (exit 3)."""
+    sigma2 is --sigma2, or else the floored least-squares residual
+    variance, estimate_sigma2 (n > m).  The ctx holds --gamma and a
+    SelectionConfig with --sigma2 and the --grid-* flags given, which
+    NO_GRID methods reject.  Data errors of the fit (e.g. a split too
+    short to estimate sigma2 or to hold a row) are usage errors.  A
+    LinAlgError from the fit, and a non-finite estimate, are numerical
+    failures (exit 3)."""
     if args.method not in FIT_METHODS:
         raise CliError("unknown method %r; choose from %s"
                        % (args.method, FIT_METHODS))
@@ -168,7 +169,7 @@ def _estimate(args, y, design):
     if args.sigma2 is None and design.n <= design.m:
         raise CliError("n <= m: supply --sigma2 explicitly")
     sigma2 = args.sigma2 if args.sigma2 is not None else \
-        max(estimate_sigma2_ls(y, design.G), 1e-12)
+        estimate_sigma2(y, design.G)
     grid = {k: flags[k] for k in ("grid_lo", "grid_hi", "grid_n")
             if flags.get(k) is not None}
     if grid and flags.get("gamma") is not None:

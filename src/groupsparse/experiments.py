@@ -24,8 +24,9 @@ from dataclasses import dataclass, field, asdict, replace
 from .model import BlockVector, EstimateResult, GroupedDesign
 from .convex import ConvexFitConfig, adalasso_path, glasso_path, \
     kkt_residual_mkl, lasso_path, solve_glasso, solve_lasso, solve_mkl_lambda
-from .selection import SelectionConfig, _split, estimate_sigma2_ls, \
+from .selection import SelectionConfig, _split, estimate_sigma2, \
     polish_hglasso, select_hglasso
+from .selection import estimate_sigma2_ls  # noqa: F401  (benchmarks/run.py)
 
 EXPERIMENTS = ("exp1", "exp2", "exp2_noisy_a", "exp2_noisy_b", "exp2_noisy_c",
                "ada")
@@ -477,7 +478,7 @@ class McReport:
 def _one_run(config, run_index):
     design, theta_true, y, _ = gen_problem(config, run_index)
     _, seed = run_seed(config.master_seed, run_index)
-    sigma2 = estimate_sigma2_ls(y, design.G)
+    sigma2 = estimate_sigma2(y, design.G)
     true_zeros = (design.block_norms(theta_true.theta) == 0.0).tolist()
     ctx = {"theta_true": theta_true}
     rows = []

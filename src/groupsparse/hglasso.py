@@ -24,8 +24,9 @@ _BACKTRACK = 0.5
 
 
 def _newton_direction(H, g):
-    """-(H + mu I)^{-1} g, with mu = 0 when H is positive definite and
-    otherwise the first of 1e-8 max|diag H| x 10^j that makes it so.
+    """(-(H + mu I)^{-1} g, mu > 0), with mu = 0 when H is positive
+    definite and otherwise the first of 1e-8 max|diag H| x 10^j that makes
+    it so: the direction and whether it was damped.
 
     One LAPACK dposv on the upper triangle per mu (the bits of
     scipy.linalg.cho_factor + cho_solve, without their checks).  dposv
@@ -39,7 +40,7 @@ def _newton_direction(H, g):
         x, info = dposv(H + mu * np.eye(g.size) if mu else H, g,
                         lower=0)[1:]
         if info == 0:
-            return -x
+            return -x, mu > 0.0
         mu = 1e-8 * scale if mu == 0.0 else 10.0 * mu
 
 
@@ -68,13 +69,14 @@ def solve_hgl_pqn(y, design, sigma2, gamma, lam0=None):
     (kkt_violation_hgl), extra["grad_norm"] (the test's left side),
     extra["min_free_hessian_eig"], the smallest eigenvalue of the Hessian
     on the final free coordinates (positive at a strict local minimum;
-    None when none is free), and extra["factorizations"], the
-    MarginalFactor builds made (one per objective evaluation).
+    None when none is free), extra["factorizations"], the
+    MarginalFactor builds made (one per objective evaluation), and
+    extra["damped_directions"], the Newton directions that needed mu > 0.
     """
     lam = np.zeros(design.p) if lam0 is None else \
         np.maximum(np.asarray(lam0, dtype=float), 0.0)
 
-    builds = 0
+    builds = damped = 0
 
     def evaluate(lam):
         nonlocal builds
@@ -86,16 +88,19 @@ def solve_hgl_pqn(y, design, sigma2, gamma, lam0=None):
         return float(np.abs(lam - np.maximum(lam - g, 0.0)).max(initial=0.0))
 
     fac, f, g = evaluate(lam)
+    gnorm = pg_norm(lam, g)
     it = 0
     for it in range(1, _MAX_ITER + 1):
-        gnorm = pg_norm(lam, g)
         if gnorm <= _GRAD_TOL * (1.0 + abs(f)):
             break
         free = (lam > gnorm) | (g <= 0.0)
         d = -g
         if free.any():
-            H = fac.block_hessian()[free][:, free]
-            d[free] = _newton_direction(H, g[free])
+            H = fac.block_hessian()
+            if not free.all():
+                H = H[free][:, free]
+            d[free], was_damped = _newton_direction(H, g[free])
+            damped += was_damped
         # no free coordinate moves by more than the largest scale (or 1)
         # in one step, so a far-reaching step cannot jump across the
         # landscape (the projection already stops the binding ones)
@@ -110,9 +115,10 @@ def solve_hgl_pqn(y, design, sigma2, gamma, lam0=None):
             if not step.any():
                 break
             fac_t, f_t, g_t = evaluate(lam_t)
+            gnorm_t = pg_norm(lam_t, g_t)
             # a trial passing the convergence test is taken whatever its
             # objective; 1e-13|f| keeps rounding from rejecting decreases
-            if pg_norm(lam_t, g_t) <= _GRAD_TOL * (1.0 + abs(f_t)) or \
+            if gnorm_t <= _GRAD_TOL * (1.0 + abs(f_t)) or \
                     f_t <= f + min(_ARMIJO * (g @ step), 0.0) \
                     + 1e-13 * abs(f):
                 accepted = True
@@ -120,9 +126,8 @@ def solve_hgl_pqn(y, design, sigma2, gamma, lam0=None):
             t *= _BACKTRACK
         if not accepted:
             break  # no decrease representable; treat as terminal
-        lam, fac, f, g = lam_t, fac_t, f_t, g_t
+        lam, fac, f, g, gnorm = lam_t, fac_t, f_t, g_t, gnorm_t
 
-    gnorm = pg_norm(lam, g)
     free = (lam > gnorm) | (g <= 0.0)     # the final split
     eig = None
     if free.any():     # from fac's cached G^T W G and W y
@@ -135,7 +140,7 @@ def solve_hgl_pqn(y, design, sigma2, gamma, lam0=None):
         objective=float(f),
         extra={"kkt_residual": kkt_violation_hgl(lam, 2.0 * g),
                "grad_norm": gnorm, "min_free_hessian_eig": eig,
-               "factorizations": builds})
+               "factorizations": builds, "damped_directions": damped})
 
 
 # ============================================================

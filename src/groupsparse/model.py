@@ -14,7 +14,7 @@ and the numerical kernel shared by all solvers.
 
 import numpy as np
 from dataclasses import dataclass, field
-from scipy.linalg.blas import dsyrk
+from scipy.linalg.blas import dsyrk, dtrsm
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 
@@ -142,23 +142,30 @@ class MarginalFactor:
 
     - n <= m (dense): the Cholesky factor L of Sigma_y = Gt Gt^T + sigma2 I,
       formed by one symmetric rank-m product, and G^T W G = X^T X with
-      X = L^{-1} G from one triangular solve;
-    - n > m (low rank): the m x m factor of M = sigma2 I + Gt^T Gt, with
+      X^T = G^T L^{-T} from one right-sided triangular solve on G^T (a
+      dtrsm, faster on these shapes than a left-sided one on G);
+    - n > m (low rank): the m x m factor L of M = sigma2 I + Gt^T Gt, with
 
         Sigma_y^{-1} = [I - Gt M^{-1} Gt^T] / sigma2,
 
-      which never inverts Lam, so lambda_i = 0 is fine.
+      which never inverts Lam, so lambda_i = 0 is fine, and
+      G^T W G = (G^T G - B^T B) / sigma2 with B = L^{-1} Gt^T G from one
+      triangular solve.
+
+    NumPy forms X^T X, G^T G and B^T B as symmetric rank updates, so
+    G^T W G comes out exactly symmetric on both routes.
 
     A negative lambda raises ValueError; sigma2 <= 0, or a Sigma_y that is
     not positive definite, raises np.linalg.LinAlgError.  quad, gtw_y,
     block_scores, neg_log_marginal and block_hessian answer for a copy of
     y kept at the build (one solve); without y they raise ValueError.
 
-    BLAS and LAPACK are called directly (dsyrk, dpotrf, dpotrs, dtrtrs):
-    on these sizes the checks of the scipy.linalg wrappers cost more than
-    the arithmetic.  On the dense route S = Gt Gt^T comes back from dsyrk
-    in Fortran order, so sigma2 is added to its diagonal through a view of
-    its own memory (_add_to_diagonal); a C-order reshape would be a copy.
+    BLAS and LAPACK are called directly (dsyrk, dtrsm, dpotrf, dpotrs,
+    dtrtrs): on these sizes the checks of the scipy.linalg wrappers cost
+    more than the arithmetic.  On the dense route S = Gt Gt^T comes back
+    from dsyrk in Fortran order, so sigma2 is added to its diagonal
+    through a view of its own memory (_add_to_diagonal); a C-order
+    reshape would be a copy.
     """
 
     def __init__(self, design, lam, sigma2, y=None):
@@ -237,11 +244,13 @@ class MarginalFactor:
         """G^T Sigma_y^{-1} G, an m x m matrix (cached)."""
         if self._gtwg is None:
             if self.lowrank:
-                self._gtwg = (self.design.gram() - self._A @ dpotrs(
-                    self._L, self._A.T, lower=1)[0]) / self.sigma2
+                B = dtrtrs(self._L, self._A.T, lower=1)[0]  # L^{-1} Gt^T G
+                self._gtwg = (self.design.gram() - B.T @ B) / self.sigma2
             else:
-                X = dtrtrs(self._L, self.design.G, lower=1)[0]  # L^{-1} G
-                self._gtwg = X.T @ X
+                # X^T = G^T L^{-T} (G.T is Fortran-ordered: no copy in)
+                Xt = dtrsm(1.0, self._L, self.design.G.T, side=1, lower=1,
+                           trans_a=1)
+                self._gtwg = Xt @ Xt.T
         return self._gtwg
 
     def block_traces(self):

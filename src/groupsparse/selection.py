@@ -99,6 +99,17 @@ def estimate_sigma2_ls(y, G):
     return float(r @ r) / (n - m)
 
 
+def estimate_sigma2(y, G):
+    """The noise variance a fit uses when none is given: estimate_sigma2_ls
+    floored at 1e-14 ||y||^2 / n (1e-12 for y = 0).  Noiseless data leave
+    a residual variance at rounding level (about 1e-26 on exp1's design),
+    at which Sigma_y's factors fail and the convex grids select every
+    block; the floor never binds on data with noise in it."""
+    s2 = estimate_sigma2_ls(y, G)
+    y = np.asarray(y, dtype=float)
+    return max(s2, 1e-14 * float(y @ y) / y.size or 1e-12)
+
+
 def estimate_kappa(y_tr, design_tr, sigma2):
     """Common scale: minimize the unpenalized marginal objective over
     lambda = kappa * ones.
@@ -269,9 +280,8 @@ def select_hglasso(y, design, config=None):
     cfg = config or SelectionConfig()
     y = np.asarray(y, dtype=float)
     y_tr, y_val, d_tr, d_val = _split(y, design)
-    # a noiseless training fit estimates 0: floor it at 1e-12
     sigma2 = cfg.sigma2 if cfg.sigma2 is not None \
-        else estimate_sigma2_ls(y_tr, d_tr.G) or 1e-12
+        else estimate_sigma2(y_tr, d_tr.G)
     kappa = estimate_kappa(y_tr, d_tr, sigma2)
     if cfg.gamma_grid is not None:
         gammas = cfg.gamma_grid
@@ -331,6 +341,8 @@ def polish_hglasso(y, design, trace, variant):
     counts the polish's MarginalFactor builds: the solve's, 1 for hgla
     (its posterior mean) and 0 for hglc without a chosen block.
     select_hglasso builds none, so that is the fit's count.
+    extra["damped_directions"] is the solve's count of damped Newton
+    directions (0 without a solve).
     extra["greedy_order"] and
     extra["greedy_gains"] are trace's unpenalized greedy path.
     """
@@ -365,6 +377,8 @@ def polish_hglasso(y, design, trace, variant):
         extra={"kappa": trace.kappa, "sigma2": sigma2,
                "variant": variant, "kkt_residual": kkt,
                "factorizations": builds,
+               "damped_directions": 0 if res is None
+               else res.extra["damped_directions"],
                "min_free_hessian_eig": None if res is None
                else res.extra["min_free_hessian_eig"],
                "greedy_order": list(trace.greedy_order),

@@ -132,6 +132,22 @@ def assemble_sigma_y(des, lam, s2):
     return 0.5 * (S + S.T)
 
 
+def gtwg_reference(fac):
+    """MarginalFactor.gtwg by its two-solve formulas, the reference the
+    one-solve kernel is pinned to: on the low-rank route (G^T G - A M^{-1}
+    A^T) / sigma2, A = G^T Gt, by one dpotrs and a product; on the dense
+    route X^T X, X = L^{-1} G by a left-sided dtrtrs.  Cached like gtwg."""
+    from scipy.linalg.lapack import dpotrs, dtrtrs
+    if fac._gtwg is None:
+        if fac.lowrank:
+            fac._gtwg = (fac.design.gram() - fac._A @ dpotrs(
+                fac._L, fac._A.T, lower=1)[0]) / fac.sigma2
+        else:
+            X = dtrtrs(fac._L, fac.design.G, lower=1)[0]
+            fac._gtwg = X.T @ X
+    return fac._gtwg
+
+
 def mkl_recover_theta(lam, y, des, s2):
     """Coefficients from kernel scales (an array or a result with .lam):
     theta^(i) = lam_i G^(i)T c with c = (K(lam) + s2 I)^{-1} y, which is

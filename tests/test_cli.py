@@ -8,7 +8,7 @@ import pytest
 
 from groupsparse import GroupedDesign, McConfig, SelectionConfig
 from groupsparse.experiments import gen_problem
-from groupsparse.selection import estimate_sigma2_ls
+from groupsparse.selection import estimate_sigma2, estimate_sigma2_ls
 from groupsparse.cli import FIT_METHODS, main, parse_groups, \
     read_csv_matrix, write_csv_matrix
 from groupsparse.cli import CliError
@@ -251,6 +251,39 @@ def test_an_unwritable_out_exits_2(fixture_dir, arx_csv, tmp_path, capsys,
         assert "Traceback" not in err
 
 
+def test_noiseless_data_fit_every_method(fixture_dir, tmp_path):
+    """With y = G theta exactly, the least-squares sigma2 is at rounding
+    level; the floor of estimate_sigma2 lets every method fit, through the
+    CLI and through ESTIMATORS on one shared ctx: a finite estimate on the
+    true blocks, an exit code that follows converged, and hgla, mkl,
+    glasso, lasso and adalasso converged."""
+    G = read_csv_matrix(str(fixture_dir / "G.csv"))
+    theta = read_csv_matrix(str(fixture_dir / "theta.csv")).ravel()
+    y = G @ theta
+    y_csv = tmp_path / "y0.csv"
+    write_csv_matrix(str(y_csv), y.reshape(-1, 1))
+    design = GroupedDesign(G, [4] * 10)
+    truth = np.flatnonzero(design.block_norms(theta)).tolist()
+    s2 = estimate_sigma2(y, G)
+    assert estimate_sigma2_ls(y, G) < s2 == 1e-14 * (y @ y) / y.size
+    ctx = {}
+    for method in FIT_METHODS:
+        out = tmp_path / ("%s.json" % method)
+        code = main(["fit", "--method", method, "--data-y", str(y_csv),
+                     "--data-g", str(fixture_dir / "G.csv"), "--groups",
+                     "4", "--out", str(out)])
+        doc = json.loads(out.read_text())
+        res = ESTIMATORS[method](y, design, s2, ctx)
+        for th, converged in ((np.array(doc["theta"]),
+                               doc["diagnostics"]["converged"]),
+                              (res.theta, res.converged)):
+            assert np.isfinite(th).all(), method
+            assert np.flatnonzero(design.block_norms(th)).tolist() == \
+                truth, method
+            assert converged or method in ("hglb", "hglc"), method
+        assert code == (0 if doc["diagnostics"]["converged"] else 3), method
+
+
 def test_a_numerical_failure_in_a_fit_exits_3(fixture_dir, tmp_path,
                                              capsys):
     """A LinAlgError raised inside an estimator is a numerical failure
@@ -295,7 +328,7 @@ def test_fit_writes_counts_as_json_integers(fixture_dir, tmp_path):
                         "unconverged_solves"),
               "mkl": ("newton_steps", "blocks_added", "retreats",
                       "unconverged_solves"),
-              "hglb": ("factorizations",)}
+              "hglb": ("factorizations", "damped_directions")}
     for method, keys in counts.items():
         out = tmp_path / ("%s.json" % method)
         assert main(["fit", "--method", method,
@@ -389,7 +422,7 @@ def test_fit_is_the_registry_estimator(fixture_dir, tmp_path, method, flags):
     ctx = {"selection": SelectionConfig(grid_n=5) if flags
            else SelectionConfig(), "gamma": None}
     res = ESTIMATORS[method](y, GroupedDesign(G, [4] * 10),
-                             max(estimate_sigma2_ls(y, G), 1e-12), ctx)
+                             estimate_sigma2(y, G), ctx)
     assert code == (0 if res.converged else 3)
     assert doc["theta"] == [float(x) for x in res.theta]
     assert doc["lambda"] == (None if res.lam is None

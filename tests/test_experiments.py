@@ -234,7 +234,7 @@ for cfg, given in ((McConfig(master_seed=0), False),
         for _ in range(2):
             ctx = {"selection": SelectionConfig(sigma2=s2)} if given else {}
             fits.append([ESTIMATORS[name](y, design, s2, ctx)
-                         for name in ("hgla", "hglb", "mkl")])
+                         for name in ("hgla", "hglb", "hglc", "mkl")])
         for a, b in zip(*fits):
             assert np.array_equal(a.theta, b.theta) and a.gamma == b.gamma
         out += [[a.theta.tolist(), a.gamma, [int(i) for i in a.selected],
@@ -256,7 +256,7 @@ def test_fits_agree_across_blas_thread_counts():
         runs.append(json.loads(subprocess.run(
             [sys.executable, "-c", _BLAS_CHILD], check=True, env=env,
             capture_output=True, text=True, timeout=120).stdout))
-    assert len(runs[0]) == len(runs[1]) == 12
+    assert len(runs[0]) == len(runs[1]) == 16
     for (th1, g1, sel1, conv1), (th2, g2, sel2, conv2) in zip(*runs):
         assert (g1, sel1, conv1) == (g2, sel2, conv2)
         th1, th2 = np.array(th1), np.array(th2)

@@ -144,7 +144,8 @@ def test_hgl_converged_is_false_when_max_iter_runs_out(rng, monkeypatch):
 def test_newton_direction_matches_cho_solve_bit_for_bit(rng):
     """The polish's LAPACK dposv call gives the bits of scipy's
     cho_factor + cho_solve on H + mu I, mu = 0 when H is positive definite
-    and otherwise the first of 1e-8 max|diag H| x 10^j that makes it so."""
+    and otherwise the first of 1e-8 max|diag H| x 10^j that makes it so,
+    and reports mu > 0 as damped."""
     from scipy.linalg import cho_factor, cho_solve
     import groupsparse.hglasso as hg
 
@@ -152,7 +153,8 @@ def test_newton_direction_matches_cho_solve_bit_for_bit(rng):
         mu = 0.0
         while True:
             try:
-                return -cho_solve(cho_factor(H + mu * np.eye(g.size)), g)
+                return -cho_solve(cho_factor(H + mu * np.eye(g.size)),
+                                  g), mu > 0.0
             except np.linalg.LinAlgError:
                 mu = 1e-8 * np.max(np.abs(np.diag(H))) if mu == 0.0 \
                     else 10.0 * mu
@@ -164,8 +166,9 @@ def test_newton_direction_matches_cho_solve_bit_for_bit(rng):
         g = rng.standard_normal(p)
         for H in (A @ A.T + 0.1 * np.eye(p), A + A.T):
             indefinite += np.linalg.eigvalsh(H)[0] <= 0
-            assert np.array_equal(hg._newton_direction(H, g),
-                                  reference(H, g))
+            (x, damped), (x_ref, damped_ref) = \
+                hg._newton_direction(H, g), reference(H, g)
+            assert np.array_equal(x, x_ref) and damped == damped_ref
     assert indefinite >= 20
 
 
@@ -222,6 +225,88 @@ def test_hgl_factorizations_count_the_marginal_factor_builds(monkeypatch):
     builds.clear()
     ESTIMATORS["mkl"](y, des, s2, {})
     assert len(builds) == 1
+
+
+def _polish_problems():
+    """(design, y, sigma2, ctx) of exp1 seed 0 (10 problems, sigma2
+    estimated) and exp1 p = 40 seed 7000 (4 problems, sigma2 given: the
+    dense route)."""
+    from groupsparse import McConfig, SelectionConfig
+    from groupsparse.experiments import gen_problem
+    from groupsparse.selection import estimate_sigma2
+    for cfg, count, given in ((McConfig(master_seed=0), 10, False),
+                              (McConfig(master_seed=7000, p=40), 4, True)):
+        for r in range(count):
+            des, _, y, s2 = gen_problem(cfg, r)
+            if given:
+                yield des, y, s2, {"selection": SelectionConfig(sigma2=s2)}
+            else:
+                yield des, y, estimate_sigma2(y, des.G), {}
+
+
+def test_polish_matches_the_two_solve_gtwg(monkeypatch):
+    """hglb and hglc with gtwg from one triangular solve take the path
+    they take with the two-solve formulas (conftest.gtwg_reference): the
+    same iterations, factorizations and selected blocks, theta within
+    1e-10 relative, on both routes."""
+    from conftest import gtwg_reference
+    from groupsparse.experiments import ESTIMATORS
+    for des, y, s2, ctx in _polish_problems():
+        for name in ("hglb", "hglc"):
+            fits = []
+            for patched in (False, True):
+                with monkeypatch.context() as mp:
+                    if patched:
+                        mp.setattr(MarginalFactor, "gtwg", gtwg_reference)
+                    fits.append(ESTIMATORS[name](y, des, s2, ctx))
+            new, ref = fits
+            assert (new.iterations, new.extra["factorizations"],
+                    new.selected) == (ref.iterations,
+                                      ref.extra["factorizations"],
+                                      ref.selected), name
+            assert np.abs(new.theta - ref.theta).max() <= \
+                1e-10 * np.abs(ref.theta).max(), name
+
+
+def test_damped_directions_count_the_newton_directions_that_retried(
+        monkeypatch):
+    """extra["damped_directions"] of hglb and hglc is the number of Newton
+    directions whose first dposv failed (mu > 0 was needed); it is 0 for
+    hgla and for hglc without a chosen block."""
+    import dataclasses
+    import groupsparse.hglasso as hg
+    from groupsparse.experiments import ESTIMATORS
+    from groupsparse.selection import polish_hglasso
+    dposv_calls = []
+    retried = []
+    dposv, newton = hg.dposv, hg._newton_direction
+
+    def counted_dposv(*args, **kwargs):
+        dposv_calls.append(1)
+        return dposv(*args, **kwargs)
+
+    def counted_newton(H, g):
+        dposv_calls.clear()
+        out = newton(H, g)
+        retried.append(len(dposv_calls) > 1)
+        return out
+
+    monkeypatch.setattr(hg, "dposv", counted_dposv)
+    monkeypatch.setattr(hg, "_newton_direction", counted_newton)
+    total = directions = 0
+    for des, y, s2, ctx in _polish_problems():
+        for name in ("hglb", "hglc"):
+            retried.clear()
+            res = ESTIMATORS[name](y, des, s2, ctx)
+            assert res.extra["damped_directions"] == sum(retried), name
+            total += sum(retried)
+            directions += len(retried)
+        assert ESTIMATORS["hgla"](y, des, s2, ctx).extra[
+            "damped_directions"] == 0
+        empty = dataclasses.replace(ctx["stage"], chosen_set=[])
+        assert polish_hglasso(y, des, empty, "hglc").extra[
+            "damped_directions"] == 0
+    assert 0 < total < directions
 
 
 def test_polish_modules_do_not_import_pqn():

@@ -138,6 +138,58 @@ def test_marginal_factor_routes_agree(rng):
     assert routes == {False, True}
 
 
+def _gtwg_cases(rng):
+    """Seeded factors on both routes (n > m low rank, n <= m dense), each
+    with blocks at lambda = 0 and a duplicated column."""
+    for n, sizes in ((60, [4] * 8), (30, [3, 5, 2, 4, 1]), (20, [4] * 10),
+                     (24, [2, 3, 4, 5, 6, 4])):
+        for s2 in (0.05, 1.0, 7.0):
+            G = rng.standard_normal((n, sum(sizes)))
+            G[:, 1] = G[:, 0]
+            des = GroupedDesign(G, sizes)
+            lam = rng.uniform(0.0, 3.0, des.p)
+            lam[::3] = 0.0
+            yield des, lam, s2, MarginalFactor(des, lam, s2)
+
+
+def test_gtwg_matches_an_explicit_solve_on_both_routes(rng):
+    """G^T W G from one triangular solve is G^T Sigma_y^{-1} G of a dense
+    solve within 1e-13 ||G||_2^2 / sigma2, the scale of W's largest
+    entries times G's (not of max|M|: on the low-rank route G^T G - B^T B
+    cancels), and it is exactly symmetric."""
+    routes = set()
+    for des, lam, s2, fac in _gtwg_cases(rng):
+        routes.add(fac.lowrank)
+        M = fac.gtwg()
+        ref = des.G.T @ np.linalg.solve(assemble_sigma_y(des, lam, s2), des.G)
+        assert np.abs(M - ref).max() <= \
+            1e-13 * np.linalg.norm(des.G, 2) ** 2 / s2
+        assert np.array_equal(M, M.T)
+    assert routes == {False, True}
+
+
+def test_gtwg_makes_one_triangular_solve(rng, monkeypatch):
+    """One gtwg call makes one triangular solve (dtrtrs on the low-rank
+    route, dtrsm on the dense one) and no dpotrs; a second call reads the
+    cache and makes none."""
+    import groupsparse.model as gm
+    calls = []
+    for name in ("dtrtrs", "dtrsm", "dpotrs"):
+        def counted(*args, _name=name, _f=getattr(gm, name), **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(gm, name, counted)
+    routes = set()
+    for _, _, _, fac in _gtwg_cases(rng):
+        routes.add(fac.lowrank)
+        calls.clear()
+        fac.gtwg()
+        assert calls == ["dtrtrs" if fac.lowrank else "dtrsm"]
+        fac.gtwg()
+        assert len(calls) == 1
+    assert routes == {False, True}
+
+
 def test_marginal_factor_answers_for_its_own_copy_of_y(rng):
     """On both routes the factor answers for y as it was at the build: the
     caller's y changed in place afterwards, before or after the first

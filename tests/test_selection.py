@@ -14,8 +14,8 @@ from groupsparse import (
 from groupsparse.experiments import gen_problem
 from groupsparse.model import MarginalFactor, posterior_mean
 from groupsparse.selection import (
-    _greedy_path, _split, estimate_kappa, estimate_sigma2_ls, forward_select,
-    select_hglasso,
+    _greedy_path, _split, estimate_kappa, estimate_sigma2, estimate_sigma2_ls,
+    forward_select, select_hglasso,
 )
 
 from conftest import kappa_reference, orthogonal_design, sigma2_reference
@@ -29,6 +29,20 @@ def test_sigma2_noiseless_is_zero(rng):
     G = rng.standard_normal((20, 6))
     y = G @ rng.standard_normal(6)
     assert estimate_sigma2_ls(y, G) <= 1e-20
+
+
+def test_sigma2_floor_binds_only_without_noise(rng):
+    """estimate_sigma2 is estimate_sigma2_ls on noisy data, 1e-14 ||y||^2
+    / n on noiseless data and 1e-12 for y = 0; the training-half sigma2 of
+    select_hglasso follows the same rule."""
+    G = rng.standard_normal((20, 6))
+    y = G @ rng.standard_normal(6)
+    assert estimate_sigma2(y, G) == 1e-14 * (y @ y) / 20
+    assert estimate_sigma2(np.zeros(20), G) == 1e-12
+    y_noisy = y + rng.standard_normal(20)
+    assert estimate_sigma2(y_noisy, G) == estimate_sigma2_ls(y_noisy, G)
+    des = GroupedDesign(G, [3, 3])
+    assert select_hglasso(y, des).sigma2 == estimate_sigma2(y[:10], G[:10])
 
 
 def test_sigma2_requires_tall_design(rng):
