@@ -8,10 +8,7 @@ single driving input, and predict well at several horizons.
 
 import numpy as np
 
-from groupsparse import (
-    ArxModel, build_arx, cod_k, fit_hglasso,
-    gen_arx_series,
-)
+from groupsparse import arx_cod, build_arx, fit_hglasso, gen_arx_series
 
 series = gen_arx_series(T=600, seed=3)
 train, test = series[:300], series[300:]
@@ -28,7 +25,7 @@ norms = [float(np.linalg.norm(res.theta[s])) for s in prob.design.slices]
 for nm, bn in zip(names, norms):
     print("  %-8s lag-polynomial norm %.4f" % (nm, bn))
 
-model = ArxModel(theta=res.theta, q=q, means=prob.means, stds=prob.stds)
+cods = arx_cod(prob, res.theta, test, 10)
 print("\nprediction quality on held-out data:")
 for k in (1, 2, 5, 10):
-    print("  COD_%-2d = %.4f" % (k, cod_k(model, test, k)))
+    print("  COD_%-2d = %.4f" % (k, cods[k - 1]))

@@ -13,7 +13,7 @@ from .hglasso import (
 )
 from .selection import SelectionConfig, fit_hglasso
 from .experiments import (
-    McConfig, ArxModel, build_arx, cod_k, gen_arx_series, run_monte_carlo,
+    McConfig, arx_cod, build_arx, gen_arx_series, run_monte_carlo,
 )
 
 __version__ = "0.1.0"

@@ -234,6 +234,9 @@ def cmd_benchmark(args):
                           threads=args.threads)
     except ValueError as exc:
         raise CliError(str(exc))
+    if not estimators or len(set(estimators)) < len(estimators):
+        raise CliError("--estimators must name at least one estimator, each "
+                       "once")
     if args.out:   # an unwritable --out fails here, not after the campaign
         for ext in (".json", ".csv"):
             open(args.out + ext, "a").close()
@@ -263,22 +266,16 @@ def cmd_arx(args):
         if getattr(args, flag) < 1:
             raise CliError("--%s must be >= 1" % flag)
     series = read_csv_matrix(args.data)
-    if series.shape[0] < args.q + 2:
-        raise CliError("series length %d shorter than q+2=%d"
-                       % (series.shape[0], args.q + 2))
     n_tr = int(np.ceil(args.split * series.shape[0]))
     train, test = series[:n_tr], series[n_tr:]
     try:
         prob = ex.build_arx(train, args.q)
     except ValueError as exc:
-        raise CliError(str(exc))
+        raise CliError("training part: %s" % exc)
     res = _estimate(args, prob.y, prob.design)
-    model = ex.ArxModel(theta=res.theta, q=args.q, means=prob.means,
-                        stds=prob.stds)
-
     try:
-        cods = [(k, ex.cod_k(model, test, k))
-                for k in range(1, args.horizon + 1)]
+        cods = list(enumerate(
+            ex.arx_cod(prob, res.theta, test, args.horizon), 1))
     except ValueError as exc:
         raise CliError(str(exc))
     out = args.out or "arx_report"

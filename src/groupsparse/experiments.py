@@ -56,6 +56,10 @@ class McConfig:
         if self.experiment not in EXPERIMENTS:
             raise ValueError("unknown experiment %r; choose from %s"
                              % (self.experiment, EXPERIMENTS))
+        if self.experiment != "ada" and self.p < 6:  # block 6 is active
+            raise ValueError("p must be >= 6 for %s" % self.experiment)
+        if self.experiment != "ada" and self.k < 1:
+            raise ValueError("k must be >= 1 for %s" % self.experiment)
         for name in self.estimators:
             if name not in ESTIMATORS:
                 raise ValueError("unknown estimator %r; registry: %s"
@@ -168,14 +172,6 @@ class ArxProblem:
     stds: np.ndarray
 
 
-@dataclass
-class ArxModel:
-    theta: np.ndarray
-    q: int
-    means: np.ndarray
-    stds: np.ndarray
-
-
 def build_arx(series, q):
     """Lagged regression for y_t on its own past and each input's past.
 
@@ -192,7 +188,6 @@ def build_arx(series, q):
     stds = series.std(axis=0)
     stds = np.where(stds > 0, stds, 1.0)
     z = (series - means) / stds
-    rows = T - q
     cols = []
     for c in range(chans):
         for lag in range(1, q + 1):
@@ -203,42 +198,44 @@ def build_arx(series, q):
                       means=means, stds=stds)
 
 
-def cod_k(model, test_series, k):
-    """Coefficient of determination of k-step-ahead predictions.
+def arx_cod(prob, theta, test_series, horizon):
+    """COD_1..COD_horizon of the k-step-ahead predictions of an ARX fit.
 
-    The k-step prediction iterates the one-step ARX predictor, feeding
-    predicted outputs into the output-lag slots and measured inputs into the
-    input-lag slots.  COD = 1 - sum (y - yhat)^2 / sum (y - mean y)^2 on the
-    usable test rows.
+    The test series is normalized with prob.means and prob.stds, and the
+    one-step predictor with coefficients theta runs horizon times from every
+    origin q .. T-1 at once: predicted outputs feed the output-lag slots,
+    measured inputs (zero past the end of the series) the input-lag slots.
+    COD_k = 1 - sum (y - yhat)^2 / sum (y - mean y)^2 over rows
+    q+k-1 .. T-1, yhat being the prediction made k steps earlier.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    series = np.atleast_2d(np.asarray(test_series, dtype=float))
-    q = model.q
-    if series.shape[0] <= q + k:
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    z = (np.atleast_2d(test_series) - prob.means) / prob.stds
+    T, chans = z.shape
+    q = prob.q
+    if T <= q + horizon:
         raise ValueError("test series too short")
-    z = (series - model.means) / model.stds
-    T = series.shape[0]
-    chans = series.shape[1]
-    th = model.theta.reshape(chans, q)
-
-    preds, truth = [], []
-    for t in range(q + k - 1, T):
-        ybuf = z[:, 0].copy()  # predictions overwrite entries > t-k
-        for tt in range(t - k + 1, t + 1):
-            acc = 0.0
-            for c in range(chans):
-                src = ybuf if c == 0 else z[:, c]
-                acc += th[c] @ src[tt - q:tt][::-1]  # lags 1..q
-            ybuf[tt] = acc
-        preds.append(ybuf[t])
-        truth.append(z[t, 0])
-    preds = np.asarray(preds)
-    truth = np.asarray(truth)
-    denom = np.sum((truth - truth.mean()) ** 2)
-    if denom == 0:
-        raise ValueError("test output is constant")
-    return float(1.0 - np.sum((truth - preds) ** 2) / denom)
+    coef = np.asarray(theta, dtype=float).reshape(chans, q)[:, ::-1]
+    origins = T - q
+    # the inputs' part of the prediction of row q + r, for every r
+    inputs = np.vstack([z[:, 1:], np.zeros((horizon - 1, chans - 1))])
+    drive = sum(inputs[i:i + origins + horizon - 1] @ coef[1:, i]
+                for i in range(q))
+    # row s of ybuf: the measured outputs q .. 1 rows before origin q + s,
+    # then the predictions of the origin and of the horizon - 1 rows after
+    ybuf = np.empty((origins, q + horizon))
+    ybuf[:, :q] = np.lib.stride_tricks.sliding_window_view(z[:-1, 0], q)
+    for j in range(horizon):
+        ybuf[:, q + j] = ybuf[:, j:j + q] @ coef[0] + drive[j:j + origins]
+    cods = []
+    for k in range(1, horizon + 1):
+        truth = z[q + k - 1:, 0]
+        denom = np.sum((truth - truth.mean()) ** 2)
+        if denom == 0:
+            raise ValueError("test output is constant")
+        err = truth - ybuf[:origins - k + 1, q + k - 1]
+        cods.append(float(1.0 - np.sum(err ** 2) / denom))
+    return cods
 
 
 def gen_arx_series(T, seed):
@@ -500,6 +497,10 @@ def _one_run(config, run_index):
 
 def run_monte_carlo(config):
     """Run the campaign and aggregate; deterministic given the config."""
+    names = config.estimators
+    if not names or len(set(names)) < len(names):
+        raise ValueError("estimators must name at least one estimator, each "
+                         "once; got %r" % (names,))
     per_run = []
     if config.threads > 1:
         from concurrent.futures import ProcessPoolExecutor

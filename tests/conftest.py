@@ -86,6 +86,43 @@ def kkt_residual_hgl(lam, y, design, sigma2, gamma):
     return kkt_violation_hgl(fac.lam, 2.0 * fac.neg_log_marginal(gamma)[1])
 
 
+def cod_k_reference(prob, theta, test_series, k):
+    """experiments.arx_cod's COD_k as it was before the one-pass predictor:
+    for every target row t = q+k-1 .. T-1 its own copy of the normalized
+    output, the one-step predictor iterated k times from row t-k+1 (predicted
+    outputs in the output-lag slots, measured inputs in the input-lag
+    slots), and COD = 1 - sum (y - yhat)^2 / sum (y - mean y)^2.  The
+    reference the one pass is pinned to."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    series = np.atleast_2d(np.asarray(test_series, dtype=float))
+    q = prob.q
+    if series.shape[0] <= q + k:
+        raise ValueError("test series too short")
+    z = (series - prob.means) / prob.stds
+    T = series.shape[0]
+    chans = series.shape[1]
+    th = np.asarray(theta, dtype=float).reshape(chans, q)
+
+    preds, truth = [], []
+    for t in range(q + k - 1, T):
+        ybuf = z[:, 0].copy()  # predictions overwrite entries > t-k
+        for tt in range(t - k + 1, t + 1):
+            acc = 0.0
+            for c in range(chans):
+                src = ybuf if c == 0 else z[:, c]
+                acc += th[c] @ src[tt - q:tt][::-1]  # lags 1..q
+            ybuf[tt] = acc
+        preds.append(ybuf[t])
+        truth.append(z[t, 0])
+    preds = np.asarray(preds)
+    truth = np.asarray(truth)
+    denom = np.sum((truth - truth.mean()) ** 2)
+    if denom == 0:
+        raise ValueError("test output is constant")
+    return float(1.0 - np.sum((truth - preds) ** 2) / denom)
+
+
 def lambda_opt(theta_true_block, k):
     """MSE-optimal per-block scale ||theta_true^(i)||^2 / k_i."""
     t = np.asarray(theta_true_block, dtype=float)

@@ -12,7 +12,7 @@ import pytest
 
 from groupsparse import (
     GroupedDesign, McConfig, ZeroProbQuery, build_arx,
-    closed_form_lambda_mkl_orth, closed_form_lambda_orth, cod_k, fit_hglasso,
+    arx_cod, closed_form_lambda_mkl_orth, closed_form_lambda_orth, fit_hglasso,
     gen_arx_series, prob_lambda_zero, solve_hgl_pqn, solve_mkl_lambda,
     two_group_thresholds,
 )
@@ -351,9 +351,7 @@ def test_arx_pipeline_prediction_and_selection():
     res_m = ex.est_mkl(prob.y, prob.design, s2, {})
     cods = {}
     for name, res in (("hglc", res_h), ("mkl", res_m)):
-        model = ex.ArxModel(theta=res.theta, q=q, means=prob.means,
-                            stds=prob.stds)
-        cods[name] = cod_k(model, test, 1)
+        cods[name] = arx_cod(prob, res.theta, test, 1)[0]
     sel_ok = len(res_h.selected) <= ex.ARX_TRUE_ACTIVE_CHANNELS + 1
     cod_ok = cods["hglc"] >= cods["mkl"] - 0.02
     ok = sel_ok and cod_ok

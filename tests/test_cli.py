@@ -190,6 +190,7 @@ def test_fit_rejects_non_finite_input(fixture_dir, tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
 def test_a_non_finite_estimate_exits_3(fixture_dir, arx_csv, tmp_path,
                                        capsys):
     """fit and arx exit 3 with a message and write no result when theta is
@@ -284,6 +285,7 @@ def test_noiseless_data_fit_every_method(fixture_dir, tmp_path):
         assert code == (0 if doc["diagnostics"]["converged"] else 3), method
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
 def test_a_numerical_failure_in_a_fit_exits_3(fixture_dir, tmp_path,
                                              capsys):
     """A LinAlgError raised inside an estimator is a numerical failure
@@ -300,6 +302,7 @@ def test_a_numerical_failure_in_a_fit_exits_3(fixture_dir, tmp_path,
 
 
 @pytest.mark.parametrize("method", ["mkl", "glasso"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
 def test_fit_writes_valid_json_when_a_diagnostic_overflows(
         fixture_dir, tmp_path, method):
     """At sigma2 = 1e-320 the mkl/glasso objective (and mkl's KKT residual)
@@ -650,6 +653,19 @@ def test_benchmark_unknown_estimator_exits_2(capsys):
     assert "registry" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("names", ["", ",", "oracle,oracle"])
+def test_benchmark_estimator_list_needs_each_name_once(tmp_path, capsys,
+                                                        names):
+    """--estimators with no name exits 2 instead of fitting nothing, and a
+    repeated name exits 2 instead of fitting and counting twice; both fail
+    before the campaign, so --out is not touched."""
+    out = tmp_path / "rep"
+    assert main(["benchmark", "--runs", "1", "--estimators", names,
+                 "--out", str(out)]) == 2
+    assert "--estimators" in capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists()
+
+
 def test_benchmark_threads_come_from_the_flag_alone(monkeypatch, capsys):
     """--threads below 1 exits 2 instead of running serially, and its
     default is 1 whatever the environment holds."""
@@ -772,10 +788,11 @@ def test_seed_is_rejected_where_unused(fixture_dir, tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
-def test_arx_q_too_large_exits_2(tmp_path):
+def test_arx_q_too_large_exits_2(tmp_path, capsys):
     np.savetxt(tmp_path / "s.csv", np.ones((10, 2)), delimiter=",")
     code = main(["arx", "--data", str(tmp_path / "s.csv"), "--q", "20"])
     assert code == 2
+    assert "training part: series length 5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,value", [

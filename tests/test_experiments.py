@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from groupsparse import (
-    ArxModel, GroupedDesign, McConfig, build_arx, cod_k, gen_arx_series,
+    GroupedDesign, McConfig, arx_cod, build_arx, fit_hglasso, gen_arx_series,
     run_monte_carlo,
 )
 from groupsparse.experiments import (
@@ -18,6 +19,8 @@ from groupsparse.experiments import (
     run_seed, sparsity_index, zero_pattern,
 )
 from groupsparse.model import EstimateResult
+
+from conftest import cod_k_reference
 
 
 # ------------------------------------------------------------
@@ -31,6 +34,30 @@ def test_config_validation():
         McConfig(experiment="exp9")
     with pytest.raises(ValueError, match="registry"):
         McConfig(estimators=["bogus"])
+
+
+@pytest.mark.parametrize("experiment", ["exp1", "exp2", "exp2_noisy_c"])
+def test_config_rejects_block_shapes_without_block_6(experiment):
+    """Block 6 is always active in the block experiments, so p < 6 (or
+    empty blocks) fails when the config is built, not in gen_problem."""
+    with pytest.raises(ValueError, match="^p must"):
+        McConfig(experiment=experiment, p=5)
+    with pytest.raises(ValueError, match="^k must"):
+        McConfig(experiment=experiment, k=0)
+    cfg = McConfig(experiment=experiment, runs=1, p=6, k=1, estimators=[])
+    design, theta, _, _ = gen_problem(cfg, 0)
+    assert design.group_sizes == [1] * 6 and theta.theta[5] != 0.0
+    McConfig(experiment="ada", p=1, k=0)   # ada has its own 8 scalars
+
+
+@pytest.mark.parametrize("names", [[], ["oracle", "oracle"],
+                                   ["oracle", "hgla", "oracle"]])
+def test_run_monte_carlo_needs_each_estimator_once(names):
+    """An empty list would fit nothing; a repeated name would fit each
+    problem twice and count every run twice in its aggregate."""
+    cfg = McConfig(experiment="exp1", runs=1, estimators=names)
+    with pytest.raises(ValueError, match="each once"):
+        run_monte_carlo(cfg)
 
 
 def test_run_seed_deterministic_and_distinct():
@@ -156,18 +183,49 @@ def test_cod_perfect_model_noise_free(rng):
     theta = np.zeros(2 * q)
     theta[0] = 0.9       # y lag 1
     theta[q] = 0.5       # u lag 1
-    model = ArxModel(theta=theta, q=q, means=np.zeros(2), stds=np.ones(2))
+    prob = replace(build_arx(series, q), means=np.zeros(2), stds=np.ones(2))
+    cods = arx_cod(prob, theta, series, 5)
     for k in (1, 2, 5):
-        assert cod_k(model, series, k) >= 1.0 - 1e-12
+        assert cods[k - 1] >= 1.0 - 1e-12
 
 
-def test_cod_k_validation(rng):
-    model = ArxModel(theta=np.zeros(4), q=2, means=np.zeros(2),
-                     stds=np.ones(2))
+def test_arx_cod_validation(rng):
+    prob = build_arx(rng.standard_normal((20, 2)), 2)
+    theta = np.zeros(4)
     with pytest.raises(ValueError):
-        cod_k(model, rng.standard_normal((20, 2)), 0)
+        arx_cod(prob, theta, rng.standard_normal((20, 2)), 0)
     with pytest.raises(ValueError, match="too short"):
-        cod_k(model, rng.standard_normal((3, 2)), 2)
+        arx_cod(prob, theta, rng.standard_normal((3, 2)), 1)
+    with pytest.raises(ValueError, match="too short"):
+        arx_cod(prob, theta, rng.standard_normal((5, 2)), 3)
+    # the output is constant on the rows COD_3 is taken over, not COD_1's
+    series = rng.standard_normal((8, 2))
+    series[4:, 0] = 1.0
+    assert len(arx_cod(prob, theta, series, 2)) == 2
+    with pytest.raises(ValueError, match="constant"):
+        arx_cod(prob, theta, series, 3)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+@pytest.mark.parametrize("q", [1, 2, 10])
+@pytest.mark.parametrize("chans", [1, 4])
+def test_arx_cod_matches_the_per_horizon_reference(seed, q, chans):
+    """Every horizon's COD from the one pass equals the k-step predictor
+    rerun from each origin (cod_k_reference), for a least-squares fit on
+    every channel and for a sparse hglc fit, with three inputs and with
+    none (a pure autoregression)."""
+    series = gen_arx_series(T=360, seed=seed)[:, :chans]
+    train, test = series[:180], series[180:]
+    prob = build_arx(train, q)
+    ls, *_ = np.linalg.lstsq(prob.design.G, prob.y, rcond=None)
+    hglc = fit_hglasso(prob.y, prob.design, variant="hglc")[0].theta
+    horizon = 8
+    for theta in (ls, hglc):
+        cods = arx_cod(prob, theta, test, horizon)
+        assert len(cods) == horizon
+        for k in range(1, horizon + 1):
+            ref = cod_k_reference(prob, theta, test, k)
+            assert abs(cods[k - 1] - ref) <= 1e-12, (k, cods[k - 1], ref)
 
 
 def test_gen_arx_series_shape_and_sparsity():
