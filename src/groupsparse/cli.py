@@ -65,11 +65,7 @@ def read_csv_matrix(path):
     reads it again, so that a malformed or ragged line is named by its line
     number (and what loadtxt alone refuses, such as a line of spaces, is
     read as before).  An empty file or a nan or inf entry is an error."""
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise CliError(str(exc))
-    with fh, warnings.catch_warnings():
+    with open(path) as fh, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
             A = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
@@ -153,10 +149,8 @@ def _estimate(args, y, design):
     sigma2 is --sigma2, or else the floored least-squares residual
     variance, estimate_sigma2 (n > m).  The ctx holds --gamma and a
     SelectionConfig with --sigma2 and the --grid-* flags given, which
-    NO_GRID methods reject.  Data errors of the fit (e.g. a split too
-    short to estimate sigma2 or to hold a row) are usage errors.  A
-    LinAlgError from the fit, and a non-finite estimate, are numerical
-    failures (exit 3)."""
+    NO_GRID methods reject.  A non-finite estimate raises LinAlgError,
+    which main makes a numerical failure (exit 3)."""
     if args.method not in FIT_METHODS:
         raise CliError("unknown method %r; choose from %s"
                        % (args.method, FIT_METHODS))
@@ -176,14 +170,9 @@ def _estimate(args, y, design):
         raise CliError("--grid-* flags do not apply with a fixed --gamma")
     if grid and args.method in NO_GRID:
         raise CliError("--grid-* flags do not apply to " + args.method)
-    try:
-        ctx = {"selection": SelectionConfig(sigma2=args.sigma2, **grid),
-               "gamma": flags.get("gamma")}
-        res = ex.ESTIMATORS[args.method](y, design, sigma2, ctx)
-    except np.linalg.LinAlgError:
-        raise                         # a ValueError, but a numerical one
-    except ValueError as exc:
-        raise CliError(str(exc))
+    ctx = {"selection": SelectionConfig(sigma2=args.sigma2, **grid),
+           "gamma": flags.get("gamma")}
+    res = ex.ESTIMATORS[args.method](y, design, sigma2, ctx)
     if not np.isfinite(res.theta).all():
         raise np.linalg.LinAlgError("the %s estimate is not finite"
                                     % args.method)
@@ -200,16 +189,15 @@ def cmd_fit(args):
         raise CliError("y has %d rows, G has %d" % (y.size, G.shape[0]))
     if args.groups is None:
         raise CliError("--groups is required for fit")
-    try:
-        design = GroupedDesign(G, parse_groups(args.groups, G.shape[1]))
-    except ValueError as exc:
-        raise CliError(str(exc))
+    design = GroupedDesign(G, parse_groups(args.groups, G.shape[1]))
     res = _estimate(args, y, design)
     result_to_json(res, args.out)
     return 3 if not res.converged else 0
 
 
 def cmd_simulate(args):
+    if args.seed < 0:
+        raise CliError("--seed must be >= 0")
     cfg = ex.McConfig(experiment=args.experiment, runs=1,
                       master_seed=args.seed, estimators=[])
     design, theta, y, sigma2 = ex.gen_problem(cfg, 0)
@@ -227,13 +215,12 @@ def cmd_simulate(args):
 
 
 def cmd_benchmark(args):
+    if args.seed < 0:
+        raise CliError("--seed must be >= 0")
     estimators = [s for s in args.estimators.split(",") if s]
-    try:
-        cfg = ex.McConfig(experiment=args.experiment, runs=args.runs,
-                          master_seed=args.seed, estimators=estimators,
-                          threads=args.threads)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    cfg = ex.McConfig(experiment=args.experiment, runs=args.runs,
+                      master_seed=args.seed, estimators=estimators,
+                      threads=args.threads)
     if not estimators or len(set(estimators)) < len(estimators):
         raise CliError("--estimators must name at least one estimator, each "
                        "once")
@@ -273,11 +260,8 @@ def cmd_arx(args):
     except ValueError as exc:
         raise CliError("training part: %s" % exc)
     res = _estimate(args, prob.y, prob.design)
-    try:
-        cods = list(enumerate(
-            ex.arx_cod(prob, res.theta, test, args.horizon), 1))
-    except ValueError as exc:
-        raise CliError(str(exc))
+    cods = list(enumerate(
+        ex.arx_cod(prob, res.theta, test, args.horizon), 1))
     out = args.out or "arx_report"
     write_csv_matrix(out + ".csv", np.asarray(cods))
     design, selected = prob.design, res.selected
@@ -363,64 +347,63 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command: the one place a failure becomes an exit code, and
+    one stderr line.  NumPy floating-point warnings are off; a non-finite
+    estimate exits 3 and a non-finite diagnostic is written as null."""
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                file_cfg = json.load(fh)
-            if not isinstance(file_cfg, dict):
-                raise ValueError("not a JSON object")
-        except (OSError, ValueError) as exc:
-            print("error: bad config file: %s" % exc, file=sys.stderr)
-            return 2
-        # flags win over the config file, which wins over defaults; a file
-        # value goes through its flag's type and choices as if typed on the
-        # command line
-        tokens = list(argv if argv is not None else sys.argv[1:])
-        sub = next(a for a in ap._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        # each command's options; a key of another command is ignored, so
-        # one file can serve several commands, and a key of none is an error
-        options = {name: {a.dest: a for a in p._actions
-                          if not isinstance(a, argparse._HelpAction)}
-                   for name, p in sub.choices.items()}
-        actions = options[args.command]
-        for key, val in file_cfg.items():
-            attr = key.replace("-", "_")
-            if not any(attr in opts for opts in options.values()):
-                print("error: config key %r is an option of no command"
-                      % key, file=sys.stderr)
-                return 2
-            flag = "--" + attr.replace("_", "-")
-            supplied = any(t == flag or t.startswith(flag + "=")
-                           for t in tokens)
-            if attr not in actions or supplied:
-                continue
-            convert, choices = actions[attr].type, actions[attr].choices
-            if convert is not None and val is not None:
-                try:
-                    val = convert(str(val))
-                except ValueError:
-                    print("error: config key %r: %r is not a valid %s"
-                          % (key, val, convert.__name__), file=sys.stderr)
-                    return 2
-            if choices is not None and val not in choices:
-                print("error: config key %r: %r is not one of %s"
-                      % (key, val, list(choices)), file=sys.stderr)
-                return 2
-            setattr(args, attr, val)
     try:
-        return args.func(args)
-    except (CliError, OSError) as exc:  # OSError: an unwritable --out
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except np.linalg.LinAlgError as exc:
+        if args.config:
+            try:
+                with open(args.config) as fh:
+                    file_cfg = json.load(fh)
+            except (OSError, ValueError) as exc:
+                raise CliError("bad config file: %s" % exc)
+            if not isinstance(file_cfg, dict):
+                raise CliError("bad config file: not a JSON object")
+            # flags win over the file, which wins over defaults; a file
+            # value goes through its flag's type and choices as if typed
+            tokens = list(argv if argv is not None else sys.argv[1:])
+            sub = next(a for a in ap._actions
+                       if isinstance(a, argparse._SubParsersAction))
+            # a key of another command is ignored, so one file can serve
+            # several commands; a key of none is an error
+            options = {name: {a.dest: a for a in p._actions
+                              if not isinstance(a, argparse._HelpAction)}
+                       for name, p in sub.choices.items()}
+            actions = options[args.command]
+            for key, val in file_cfg.items():
+                attr = key.replace("-", "_")
+                if not any(attr in opts for opts in options.values()):
+                    raise CliError("config key %r is an option of no command"
+                                   % key)
+                flag = "--" + attr.replace("_", "-")
+                supplied = any(t == flag or t.startswith(flag + "=")
+                               for t in tokens)
+                if attr not in actions or supplied:
+                    continue
+                convert, choices = actions[attr].type, actions[attr].choices
+                if convert is not None and val is not None:
+                    try:
+                        val = convert(str(val))
+                    except ValueError:
+                        raise CliError("config key %r: %r is not a valid %s"
+                                       % (key, val, convert.__name__))
+                if choices is not None and val not in choices:
+                    raise CliError("config key %r: %r is not one of %s"
+                                   % (key, val, list(choices)))
+                setattr(args, attr, val)
+        with np.errstate(all="ignore"):
+            return args.func(args)
+    except np.linalg.LinAlgError as exc:  # a ValueError, but numerical
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
+    except (CliError, OSError, ValueError) as exc:  # OSError: bad --out
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

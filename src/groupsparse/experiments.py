@@ -53,6 +53,8 @@ class McConfig:
     def __post_init__(self):
         if self.runs < 1 or self.threads < 1:
             raise ValueError("runs and threads must be >= 1")
+        if self.master_seed < 0:  # SeedSequence takes no negative entropy
+            raise ValueError("master_seed must be >= 0")
         if self.experiment not in EXPERIMENTS:
             raise ValueError("unknown experiment %r; choose from %s"
                              % (self.experiment, EXPERIMENTS))

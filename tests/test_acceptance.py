@@ -18,6 +18,7 @@ from groupsparse import (
 )
 from groupsparse.convex import kkt_residual_mkl, solve_glasso
 from groupsparse.model import MarginalFactor, mse_of_lambda, posterior_mean
+from groupsparse.selection import estimate_sigma2
 from groupsparse import experiments as ex
 
 from conftest import (kkt_residual_hgl, lambda_opt, mkl_pqn,
@@ -358,4 +359,37 @@ def test_arx_pipeline_prediction_and_selection():
     _line("lagged-regression prediction and selection", ok,
           "cod1 hglc %.4f mkl %.4f selected %s"
           % (cods["hglc"], cods["mkl"], res_h.selected))
+    assert ok
+
+
+def test_arx_block_recovery_across_estimators():
+    """20 lagged-regression series (gen_arx_series(600, seed), seeds 0-19;
+    the first 300 rows train, q = 10, sigma2 from estimate_sigma2, one ctx
+    per series): hgla and hglc select exactly the true blocks {0, 1}
+    (output lags, input 1) on more series than mkl and than lasso, and no
+    fit is unconverged.  Mean COD_1 and COD_5 on the last 300 rows, mean
+    blocks selected and exact-support counts are printed, not asserted."""
+    names = ["hgla", "hglb", "hglc", "mkl", "lasso", "adalasso"]
+    rows = {k: [] for k in names}
+    for seed in range(20):
+        series = gen_arx_series(600, seed)
+        prob = build_arx(series[:300], 10)
+        s2 = estimate_sigma2(prob.y, prob.design.G)
+        ctx = {}
+        for name in names:
+            res = ex.ESTIMATORS[name](prob.y, prob.design, s2, ctx)
+            blocks = [i for i, zero in
+                      enumerate(ex.zero_pattern(res, prob.design)) if not zero]
+            cod = arx_cod(prob, res.theta, series[300:], 5)
+            rows[name].append((cod[0], cod[4], len(blocks), blocks == [0, 1],
+                               res.converged))
+    exact = {k: sum(r[3] for r in rows[k]) for k in names}
+    ok = (min(exact["hgla"], exact["hglc"]) > max(exact["mkl"], exact["lasso"])
+          and all(r[4] for k in names for r in rows[k]))
+    _line("lagged-regression exact block support", ok,
+          " ".join("%s %d/20" % (k, exact[k]) for k in names))
+    for k in names:
+        _line("  " + k, all(r[4] for r in rows[k]),
+              "COD_1 %.4f COD_5 %.4f blocks %.2f exact %d/20"
+              % (*np.mean([r[:3] for r in rows[k]], axis=0), exact[k]))
     assert ok

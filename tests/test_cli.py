@@ -28,6 +28,11 @@ def fixture_dir(tmp_path):
 # helpers
 # ------------------------------------------------------------
 
+def _one_line(err):
+    """err is a single line: the CLI's message and no NumPy warning."""
+    return err.count("\n") <= 1
+
+
 def test_read_csv_reports_line_numbers(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("1,2\n3,x\n")
@@ -190,21 +195,23 @@ def test_fit_rejects_non_finite_input(fixture_dir, tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
 def test_a_non_finite_estimate_exits_3(fixture_dir, arx_csv, tmp_path,
                                        capsys):
-    """fit and arx exit 3 with a message and write no result when theta is
-    not finite (sigma2 = 1e-320 overflows the hgl selection stage)."""
+    """fit and arx exit 3 with a one-line message, no NumPy warning, and
+    write no result when the hgla, hglb or hglc theta is not finite
+    (sigma2 = 1e-320 overflows the hgl selection stage)."""
     out = tmp_path / "out"
-    code = main(["fit", "--data-y", str(fixture_dir / "y.csv"),
-                 "--data-g", str(fixture_dir / "G.csv"), "--groups", "4",
-                 "--sigma2", "1e-320", "--out", str(out)])
-    assert code == 3
-    assert "not finite" in capsys.readouterr().err
-    code = main(["arx", "--data", str(arx_csv), "--q", "10",
-                 "--sigma2", "1e-320", "--out", str(out)])
-    assert code == 3
-    assert "not finite" in capsys.readouterr().err
+    for method in ("hgla", "hglb", "hglc"):
+        for data in (["fit", "--data-y", str(fixture_dir / "y.csv"),
+                      "--data-g", str(fixture_dir / "G.csv"),
+                      "--groups", "4"],
+                     ["arx", "--data", str(arx_csv), "--q", "10"]):
+            code = main(data + ["--method", method, "--sigma2", "1e-320",
+                                "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code == 3, (data[0], method)
+            assert "%s estimate is not finite" % method in err and \
+                _one_line(err), (data[0], method)
     assert not list(tmp_path.glob("out*"))
 
 
@@ -219,7 +226,56 @@ def test_a_lasso_grid_that_overflows_exits_3(fixture_dir, capsys, method):
                      "--data-g", str(fixture_dir / "G.csv"), "--groups", "4",
                      "--sigma2", "1e-320"])
     assert code == 3
-    assert "penalty grid overflows" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "penalty grid overflows" in err and _one_line(err)
+
+
+@pytest.mark.parametrize("method,flag", [
+    ("hglb", "--gamma"), ("glasso", "--gamma"), ("mkl", "--sigma2")])
+def test_a_fit_at_a_valid_extreme_prints_no_warning(fixture_dir, tmp_path,
+                                                   capsys, method, flag):
+    """A finite --gamma or --sigma2 of 1e308 is valid input: the fit may
+    overflow inside, but exits 0 and prints nothing to stderr."""
+    out = tmp_path / "fit.json"
+    code = main(["fit", "--method", method,
+                 "--data-y", str(fixture_dir / "y.csv"),
+                 "--data-g", str(fixture_dir / "G.csv"), "--groups", "4",
+                 flag, "1e308", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["diagnostics"]["converged"]
+
+
+@pytest.mark.parametrize("case,message", [
+    ("missing G", "No such file or directory"),
+    ("two-column y", "y must be a single column"),
+    ("no --groups", "--groups is required for fit"),
+    ("empty group", "every group size must be >= 1"),
+    ("long horizon", "test series too short"),
+])
+def test_data_errors_exit_2(fixture_dir, arx_csv, tmp_path, capsys, case,
+                            message):
+    """A missing file, a y of two columns, no --groups, a block of size 0,
+    and an arx --horizon longer than the test part are usage or data
+    errors: exit 2 and one line naming the problem."""
+    y, g = str(fixture_dir / "y.csv"), str(fixture_dir / "G.csv")
+    np.savetxt(tmp_path / "y2.csv", np.ones((100, 2)), delimiter=",")
+    argv = {
+        "missing G": ["fit", "--data-y", y, "--data-g",
+                      str(tmp_path / "none.csv"), "--groups", "4"],
+        "two-column y": ["fit", "--data-y", str(tmp_path / "y2.csv"),
+                         "--data-g", g, "--groups", "4"],
+        "no --groups": ["fit", "--data-y", y, "--data-g", g],
+        "empty group": ["fit", "--data-y", y, "--data-g", g,
+                        "--groups", "40,0"],
+        "long horizon": ["arx", "--data", str(arx_csv), "--q", "10",
+                         "--horizon", "200", "--sigma2", "1",
+                         "--out", str(tmp_path / "arx")],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and _one_line(err)
+    assert not list(tmp_path.glob("arx*"))
 
 
 def test_an_unwritable_out_exits_2(fixture_dir, arx_csv, tmp_path, capsys,
@@ -285,7 +341,6 @@ def test_noiseless_data_fit_every_method(fixture_dir, tmp_path):
         assert code == (0 if doc["diagnostics"]["converged"] else 3), method
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
 def test_a_numerical_failure_in_a_fit_exits_3(fixture_dir, tmp_path,
                                              capsys):
     """A LinAlgError raised inside an estimator is a numerical failure
@@ -298,23 +353,25 @@ def test_a_numerical_failure_in_a_fit_exits_3(fixture_dir, tmp_path,
                  str(fixture_dir / "y.csv"), "--data-g", str(big),
                  "--groups", "4", "--out", str(tmp_path / "out.json")])
     assert code == 3
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure") and _one_line(err)
 
 
 @pytest.mark.parametrize("method", ["mkl", "glasso"])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
 def test_fit_writes_valid_json_when_a_diagnostic_overflows(
-        fixture_dir, tmp_path, method):
+        fixture_dir, tmp_path, capsys, method):
     """At sigma2 = 1e-320 the mkl/glasso objective (and mkl's KKT residual)
     overflow while theta stays finite: the fit writes them as null, never
     as Infinity or NaN, which JSON does not have.  With no finite
-    certificate the fit is not converged, and exits 3."""
+    certificate the fit is not converged, and exits 3, printing no NumPy
+    warning."""
     out = tmp_path / "out.json"
     code = main(["fit", "--method", method,
                  "--data-y", str(fixture_dir / "y.csv"),
                  "--data-g", str(fixture_dir / "G.csv"), "--groups", "4",
                  "--sigma2", "1e-320", "--out", str(out)])
     assert code == 3
+    assert _one_line(capsys.readouterr().err)
 
     def reject(name):
         raise ValueError("not JSON: %s" % name)
@@ -642,6 +699,20 @@ def test_benchmark_smoke_and_determinism(tmp_path, capsys):
     doc = json.loads((tmp_path / "rep.json").read_text())
     assert len(doc["per_run"]) == 2
     assert (tmp_path / "rep.csv").exists()
+
+
+def test_a_negative_seed_exits_2(tmp_path, capsys):
+    """A negative --seed is a usage error (NumPy's SeedSequence takes no
+    negative entropy): exit 2 and one line naming --seed, and simulate
+    creates no --out directory."""
+    out = tmp_path / "sim"
+    for argv in (["simulate", "--seed", "-1", "--out", str(out)],
+                 ["benchmark", "--seed", "-1", "--runs", "1",
+                  "--estimators", "oracle"]):
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert "--seed" in err and _one_line(err), argv[0]
+    assert not out.exists()
 
 
 def test_benchmark_zero_runs_exits_2(capsys):

@@ -34,6 +34,8 @@ def test_config_validation():
         McConfig(experiment="exp9")
     with pytest.raises(ValueError, match="registry"):
         McConfig(estimators=["bogus"])
+    with pytest.raises(ValueError, match="master_seed"):
+        McConfig(master_seed=-1)
 
 
 @pytest.mark.parametrize("experiment", ["exp1", "exp2", "exp2_noisy_c"])
